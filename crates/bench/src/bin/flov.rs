@@ -77,10 +77,10 @@ tools:
               --out (BENCH_kernel.json)
               [--quick] [--min-cps N] [--min-skip FRAC]
               [--min-parallel-speedup X] [--out PATH]
-  bench-engine  time the batch engine end to end: cold + warm sweeps over
-              the sharded binary cache (work-stealing scheduler, indexed
-              probes) against the legacy flat-JSON layout; asserts all
-              lanes byte-identical; report to stdout and --out
+  bench-engine  time the batch engine end to end: a cold sweep into an
+              empty sharded binary cache (work-stealing scheduler), then
+              a warm replay through a fresh index; asserts both lanes
+              byte-identical; report to stdout and --out
               (BENCH_engine.json)
               [--quick] [--runs N] [--min-warm-probe-rate R] [--out PATH]
   fuzz        differential fuzzer: random specs through all three kernels
@@ -93,8 +93,8 @@ tools:
               stats | clear | verify | migrate
               | gc [--max-bytes N[K|M|G]] [--max-age N[s|m|h|d]]
               (verify re-derives every entry's content hash; migrate
-              rewrites JSON entries as sharded binary, hash-preserving;
-              gc evicts oldest-first by last use)
+              rewrites JSON entries older builds wrote as sharded binary,
+              hash-preserving; gc evicts oldest-first by last use)
 
 global flags: [--quick] [--cache-dir DIR] [--no-cache] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
@@ -471,12 +471,13 @@ fn main() {
                     println!("cache dir    {}", cache.dir().display());
                     println!("entries      {}", s.entries);
                     println!("total size   {} bytes", s.total_bytes);
-                    println!("  binary     {} (sharded)", s.binary_entries);
-                    println!(
-                        "  json       {} sharded, {} legacy flat",
-                        s.json_sharded, s.json_flat
-                    );
                     println!("shard dirs   {}", s.shard_dirs);
+                    if s.awaiting_migrate > 0 {
+                        println!(
+                            "json         {} awaiting migrate (run `flov cache migrate`)",
+                            s.awaiting_migrate
+                        );
+                    }
                     println!("quarantined  {} ({} bytes)", s.quarantined, s.quarantined_bytes);
                     if s.atime_bump_failures > 0 {
                         println!(
@@ -512,8 +513,8 @@ fn main() {
                     });
                     println!(
                         "migrated {} JSON entries to binary, {} already binary, \
-                         {} resharded, {} quarantined",
-                        r.migrated, r.already_binary, r.resharded, r.quarantined
+                         {} superseded by binary, {} quarantined",
+                        r.migrated, r.already_binary, r.superseded, r.quarantined
                     );
                 }
                 Some("gc") => {

@@ -14,22 +14,25 @@
 //! end-4   4     CRC-32C (Castagnoli) over every preceding byte, u32 LE
 //! ```
 //!
-//! The result section encodes the workspace serde shim's [`Value`] tree
-//! directly — one tag byte per node, zigzag-LEB128 varints for integers
-//! and lengths, raw little-endian bits for floats — so any change to
-//! `RunResult`'s fields round-trips with zero codec maintenance, floats
-//! come back bit-for-bit (including NaN payloads, which JSON cannot
-//! represent), and a warm cache probe decodes *only* the result: the spec
-//! JSON is length-skipped, never parsed. Storing the spec's exact
-//! canonical JSON bytes is what lets `flov cache verify` and `migrate`
-//! recompute the content hash without trusting the filename.
+//! The result section is written as the workspace serde shim's [`Value`]
+//! tree — one tag byte per node, zigzag-LEB128 varints for integers and
+//! lengths, raw little-endian bits for floats — so floats come back
+//! bit-for-bit (including NaN payloads, which JSON cannot represent). It
+//! is read back by one layout-pinned decoder that walks the bytes in
+//! `RunResult`'s field order and writes straight into the struct, so a
+//! change to `RunResult`'s fields must change that decoder in step (the
+//! round-trip tests fail until it does). A warm cache probe decodes
+//! *only* the result: the spec JSON is length-skipped, never parsed.
+//! Storing the spec's exact canonical JSON bytes is what lets
+//! `flov cache verify` recompute the content hash without trusting the
+//! filename.
 //!
 //! Every decode path is bounds-checked and returns [`BinError`] instead of
 //! panicking: a truncated or bit-flipped entry must read as a cache miss
 //! (the cache quarantines it), never as a crash.
 
 use crate::spec::RunResult;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// Magic + format version. Bump the trailing digit for incompatible
 /// layout changes; readers reject anything else as corrupt.
@@ -272,57 +275,6 @@ pub fn write_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn read_str(r: &mut Reader) -> Result<String, BinError> {
-    let n = r.bounded_len()?;
-    let bytes = r.take(n)?;
-    match std::str::from_utf8(bytes) {
-        Ok(s) => Ok(s.to_string()),
-        Err(e) => err(format!("invalid UTF-8 in string: {e}")),
-    }
-}
-
-fn read_value(r: &mut Reader) -> Result<Value, BinError> {
-    match r.byte()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_INT => Ok(Value::Int(unzigzag(r.uvarint()?))),
-        TAG_FLOAT => {
-            let bits = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
-            Ok(Value::Float(f64::from_bits(bits)))
-        }
-        TAG_STR => Ok(Value::Str(read_str(r)?)),
-        TAG_SEQ => {
-            let n = r.bounded_len()?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(read_value(r)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let n = r.bounded_len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = read_str(r)?;
-                entries.push((k, read_value(r)?));
-            }
-            Ok(Value::Map(entries))
-        }
-        t => err(format!("unknown value tag {t}")),
-    }
-}
-
-/// Decode one binary `Value` from `bytes` (must consume them exactly).
-pub fn value_from_bytes(bytes: &[u8]) -> Result<Value, BinError> {
-    let mut r = Reader { bytes, pos: 0 };
-    let v = read_value(&mut r)?;
-    if r.pos != bytes.len() {
-        return err(format!("{} trailing bytes after value", bytes.len() - r.pos));
-    }
-    Ok(v)
-}
-
 // --------------------------------------------------------- entry container
 
 /// Parse a 32-hex-character cache key into its 16 raw bytes.
@@ -364,7 +316,7 @@ pub fn encode_entry(
     out
 }
 
-/// A fully decoded binary entry (`flov cache verify` / `migrate` path).
+/// A fully decoded binary entry (the `flov cache verify` path).
 #[derive(Clone, Debug)]
 pub struct BinEntry {
     pub kernel_version: u32,
@@ -437,35 +389,22 @@ pub fn decode_result(
     if kernel_version != expect_kernel_version {
         return Ok(None);
     }
-    // The layout-pinned direct decoder first (an order of magnitude
-    // cheaper than materializing the Value tree); any mismatch falls back
-    // to the generic path, which also produces the precise error message
-    // for genuinely corrupt payloads.
-    if let Some(r) = fast::run_result(&bytes[result.clone()]) {
-        return Ok(Some(r));
-    }
-    let value = value_from_bytes(&bytes[result])?;
-    match RunResult::from_value(&value) {
-        Ok(r) => Ok(Some(r)),
-        Err(e) => err(format!("result does not deserialize: {e}")),
-    }
+    direct::run_result(&bytes[result]).map(Some)
 }
 
 /// Zero-allocation-per-node direct decode of a [`RunResult`] from the
 /// binary Value encoding. The warm-sweep probe path spends nearly all its
-/// time here, so instead of building the intermediate `Value` tree (one
+/// time here, so instead of building an intermediate `Value` tree (one
 /// heap allocation per map key and per node — tens of microseconds for a
 /// dense timeline), this module walks the bytes once, comparing field
 /// names in place and writing straight into the struct.
 ///
 /// The layout is pinned to the serde shim's derive: structs encode as
 /// declaration-ordered maps, so fields arrive in a known order. Any
-/// deviation — extra field, reordered field, unexpected tag — returns
-/// `None` and [`decode_result`] falls back to the generic `Value` path,
-/// which stays the source of truth for correctness (the proptest suite
-/// asserts the two paths agree bit-for-bit).
-mod fast {
-    use super::{unzigzag, TAG_FLOAT, TAG_INT, TAG_MAP, TAG_SEQ, TAG_STR};
+/// deviation — extra field, reordered field, unexpected tag, trailing
+/// bytes — is an error, and the cache quarantines the entry.
+mod direct {
+    use super::{err, unzigzag, BinError, TAG_FLOAT, TAG_INT, TAG_MAP, TAG_SEQ, TAG_STR};
     use crate::spec::RunResult;
     use flov_noc::stats::IntervalSample;
     use flov_power::model::{DynamicEnergy, PowerReport};
@@ -482,13 +421,17 @@ mod fast {
             Some(b)
         }
 
+        /// A canonical varint. The writer never ends a varint with a
+        /// padding zero byte or sets bits beyond u128, so either is
+        /// corruption, and accepting it would return a value whose
+        /// encoding differs from the stored bytes.
         fn uvarint(&mut self) -> Option<u128> {
             let mut v: u128 = 0;
             for shift in (0..128).step_by(7) {
                 let b = self.byte()?;
                 v |= ((b & 0x7F) as u128) << shift;
                 if b & 0x80 == 0 {
-                    return Some(v);
+                    return ((b != 0 || shift == 0) && (shift < 126 || b < 4)).then_some(v);
                 }
             }
             None
@@ -637,11 +580,20 @@ mod fast {
                 let b = self.byte()?;
                 v |= ((b & 0x7F) as u64) << shift;
                 if b & 0x80 == 0 {
-                    // Zigzag: even = non-negative.
-                    return (v & 1 == 0).then_some(v >> 1);
+                    // Zigzag: even = non-negative. A zero final byte after
+                    // the first is padding, which `uvarint` also rejects.
+                    return (v & 1 == 0 && (b != 0 || shift == 0)).then_some(v >> 1);
                 }
             }
             self.pos -= 9;
+            self.u64_wide()
+        }
+
+        /// [`Cur::int_u64`]'s rare wide path, kept out of line so the
+        /// timeline loop stays small.
+        #[cold]
+        #[inline(never)]
+        fn u64_wide(&mut self) -> Option<u64> {
             u64::try_from(super::unzigzag(self.uvarint()?)).ok()
         }
     }
@@ -662,11 +614,24 @@ mod fast {
         Some(out)
     }
 
-    /// Decode a complete `RunResult`; `None` on any layout mismatch.
-    pub(super) fn run_result(bytes: &[u8]) -> Option<RunResult> {
+    /// Decode a complete `RunResult`, consuming `bytes` exactly; the error
+    /// names the offset where the layout stopped matching.
+    pub(super) fn run_result(bytes: &[u8]) -> Result<RunResult, BinError> {
         let mut c = Cur { bytes, pos: 0 };
+        match fields(&mut c) {
+            Some(r) if c.pos == bytes.len() => Ok(r),
+            Some(_) => err(format!("{} trailing bytes after the result", bytes.len() - c.pos)),
+            None => err(format!(
+                "result does not match the RunResult layout (at byte {} of {})",
+                c.pos,
+                bytes.len()
+            )),
+        }
+    }
+
+    fn fields(c: &mut Cur) -> Option<RunResult> {
         c.map(20)?;
-        let r = RunResult {
+        Some(RunResult {
             mechanism: c.string("mechanism")?,
             packets: c.u64("packets")?,
             avg_latency: c.f64("avg_latency")?,
@@ -686,7 +651,7 @@ mod fast {
             escape_packets: c.u64("escape_packets")?,
             escape_diversions: c.u64("escape_diversions")?,
             throughput: c.f64("throughput")?,
-            power: power(&mut c)?,
+            power: power(c)?,
             runtime_cycles: c.u64("runtime_cycles")?,
             stalled_injection_cycles: c.u64("stalled_injection_cycles")?,
             gating_events: c.u64("gating_events")?,
@@ -702,28 +667,21 @@ mod fast {
                 }
                 v
             },
-            timeline: timeline(&mut c)?,
+            timeline: timeline(c)?,
             delivered_all: c.bool("delivered_all")?,
-        };
-        // The result section must be consumed exactly; trailing bytes
-        // mean a layout this decoder does not understand.
-        (c.pos == bytes.len()).then_some(r)
+        })
     }
 }
 
-/// Full decode for `verify` and `migrate`: every section parsed, the
-/// spec JSON returned verbatim so the caller can recompute the key.
+/// Full decode for `flov cache verify`: every section parsed, the spec
+/// JSON returned verbatim so the caller can recompute the key.
 pub fn decode_entry(bytes: &[u8]) -> Result<BinEntry, BinError> {
     let (kernel_version, hash, spec, result) = frame(bytes)?;
     let spec_json = match std::str::from_utf8(&bytes[spec]) {
         Ok(s) => s.to_string(),
         Err(e) => return err(format!("spec JSON is not UTF-8: {e}")),
     };
-    let value = value_from_bytes(&bytes[result])?;
-    let result = match RunResult::from_value(&value) {
-        Ok(r) => r,
-        Err(e) => return err(format!("result does not deserialize: {e}")),
-    };
+    let result = direct::run_result(&bytes[result])?;
     Ok(BinEntry { kernel_version, key: hex(&hash), spec_json, result })
 }
 
@@ -756,46 +714,6 @@ mod tests {
             let mut r = Reader { bytes: &buf, pos: 0 };
             assert_eq!(unzigzag(r.uvarint().unwrap()), v, "varint roundtrip for {v}");
             assert_eq!(r.pos, buf.len());
-        }
-    }
-
-    #[test]
-    fn values_roundtrip_bit_exactly() {
-        let v = Value::Map(vec![
-            ("s".into(), Value::Str("héllo\n\"".into())),
-            ("neg_zero".into(), Value::Float(-0.0)),
-            ("nan".into(), Value::Float(f64::NAN)),
-            ("big".into(), Value::Int(i128::from(u64::MAX))),
-            ("seq".into(), Value::Seq(vec![Value::Null, Value::Bool(true), Value::Bool(false)])),
-            ("empty".into(), Value::Map(vec![])),
-        ]);
-        let mut buf = Vec::new();
-        write_value(&v, &mut buf);
-        let back = value_from_bytes(&buf).unwrap();
-        // PartialEq on floats would reject NaN; compare structurally.
-        fn same(a: &Value, b: &Value) -> bool {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (Value::Seq(x), Value::Seq(y)) => {
-                    x.len() == y.len() && x.iter().zip(y).all(|(a, b)| same(a, b))
-                }
-                (Value::Map(x), Value::Map(y)) => {
-                    x.len() == y.len()
-                        && x.iter().zip(y).all(|((ka, va), (kb, vb))| ka == kb && same(va, vb))
-                }
-                (a, b) => a == b,
-            }
-        }
-        assert!(same(&v, &back));
-    }
-
-    #[test]
-    fn truncated_values_error_cleanly() {
-        let v = Value::Seq(vec![Value::Int(7); 20]);
-        let mut buf = Vec::new();
-        write_value(&v, &mut buf);
-        for cut in 0..buf.len() {
-            assert!(value_from_bytes(&buf[..cut]).is_err(), "truncation at {cut} must error");
         }
     }
 

@@ -11,20 +11,20 @@
 //!
 //! Layout: entries fan out into 256 hash-prefix shard subdirectories
 //! (`<dir>/<first two hex chars>/<key>.bin`), created lazily and written
-//! atomically (temp file + same-directory rename), so a killed sweep
-//! never leaves a partial entry behind. The default on-disk format is the
-//! compact binary container of [`crate::binfmt`]; JSON entries — sharded
-//! or in the legacy flat layout the seed engine wrote — remain fully
-//! readable, and `flov cache migrate` upgrades them in place without
-//! changing their content hashes.
+//! atomically (temp file + `sync_all` + same-directory rename), so a
+//! killed sweep never leaves a partial entry behind. Every entry is the
+//! compact binary container of [`crate::binfmt`]. JSON entries that older
+//! builds wrote (flat `<dir>/<key>.json` or sharded) are never probed:
+//! `flov cache migrate` is the one reader of them, and rewrites each as a
+//! binary entry without changing its content hash.
 //!
 //! Probing is O(1): the first probe scans the directory tree once into an
 //! in-memory index (key → path), after which a warm 10k-run sweep never
 //! stats a file that is not there. Corrupt or truncated entries (bad
-//! magic, CRC mismatch, unparseable JSON) are treated as misses and moved
-//! to `<dir>/quarantine/` for inspection — never a panic. Cache hits bump
-//! the entry's access time (best-effort) so `flov cache gc` can evict
-//! least-recently-used entries first.
+//! magic, CRC mismatch, a result section that does not decode) are
+//! treated as misses and moved to `<dir>/quarantine/` for inspection —
+//! never a panic. Cache hits bump the entry's access time (best-effort)
+//! so `flov cache gc` can evict least-recently-used entries first.
 
 use crate::binfmt;
 use crate::spec::{RunResult, RunSpec};
@@ -49,28 +49,15 @@ pub struct CacheEntry {
     pub result: RunResult,
 }
 
-/// On-disk encoding for newly written entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CacheFormat {
-    /// Compact binary container ([`crate::binfmt`]); the default.
-    #[default]
-    Binary,
-    /// One pretty-printed-free canonical JSON [`CacheEntry`] per file.
-    Json,
-}
-
 /// Summary of what's on disk, for `flov cache stats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Readable entries across every layout and format.
+    /// Binary entries in shard subdirectories.
     pub entries: usize,
     pub total_bytes: u64,
-    /// Binary entries in shard subdirectories.
-    pub binary_entries: usize,
-    /// JSON entries in shard subdirectories.
-    pub json_sharded: usize,
-    /// JSON entries in the legacy flat layout (pre-shard engine).
-    pub json_flat: usize,
+    /// JSON entries older builds wrote (flat or sharded). Probes ignore
+    /// them until `flov cache migrate` rewrites them as binary.
+    pub awaiting_migrate: usize,
     /// Shard subdirectories present.
     pub shard_dirs: usize,
     /// Files parked in `quarantine/`.
@@ -115,11 +102,11 @@ pub struct VerifyReport {
 pub struct MigrateReport {
     /// JSON entries rewritten as sharded binary (hash-preserving).
     pub migrated: usize,
-    /// Entries already in the binary sharded layout, left alone.
+    /// Binary entries already present, left alone.
     pub already_binary: usize,
-    /// Misplaced binary entries moved into their shard directory.
-    pub resharded: usize,
-    /// Unreadable or hash-mismatched entries moved to `quarantine/`.
+    /// JSON entries deleted because their key already has a binary entry.
+    pub superseded: usize,
+    /// Unreadable or hash-mismatched JSON entries moved to `quarantine/`.
     pub quarantined: usize,
 }
 
@@ -128,10 +115,6 @@ pub struct MigrateReport {
 #[derive(Clone, Debug)]
 pub struct ResultCache {
     dir: PathBuf,
-    write_format: CacheFormat,
-    /// Seed-era behavior for A/B benchmarking: flat `<key>.json` files,
-    /// probed by direct filesystem reads with no index.
-    legacy_flat: bool,
     /// Lazily built key → path map; `None` until the first probe.
     index: Arc<Mutex<Option<HashMap<String, PathBuf>>>>,
     /// How many LRU atime bumps have failed (shared across clones, like
@@ -157,50 +140,33 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// `Some(key)` when `name` is `<32 hex>.bin` or `<32 hex>.json`.
-fn entry_key(name: &str) -> Option<&str> {
-    let key = name.strip_suffix(".bin").or_else(|| name.strip_suffix(".json"))?;
+/// `Some(key)` when `name` is `<32 lowercase hex>.<ext>`.
+fn entry_key<'a>(name: &'a str, ext: &str) -> Option<&'a str> {
+    let key = name.strip_suffix(ext)?.strip_suffix('.')?;
     (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()))
         .then_some(key)
 }
 
+/// Every `<key>.<ext>` file directly inside `dir`, as `(key, path)`.
+fn entries_in<'a>(dir: &Path, ext: &'a str) -> impl Iterator<Item = (String, PathBuf)> + 'a {
+    fs::read_dir(dir).into_iter().flatten().flatten().filter_map(move |f| {
+        let name = f.file_name();
+        let key = entry_key(name.to_str()?, ext)?.to_string();
+        Some((key, f.path()))
+    })
+}
+
 impl ResultCache {
     /// A sharded cache rooted at `dir` (created lazily on first write).
-    /// New entries are written in the binary format unless
-    /// `FLOV_CACHE_FORMAT=json` asks for JSON.
     pub fn new(dir: impl Into<PathBuf>) -> ResultCache {
-        let write_format = match std::env::var("FLOV_CACHE_FORMAT").ok().as_deref() {
-            Some("json") => CacheFormat::Json,
-            None | Some("") | Some("binary") | Some("bin") => CacheFormat::Binary,
-            Some(other) => panic!("unknown FLOV_CACHE_FORMAT value {other:?} (use binary|json)"),
-        };
-        Self::make(dir.into(), write_format, false)
-    }
-
-    fn make(dir: PathBuf, write_format: CacheFormat, legacy_flat: bool) -> ResultCache {
         ResultCache {
-            dir,
-            write_format,
-            legacy_flat,
+            dir: dir.into(),
             index: Arc::new(Mutex::new(None)),
             atime_failures: Arc::new(AtomicU64::new(0)),
             atime_unreliable: Arc::new(AtomicBool::new(false)),
             #[cfg(test)]
             fail_atime_bumps: Arc::new(AtomicBool::new(false)),
         }
-    }
-
-    /// Override the write format (probing always reads every format).
-    pub fn with_format(mut self, f: CacheFormat) -> ResultCache {
-        self.write_format = f;
-        self
-    }
-
-    /// The seed engine's layout, kept as the A/B baseline for
-    /// `flov bench-engine`: flat pretty-free JSON files probed by direct
-    /// reads, no shards, no index, no quarantine, no atime bumps.
-    pub fn legacy_flat_json(dir: impl Into<PathBuf>) -> ResultCache {
-        Self::make(dir.into(), CacheFormat::Json, true)
     }
 
     /// The default location: `$FLOV_CACHE_DIR`, or `results/cache`.
@@ -231,51 +197,28 @@ impl ResultCache {
         self.dir.join(&key[..2])
     }
 
-    fn write_path(&self, key: &str) -> PathBuf {
-        if self.legacy_flat {
-            return self.dir.join(format!("{key}.json"));
-        }
-        let ext = match self.write_format {
-            CacheFormat::Binary => "bin",
-            CacheFormat::Json => "json",
-        };
-        self.shard_dir(key).join(format!("{key}.{ext}"))
+    /// Shard subdirectories present on disk.
+    fn shards(&self) -> impl Iterator<Item = PathBuf> {
+        fs::read_dir(&self.dir).into_iter().flatten().flatten().map(|e| e.path()).filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+            name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) && p.is_dir()
+        })
+    }
+
+    /// JSON entries older builds wrote, flat or sharded, as `(key, path)`.
+    /// Only [`ResultCache::migrate`] reads them.
+    fn json_entries(&self) -> Vec<(String, PathBuf)> {
+        let sharded = self.shards().flat_map(|s| entries_in(&s, "json"));
+        entries_in(&self.dir, "json").chain(sharded).collect()
     }
 
     // ------------------------------------------------------------- index
 
-    /// One directory scan building the key → path map. Binary entries win
-    /// when a key exists in both formats; tmp files and `quarantine/` are
-    /// skipped.
+    /// One directory scan building the key → path map over the binary
+    /// entries in shard subdirectories; tmp files, JSON leftovers and
+    /// `quarantine/` are skipped.
     fn scan(&self) -> HashMap<String, PathBuf> {
-        let mut map: HashMap<String, PathBuf> = HashMap::new();
-        let insert = |map: &mut HashMap<String, PathBuf>, p: PathBuf| {
-            let Some(name) = p.file_name().and_then(|n| n.to_str()) else { return };
-            let Some(key) = entry_key(name) else { return };
-            match map.get(key) {
-                Some(existing) if existing.extension().is_some_and(|e| e == "bin") => {}
-                _ => {
-                    map.insert(key.to_string(), p);
-                }
-            }
-        };
-        let Ok(rd) = fs::read_dir(&self.dir) else { return map };
-        for e in rd.flatten() {
-            let p = e.path();
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            if p.is_dir() {
-                if name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    let Ok(shard) = fs::read_dir(&p) else { continue };
-                    for f in shard.flatten() {
-                        insert(&mut map, f.path());
-                    }
-                }
-            } else {
-                insert(&mut map, p);
-            }
-        }
-        map
+        self.shards().flat_map(|s| entries_in(&s, "bin")).collect()
     }
 
     /// Build the index now (normally it builds on the first probe) and
@@ -334,11 +277,6 @@ impl ResultCache {
     /// or truncated entries read as misses and are quarantined; a hit
     /// bumps the entry's access time for LRU eviction.
     pub fn get(&self, key: &str, kernel_version: u32) -> Option<RunResult> {
-        if self.legacy_flat {
-            let text = fs::read_to_string(self.dir.join(format!("{key}.json"))).ok()?;
-            let entry: CacheEntry = serde_json::from_str(&text).ok()?;
-            return (entry.kernel_version == kernel_version).then_some(entry.result);
-        }
         let path = self.index_lookup(key)?;
         // One open serves both the read and, on a hit, the LRU atime bump
         // (the probe path runs thousands of times per warm sweep, so the
@@ -354,16 +292,7 @@ impl ResultCache {
             self.index_forget(key);
             return None;
         }
-        let is_binary = path.extension().is_some_and(|e| e == "bin");
-        let outcome = if is_binary {
-            binfmt::decode_result(&bytes, key, kernel_version)
-        } else {
-            match serde_json::from_slice::<CacheEntry>(&bytes) {
-                Ok(entry) => Ok((entry.kernel_version == kernel_version).then_some(entry.result)),
-                Err(e) => Err(binfmt::BinError(format!("JSON entry does not parse: {e}"))),
-            }
-        };
-        match outcome {
+        match binfmt::decode_result(&bytes, key, kernel_version) {
             Ok(Some(result)) => {
                 self.bump_atime(&file);
                 Some(result)
@@ -410,30 +339,28 @@ impl ResultCache {
     }
 
     /// Persist `entry` under `key` atomically: the shard directory is
-    /// created lazily, the bytes land in a same-directory temp file, and
-    /// a rename publishes the entry — a crashed or concurrent run never
-    /// leaves a half-written entry under a probed name.
+    /// created lazily, the bytes land in a same-directory temp file that is
+    /// synced to disk, and a rename publishes the entry — a crashed or
+    /// concurrent run never leaves a half-written entry under a probed
+    /// name. On failure the temp file is removed.
     pub fn put(&self, key: &str, entry: &CacheEntry) -> std::io::Result<()> {
-        let path = self.write_path(key);
-        let parent = path.parent().expect("entry path has a parent");
-        fs::create_dir_all(parent)?;
-        let bytes = match (self.legacy_flat, self.write_format) {
-            (false, CacheFormat::Binary) => {
-                let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-                binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result)
-            }
-            _ => serde_json::to_string(entry).expect("cache entry serializes").into_bytes(),
-        };
-        let tmp = parent.join(format!(".{key}.tmp-{}", std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
+        let shard = self.shard_dir(key);
+        fs::create_dir_all(&shard)?;
+        let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
+        let bytes = binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result);
+        let tmp = shard.join(format!(".{key}.tmp-{}", std::process::id()));
+        let path = shard.join(format!("{key}.bin"));
+        let published = fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(&bytes)?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, &path));
+        if let Err(e) = published {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
-        fs::rename(&tmp, &path)?;
-        if !self.legacy_flat {
-            self.index_insert(key, path);
-        }
+        self.index_insert(key, path);
         Ok(())
     }
 
@@ -450,7 +377,9 @@ impl ResultCache {
             let _ = fs::remove_file(path);
         }
         eprintln!("[flov] cache: quarantined {} ({reason})", path.display());
-        if let Some(key) = path.file_name().and_then(|n| n.to_str()).and_then(entry_key) {
+        if let Some(key) =
+            path.file_name().and_then(|n| n.to_str()).and_then(|n| entry_key(n, "bin"))
+        {
             self.index_forget(key);
         }
     }
@@ -486,55 +415,32 @@ impl ResultCache {
 
     /// Count the entries (and bytes) currently on disk.
     pub fn stats(&self) -> CacheStats {
-        let mut s =
-            CacheStats { atime_bump_failures: self.atime_bump_failures(), ..Default::default() };
-        let Ok(rd) = fs::read_dir(&self.dir) else { return s };
-        let tally = |s: &mut CacheStats, path: &Path, flat: bool| {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { return };
-            if entry_key(name).is_none() {
-                return;
-            }
-            let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            s.entries += 1;
-            s.total_bytes += len;
-            if name.ends_with(".bin") {
-                s.binary_entries += 1;
-            } else if flat {
-                s.json_flat += 1;
-            } else {
-                s.json_sharded += 1;
-            }
+        let mut s = CacheStats {
+            awaiting_migrate: self.json_entries().len(),
+            atime_bump_failures: self.atime_bump_failures(),
+            ..Default::default()
         };
-        for e in rd.flatten() {
-            let p = e.path();
-            let name = e.file_name();
-            let name = name.to_string_lossy();
-            if p.is_dir() {
-                if name == QUARANTINE_DIR {
-                    let Ok(q) = fs::read_dir(&p) else { continue };
-                    for f in q.flatten() {
-                        s.quarantined += 1;
-                        s.quarantined_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
-                    }
-                } else if name.len() == 2 && name.bytes().all(|b| b.is_ascii_hexdigit()) {
-                    s.shard_dirs += 1;
-                    let Ok(shard) = fs::read_dir(&p) else { continue };
-                    for f in shard.flatten() {
-                        tally(&mut s, &f.path(), false);
-                    }
-                }
-            } else {
-                tally(&mut s, &p, true);
+        for shard in self.shards() {
+            s.shard_dirs += 1;
+            for (_, path) in entries_in(&shard, "bin") {
+                s.entries += 1;
+                s.total_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+            }
+        }
+        if let Ok(q) = fs::read_dir(self.dir.join(QUARANTINE_DIR)) {
+            for f in q.flatten() {
+                s.quarantined += 1;
+                s.quarantined_bytes += f.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
         s
     }
 
-    /// Delete every entry (and quarantined file); returns how many
-    /// entries were removed.
+    /// Delete every entry, JSON entry awaiting migrate and quarantined
+    /// file; returns how many entries (binary or JSON) were removed.
     pub fn clear(&self) -> std::io::Result<usize> {
         let mut n = 0;
-        for (_, path, _, _) in self.inventory() {
+        for path in self.scan().into_values().chain(self.json_entries().into_iter().map(|e| e.1)) {
             fs::remove_file(&path)?;
             n += 1;
         }
@@ -601,7 +507,7 @@ impl ResultCache {
     }
 
     /// Re-read every entry, re-deriving its content hash from the stored
-    /// spec: structural corruption (bad magic/CRC/JSON) and hash
+    /// spec: structural corruption (bad magic/CRC/result layout) and hash
     /// mismatches (entry filed under a key its spec does not hash to)
     /// both quarantine the file.
     pub fn verify(&self) -> VerifyReport {
@@ -622,50 +528,38 @@ impl ResultCache {
 
     fn verify_one(&self, key: &str, path: &Path) -> Result<(), String> {
         let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let (kernel_version, spec_json, stored_key) =
-            if path.extension().is_some_and(|e| e == "bin") {
-                let entry = binfmt::decode_entry(&bytes).map_err(|e| e.0)?;
-                (entry.kernel_version, entry.spec_json, Some(entry.key))
-            } else {
-                let entry: CacheEntry = serde_json::from_slice(&bytes)
-                    .map_err(|e| format!("JSON entry does not parse: {e}"))?;
-                let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-                (entry.kernel_version, spec_json, None)
-            };
-        if let Some(stored) = stored_key {
-            if stored != key {
-                return Err(format!("stored hash {stored} does not match filename"));
-            }
+        let entry = binfmt::decode_entry(&bytes).map_err(|e| e.0)?;
+        if entry.key != key {
+            return Err(format!("stored hash {} does not match filename", entry.key));
         }
-        let derived = ResultCache::key(&spec_json, kernel_version);
+        let derived = ResultCache::key(&entry.spec_json, entry.kernel_version);
         if derived != key {
             return Err(format!("spec hashes to {derived}, filed under {key}"));
         }
         Ok(())
     }
 
-    /// Rewrite every JSON entry (flat or sharded) as sharded binary and
-    /// move any misplaced binary entry into its shard — preserving every
-    /// content hash, so a warm sweep replays identically before and
-    /// after. Unreadable or hash-mismatched entries are quarantined.
+    /// Rewrite every JSON entry older builds left (flat or sharded) as a
+    /// binary entry through [`ResultCache::put`], then delete the JSON —
+    /// preserving every content hash, so a warm sweep replays identically
+    /// before and after. A key that already has a binary entry keeps it.
+    /// Unreadable or hash-mismatched JSON entries are quarantined.
     pub fn migrate(&self) -> std::io::Result<MigrateReport> {
-        let mut report = MigrateReport::default();
-        for (key, path, _, _) in self.inventory() {
-            let in_shard = path.parent() == Some(self.shard_dir(&key).as_path());
-            let is_binary = path.extension().is_some_and(|e| e == "bin");
-            if is_binary {
-                if in_shard {
-                    report.already_binary += 1;
-                } else {
-                    let dest = self.shard_dir(&key).join(format!("{key}.bin"));
-                    fs::create_dir_all(dest.parent().expect("shard dir"))?;
-                    fs::rename(&path, &dest)?;
-                    report.resharded += 1;
-                }
+        self.index_reset();
+        let mut report =
+            MigrateReport { already_binary: self.prime_index().0, ..Default::default() };
+        for (key, path) in self.json_entries() {
+            if self.index_lookup(&key).is_some() {
+                fs::remove_file(&path)?;
+                report.superseded += 1;
                 continue;
             }
-            match self.migrate_one(&key, &path) {
-                Ok(()) => report.migrated += 1,
+            match read_json_entry(&key, &path) {
+                Ok(entry) => {
+                    self.put(&key, &entry)?;
+                    fs::remove_file(&path)?;
+                    report.migrated += 1;
+                }
                 Err(reason) => {
                     self.quarantine(&path, &reason);
                     report.quarantined += 1;
@@ -675,26 +569,19 @@ impl ResultCache {
         self.index_reset();
         Ok(report)
     }
+}
 
-    fn migrate_one(&self, key: &str, path: &Path) -> Result<(), String> {
-        let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-        let entry: CacheEntry = serde_json::from_slice(&bytes)
-            .map_err(|e| format!("JSON entry does not parse: {e}"))?;
-        let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-        let derived = ResultCache::key(&spec_json, entry.kernel_version);
-        if derived != key {
-            return Err(format!("spec hashes to {derived}, filed under {key}"));
-        }
-        let encoded = binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result);
-        let dest = self.shard_dir(key).join(format!("{key}.bin"));
-        let parent = dest.parent().expect("shard dir");
-        fs::create_dir_all(parent).map_err(|e| format!("cannot create shard dir: {e}"))?;
-        let tmp = parent.join(format!(".{key}.tmp-{}", std::process::id()));
-        fs::write(&tmp, &encoded).map_err(|e| format!("cannot write: {e}"))?;
-        fs::rename(&tmp, &dest).map_err(|e| format!("cannot publish: {e}"))?;
-        let _ = fs::remove_file(path);
-        Ok(())
+/// Parse one JSON entry and check that its spec hashes to `key`.
+fn read_json_entry(key: &str, path: &Path) -> Result<CacheEntry, String> {
+    let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
+    let entry: CacheEntry =
+        serde_json::from_slice(&bytes).map_err(|e| format!("JSON entry does not parse: {e}"))?;
+    let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
+    let derived = ResultCache::key(&spec_json, entry.kernel_version);
+    if derived != key {
+        return Err(format!("spec hashes to {derived}, filed under {key}"));
     }
+    Ok(entry)
 }
 
 #[cfg(test)]
@@ -829,17 +716,14 @@ mod tests {
 
     #[test]
     fn entry_key_accepts_entries_and_rejects_noise() {
-        assert_eq!(
-            entry_key("0123456789abcdef0123456789abcdef.bin"),
-            Some("0123456789abcdef0123456789abcdef")
-        );
-        assert_eq!(
-            entry_key("0123456789abcdef0123456789abcdef.json"),
-            Some("0123456789abcdef0123456789abcdef")
-        );
-        assert_eq!(entry_key(".0123456789abcdef0123456789abcdef.tmp-123"), None);
-        assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin"), None);
-        assert_eq!(entry_key("short.json"), None);
-        assert_eq!(entry_key("notes.txt"), None);
+        let key = "0123456789abcdef0123456789abcdef";
+        assert_eq!(entry_key(&format!("{key}.bin"), "bin"), Some(key));
+        assert_eq!(entry_key(&format!("{key}.json"), "json"), Some(key));
+        assert_eq!(entry_key(&format!("{key}.json"), "bin"), None);
+        assert_eq!(entry_key(&format!("{key}bin"), "bin"), None);
+        assert_eq!(entry_key(&format!(".{key}.tmp-123"), "bin"), None);
+        assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin", "bin"), None);
+        assert_eq!(entry_key("short.json", "json"), None);
+        assert_eq!(entry_key("notes.txt", "bin"), None);
     }
 }

@@ -2,26 +2,20 @@
 //!
 //! Times the full `Engine::run_batch` path — key hashing, cache probing,
 //! work-stealing scheduling, persistence — over a ~1000-run sweep of tiny
-//! unique specs, in four lanes:
+//! unique specs, in two lanes over the sharded binary cache:
+//! `cold_binary_sharded` populates an empty cache, then
+//! `warm_binary_sharded` replays it fully warm through a fresh index.
 //!
-//! - `cold_binary_sharded` / `warm_binary_sharded`: the current engine
-//!   (sharded binary cache + in-memory index + work-stealing scheduler),
-//!   first populating an empty cache, then replaying it fully warm.
-//! - `cold_json_flat` / `warm_json_flat`: the seed engine's layout (flat
-//!   per-key JSON files probed by direct reads), as the A/B baseline the
-//!   ISSUE's ≥10× warm-replay target is measured against.
-//!
-//! Every lane must produce byte-identical results (the cache is an
-//! implementation detail, never a semantic one), and the warm lanes must
+//! Both lanes must produce byte-identical results (the cache is an
+//! implementation detail, never a semantic one), and the warm lane must
 //! serve every run from cache. The report lands in `BENCH_engine.json`;
-//! `--min-warm-probe-rate` turns the warm binary lane's probes/sec into a
-//! CI regression gate.
+//! `--min-warm-probe-rate` turns the warm lane's probes/sec into a CI
+//! regression gate.
 
-use crate::cache::{CacheFormat, ResultCache};
+use crate::cache::ResultCache;
 use crate::engine::Engine;
 use crate::spec::RunSpec;
 use serde::Serialize;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// One timed lane.
@@ -38,7 +32,7 @@ pub struct EngineLane {
     /// Cache probes served per second (warm lanes: every run is a probe).
     pub probes_per_sec: f64,
     /// One-time index build: directory-scan seconds and entries found
-    /// (zero for the flat-layout lanes, which keep no index).
+    /// (warm lane only; the cold lane starts from an empty directory).
     pub index_scan_seconds: f64,
     pub index_entries: usize,
     /// Scheduler counters (cold lanes; warm lanes simulate nothing).
@@ -56,9 +50,6 @@ pub struct EngineBenchReport {
     pub host_threads: usize,
     pub runs: usize,
     pub lanes: Vec<EngineLane>,
-    /// Warm binary-sharded replay wall time over warm flat-JSON replay
-    /// wall time (the acceptance target is ≥10 on a ≥1000-run sweep).
-    pub warm_speedup_vs_json_flat: f64,
 }
 
 /// The sweep: `n` unique tiny specs. Short runs with a dense timeline
@@ -81,10 +72,6 @@ pub fn sweep_specs(n: usize) -> Vec<RunSpec> {
                 .build()
         })
         .collect()
-}
-
-fn lane_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("flov-bench-engine-{}-{tag}", std::process::id()))
 }
 
 /// Run one lane: build an engine over `cache`, execute the sweep
@@ -139,10 +126,9 @@ fn run_lane(
     (lane, digest)
 }
 
-/// Run the four-lane matrix. Panics if a warm lane misses the cache, if
-/// any lane's results diverge from the cold binary lane's, or, when
-/// `min_warm_probe_rate` is set, if the warm binary lane probes slower
-/// than that floor (probes/sec).
+/// Run the two lanes. Panics if the warm lane misses the cache, if its
+/// results diverge from the cold lane's, or, when `min_warm_probe_rate`
+/// is set, if the warm lane probes slower than that floor (probes/sec).
 pub fn run_bench(
     quick: bool,
     runs: Option<usize>,
@@ -150,80 +136,48 @@ pub fn run_bench(
 ) -> EngineBenchReport {
     let n = runs.unwrap_or(if quick { 300 } else { 1_000 });
     let specs = sweep_specs(n);
-    let bin_dir = lane_dir("bin");
-    let flat_dir = lane_dir("flat");
-    for d in [&bin_dir, &flat_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let dir = std::env::temp_dir().join(format!("flov-bench-engine-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
 
-    let binary = || ResultCache::new(&bin_dir).with_format(CacheFormat::Binary);
-    let flat = || ResultCache::legacy_flat_json(&flat_dir);
-    // Fresh ResultCache per lane so each warm lane rebuilds its index
-    // from a cold directory scan, the way a new `flov` invocation would.
-    let warm_repeats = 3;
-    let (cold_bin, cold_bin_digest) = run_lane("cold_binary_sharded", binary(), &specs, false, 1);
+    // Fresh ResultCache per lane so the warm lane rebuilds its index from
+    // a cold directory scan, the way a new `flov` invocation would.
+    let (cold, cold_digest) =
+        run_lane("cold_binary_sharded", ResultCache::new(&dir), &specs, false, 1);
     eprintln!(
         "[flov] bench-engine cold_binary_sharded: {:.2}s, {:.0} runs/s, \
          {} workers ({:.0}% busy, {} steals)",
-        cold_bin.wall_seconds,
-        cold_bin.runs_per_sec,
-        cold_bin.workers,
-        cold_bin.occupancy * 100.0,
-        cold_bin.steals,
+        cold.wall_seconds,
+        cold.runs_per_sec,
+        cold.workers,
+        cold.occupancy * 100.0,
+        cold.steals,
     );
-    let (warm_bin, warm_bin_digest) =
-        run_lane("warm_binary_sharded", binary(), &specs, true, warm_repeats);
+    let (warm, warm_digest) =
+        run_lane("warm_binary_sharded", ResultCache::new(&dir), &specs, true, 3);
     eprintln!(
         "[flov] bench-engine warm_binary_sharded: {:.3}s, {:.0} probes/s \
          (index: {} entries in {:.3}s)",
-        warm_bin.wall_seconds,
-        warm_bin.probes_per_sec,
-        warm_bin.index_entries,
-        warm_bin.index_scan_seconds,
-    );
-    let (cold_flat, cold_flat_digest) = run_lane("cold_json_flat", flat(), &specs, false, 1);
-    eprintln!(
-        "[flov] bench-engine cold_json_flat: {:.2}s, {:.0} runs/s",
-        cold_flat.wall_seconds, cold_flat.runs_per_sec,
-    );
-    let (warm_flat, warm_flat_digest) =
-        run_lane("warm_json_flat", flat(), &specs, false, warm_repeats);
-    eprintln!(
-        "[flov] bench-engine warm_json_flat: {:.3}s, {:.0} probes/s",
-        warm_flat.wall_seconds, warm_flat.probes_per_sec,
+        warm.wall_seconds, warm.probes_per_sec, warm.index_entries, warm.index_scan_seconds,
     );
 
-    // The cache layer must be semantically invisible: every lane, cold or
-    // warm, binary or JSON, yields byte-identical results.
-    assert_eq!(warm_bin_digest, cold_bin_digest, "binary warm replay diverged from cold run");
-    assert_eq!(cold_flat_digest, cold_bin_digest, "flat-JSON lane diverged from binary lane");
-    assert_eq!(warm_flat_digest, cold_bin_digest, "flat-JSON warm replay diverged");
-    assert_eq!(warm_bin.cached, n, "warm binary lane missed the cache");
-    assert_eq!(warm_flat.cached, n, "warm flat lane missed the cache");
-    assert_eq!(warm_bin.index_entries, n, "index scan missed entries");
-
-    let warm_speedup = warm_flat.wall_seconds / warm_bin.wall_seconds.max(1e-9);
-    eprintln!(
-        "[flov] bench-engine: warm replay speedup vs flat JSON: {warm_speedup:.1}x \
-         ({:.0} vs {:.0} probes/s)",
-        warm_bin.probes_per_sec, warm_flat.probes_per_sec,
-    );
+    // The cache layer must be semantically invisible: the warm replay
+    // yields byte-identical results to the cold run.
+    assert_eq!(warm_digest, cold_digest, "binary warm replay diverged from cold run");
+    assert_eq!(warm.cached, n, "warm binary lane missed the cache");
+    assert_eq!(warm.index_entries, n, "index scan missed entries");
     if let Some(floor) = min_warm_probe_rate {
         assert!(
-            warm_bin.probes_per_sec >= floor,
+            warm.probes_per_sec >= floor,
             "engine-probe regression: warm binary lane at {:.0} probes/sec < floor {floor:.0}",
-            warm_bin.probes_per_sec
+            warm.probes_per_sec
         );
     }
 
-    for d in [&bin_dir, &flat_dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
     EngineBenchReport {
         quick,
         host_threads: std::thread::available_parallelism().map(|x| x.get()).unwrap_or(1),
         runs: n,
-        lanes: vec![cold_bin, warm_bin, cold_flat, warm_flat],
-        warm_speedup_vs_json_flat: warm_speedup,
+        lanes: vec![cold, warm],
     }
 }

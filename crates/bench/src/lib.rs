@@ -25,8 +25,7 @@ pub mod studies;
 pub mod tracefmt;
 
 pub use cache::{
-    CacheEntry, CacheFormat, CacheStats, GcOptions, GcReport, MigrateReport, ResultCache,
-    VerifyReport,
+    CacheEntry, CacheStats, GcOptions, GcReport, MigrateReport, ResultCache, VerifyReport,
 };
 pub use engine::{Engine, EngineStats, KERNEL_VERSION};
 pub use flov_noc::audit::{AuditViolation, DEFAULT_AUDIT_INTERVAL};
@@ -40,14 +39,14 @@ use flov_core::mechanism;
 use flov_noc::network::Simulation;
 use flov_noc::stats::IntervalSample;
 use flov_noc::topology::Topology;
-use flov_noc::traits::Workload;
+use flov_noc::traits::{ScriptedWorkload, Workload};
 use flov_noc::types::Cycle;
 use flov_noc::ConfigError;
 use flov_power::GatedResidual;
 use flov_workloads::trace::TraceData;
 use flov_workloads::{
     Dwell, GatingSchedule, ModulatedWorkload, ParsecWorkload, PatternSpace, RecordingWorkload,
-    SyntheticWorkload, TraceWorkload,
+    SyntheticWorkload,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -273,23 +272,10 @@ fn build_workload(spec: &RunSpec) -> Box<dyn Workload> {
             Box::new(ParsecWorkload::new(cfg.kx(), profile, *seed))
         }
         WorkloadSpec::Trace { path, crc, .. } => {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("cannot read trace file {path:?}: {e}"));
-            let file = tracefmt::decode_trace(&bytes)
-                .unwrap_or_else(|e| panic!("bad trace file {path:?}: {}", e.0));
-            assert_eq!(
-                file.crc, *crc,
-                "trace file {path:?} CRC {:08x} does not match the spec's {crc:08x} \
-                 (the file changed since the spec was written)",
-                file.crc,
-            );
-            if let Some(max) = file.data.max_node() {
-                assert!(
-                    (max as usize) < cfg.cores(),
-                    "trace references node {max} but the config has {} cores",
-                    cfg.cores(),
-                );
-            }
+            // `RunSpec::validate` reports these failures as a ConfigError;
+            // only callers that skip validation can reach the panic.
+            let file =
+                tracefmt::load_trace(path, *crc, cfg.cores()).unwrap_or_else(|e| panic!("{e}"));
             if file.kernel_version != KERNEL_VERSION {
                 eprintln!(
                     "[flov] note: trace {path:?} was recorded under kernel version {} \
@@ -298,7 +284,7 @@ fn build_workload(spec: &RunSpec) -> Box<dyn Workload> {
                     file.kernel_version,
                 );
             }
-            Box::new(TraceWorkload::new(file.data))
+            Box::new(ScriptedWorkload::from(file.data))
         }
     }
 }

@@ -169,7 +169,10 @@ impl RunSpec {
         };
         match &self.workload {
             WorkloadSpec::Synthetic { rate, .. } => rate_ok(*rate),
-            WorkloadSpec::Parsec { .. } | WorkloadSpec::Trace { .. } => Ok(()),
+            WorkloadSpec::Parsec { .. } => Ok(()),
+            WorkloadSpec::Trace { path, crc, .. } => {
+                crate::tracefmt::load_trace(path, *crc, resolved.cfg.cores()).map(drop)
+            }
             WorkloadSpec::Mmpp { rates, mean_dwell, .. } => {
                 rates_ok(rates)?;
                 if *mean_dwell == 0 {

@@ -25,6 +25,7 @@
 use crate::binfmt::{crc32, write_uvarint, BinError, Reader};
 use flov_noc::traits::PacketRequest;
 use flov_noc::types::{Cycle, NodeId};
+use flov_noc::ConfigError;
 use flov_workloads::trace::TraceData;
 
 /// Trace container magic (the result-cache container uses `FLOVBC1\n`).
@@ -93,6 +94,28 @@ fn cycle_of(v: u128) -> Result<Cycle, BinError> {
 fn node_of(v: u128) -> Result<NodeId, BinError> {
     NodeId::try_from(u64::try_from(v).unwrap_or(u64::MAX))
         .map_err(|_| BinError(format!("node id {v} overflows u16")))
+}
+
+/// Read the trace file a [`WorkloadSpec::Trace`] names and check it
+/// against the spec: the file must be readable, a valid container, carry
+/// the CRC the spec pinned, and name only nodes below `cores`.
+///
+/// [`WorkloadSpec::Trace`]: crate::spec::WorkloadSpec::Trace
+pub fn load_trace(path: &str, crc: u32, cores: usize) -> Result<TraceFile, ConfigError> {
+    let bad = |why: String| ConfigError::BadTrace { path: path.to_string(), why };
+    let bytes = std::fs::read(path).map_err(|e| bad(format!("cannot read: {e}")))?;
+    let file = decode_trace(&bytes).map_err(|e| bad(e.0))?;
+    if file.crc != crc {
+        return Err(bad(format!(
+            "CRC {:08x} does not match the spec's {crc:08x} \
+             (the file changed since the spec was written)",
+            file.crc
+        )));
+    }
+    if let Some(max) = file.data.max_node().filter(|&n| n as usize >= cores) {
+        return Err(bad(format!("references node {max} but the config has {cores} cores")));
+    }
+    Ok(file)
 }
 
 /// Decode and CRC-check a trace container.

@@ -1,12 +1,12 @@
-//! The sharded binary cache: format round-trips, index correctness,
-//! corruption quarantine, GC eviction order, legacy-JSON compatibility,
+//! The sharded binary cache: format round-trips, decoder robustness,
+//! index correctness, corruption quarantine, GC eviction order, JSON
 //! migration, and work-stealing determinism.
 
 use flov_bench::cache::QUARANTINE_DIR;
 use flov_bench::{
-    binfmt, CacheEntry, CacheFormat, Engine, GcOptions, ResultCache, RunResult, RunSpec,
-    KERNEL_VERSION,
+    binfmt, CacheEntry, Engine, GcOptions, ResultCache, RunResult, RunSpec, KERNEL_VERSION,
 };
+use flov_noc::stats::IntervalSample;
 use proptest::prelude::*;
 use std::fs::{self, FileTimes};
 use std::path::{Path, PathBuf};
@@ -44,7 +44,28 @@ fn entry_path(dir: &Path, key: &str, ext: &str) -> PathBuf {
 }
 
 fn binary_engine(dir: &Path) -> Engine {
-    Engine::with_cache(ResultCache::new(dir).with_format(CacheFormat::Binary)).quiet()
+    Engine::with_cache(ResultCache::new(dir)).quiet()
+}
+
+/// `body` with a freshly computed trailing CRC, so a corruption reaches
+/// the decoder instead of being caught by the checksum.
+fn reseal(mut body: Vec<u8>) -> Vec<u8> {
+    let crc = binfmt::crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Offset of the result section in an entry whose spec JSON is
+/// `spec_len` bytes (magic, kernel version, hash, spec length, spec,
+/// result length).
+fn result_offset(spec_len: usize) -> usize {
+    8 + 4 + 16 + 4 + spec_len + 4
+}
+
+/// The result section of a well-framed entry.
+fn result_section(entry: &[u8]) -> &[u8] {
+    let spec_len = u32::from_le_bytes(entry[28..32].try_into().unwrap()) as usize;
+    &entry[result_offset(spec_len)..entry.len() - 4]
 }
 
 proptest! {
@@ -203,52 +224,6 @@ fn gc_max_age_evicts_only_stale_entries() {
 }
 
 #[test]
-fn legacy_flat_json_entries_are_readable_and_migratable() {
-    let dir = temp_cache_dir();
-    let specs: Vec<RunSpec> = (0..3).map(|i| tiny_spec(0.2 * i as f64, 400 + i)).collect();
-
-    // Seed-era layout: flat JSON files straight under the cache dir.
-    let legacy = Engine::with_cache(ResultCache::legacy_flat_json(&dir)).quiet();
-    let original = legacy.run_batch(&specs);
-    for spec in &specs {
-        assert!(dir.join(format!("{}.json", key_of(spec))).exists());
-    }
-
-    // The sharded cache reads them where they are (no migration needed).
-    let replay_engine = binary_engine(&dir);
-    let replayed = replay_engine.run_batch(&specs);
-    assert_eq!(replay_engine.stats().cached, specs.len(), "flat JSON must hit");
-    assert_eq!(
-        serde_json::to_string(&replayed).unwrap(),
-        serde_json::to_string(&original).unwrap(),
-    );
-
-    // Migration rewrites them as sharded binary, preserving every key...
-    let cache = ResultCache::new(&dir);
-    let before = cache.known_keys();
-    let report = cache.migrate().unwrap();
-    assert_eq!(report.migrated, specs.len());
-    assert_eq!(report.quarantined, 0);
-    assert_eq!(cache.known_keys(), before, "migration must preserve content hashes");
-    for spec in &specs {
-        let key = key_of(spec);
-        assert!(entry_path(&dir, &key, "bin").exists());
-        assert!(!dir.join(format!("{key}.json")).exists(), "source JSON must be consumed");
-    }
-    // ...verification agrees...
-    let verify = cache.verify();
-    assert_eq!(verify.checked, specs.len());
-    assert_eq!(verify.quarantined, 0);
-
-    // ...and the warm replay still serves identical bytes.
-    let after_engine = binary_engine(&dir);
-    let after = after_engine.run_batch(&specs);
-    assert_eq!(after_engine.stats().cached, specs.len());
-    assert_eq!(serde_json::to_string(&after).unwrap(), serde_json::to_string(&original).unwrap(),);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn verify_quarantines_entries_filed_under_the_wrong_key() {
     let dir = temp_cache_dir();
     let spec = tiny_spec(0.5, 500);
@@ -313,35 +288,187 @@ fn work_stealing_batch_matches_sequential_execution() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// With the CRC recomputed after every corruption, only the decoder
+/// stands between a damaged result section and a wrong answer. Every
+/// truncation of the result section, and a trailing byte after it, must
+/// fail to decode. Every flipped byte must fail, read as a miss, or decode
+/// to exactly what the damaged bytes encode (a flip inside a float's raw
+/// bits is a valid, different float) — never a panic, never a result whose
+/// encoding differs from the bytes on disk.
 #[test]
-fn json_write_format_interoperates_with_binary_probes() {
-    let dir = temp_cache_dir();
-    let spec = tiny_spec(0.35, 700);
-    // Write sharded JSON (FLOV_CACHE_FORMAT=json path, minus the env var).
-    let json_engine =
-        Engine::with_cache(ResultCache::new(&dir).with_format(CacheFormat::Json)).quiet();
-    let original = json_engine.run_one(&spec);
-    let key = key_of(&spec);
-    assert!(entry_path(&dir, &key, "json").exists());
+fn decoders_reject_or_faithfully_read_every_corruption_under_a_valid_crc() {
+    let spec = RunSpec { timeline_width: 400, ..tiny_spec(0.4, 800) }.resolved();
+    let mut result = flov_bench::run(&spec);
+    assert!(result.timeline.len() >= 3, "the fixture must exercise the timeline decoder");
+    // 100 encodes as [0xC8, 0x01], so a flip can turn it into a padded
+    // varint; u64::MAX takes the wide path.
+    result.timeline.push(IntervalSample { start: 100, packets: 100, latency_sum: u64::MAX });
+    let spec_json = serde_json::to_string(&spec).unwrap();
+    let key = ResultCache::key(&spec_json, KERNEL_VERSION);
+    let bytes = binfmt::encode_entry(&key, KERNEL_VERSION, &spec_json, &result);
+    let body = &bytes[..bytes.len() - 4];
+    let start = result_offset(spec_json.len());
 
-    // A default (binary-writing) cache still hits the sharded JSON entry.
-    let replay = binary_engine(&dir);
-    let replayed = replay.run_one(&spec);
-    assert_eq!(replay.stats().cached, 1);
-    assert_eq!(
-        serde_json::to_string(&replayed).unwrap(),
-        serde_json::to_string(&original).unwrap(),
-    );
+    for cut in 0..body.len() - start {
+        let mut b = body[..start + cut].to_vec();
+        b[start - 4..start].copy_from_slice(&(cut as u32).to_le_bytes());
+        let b = reseal(b);
+        assert!(binfmt::decode_result(&b, &key, KERNEL_VERSION).is_err(), "cut at {cut} decoded");
+        assert!(binfmt::decode_entry(&b).is_err(), "cut at {cut} decoded as an entry");
+    }
+    // A byte past the end of a complete result is no more acceptable.
+    let mut b = body.to_vec();
+    let longer = (body.len() - start + 1) as u32;
+    b[start - 4..start].copy_from_slice(&longer.to_le_bytes());
+    b.push(0);
+    let b = reseal(b);
+    assert!(binfmt::decode_result(&b, &key, KERNEL_VERSION).is_err(), "trailing byte decoded");
+    assert!(binfmt::decode_entry(&b).is_err(), "trailing byte decoded as an entry");
 
-    // When both formats exist for one key, the index prefers the binary.
+    let mut rejected = 0;
+    for i in 0..body.len() {
+        for mask in [0x01u8, 0x80, 0xFF] {
+            let mut b = body.to_vec();
+            b[i] ^= mask;
+            let b = reseal(b);
+            match binfmt::decode_result(&b, &key, KERNEL_VERSION) {
+                Err(_) => rejected += 1,
+                Ok(None) => {}
+                Ok(Some(r)) => {
+                    let again = binfmt::encode_entry(&key, KERNEL_VERSION, &spec_json, &r);
+                    assert_eq!(
+                        result_section(&again),
+                        result_section(&b),
+                        "byte {i} ^ {mask:#04x}: decode_result returned a result the bytes do not hold"
+                    );
+                }
+            }
+            if let Ok(e) = binfmt::decode_entry(&b) {
+                let again = binfmt::encode_entry(&e.key, e.kernel_version, &e.spec_json, &e.result);
+                assert!(
+                    again == b,
+                    "byte {i} ^ {mask:#04x}: decode_entry is not the inverse of encode_entry"
+                );
+            }
+        }
+    }
+    assert!(rejected > body.len(), "only {rejected} corruptions were rejected");
+}
+
+/// Floats come back bit for bit, NaN payload and signed zero included,
+/// and integers at the top of the u64 range take the decoder's wide path.
+#[test]
+fn extreme_values_roundtrip_bit_exactly() {
+    let spec = tiny_spec(0.2, 900).resolved();
+    let mut r = flov_bench::run(&spec);
+    let nan = f64::from_bits(0x7FF8_DEAD_BEEF_0001);
+    r.packets = u64::MAX;
+    r.avg_latency = nan;
+    r.max_latency = u64::MAX;
+    r.latency_percentiles = (0, u64::MAX, u64::MAX - 1);
+    r.breakdown = [-0.0, nan, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE];
+    r.throughput = -0.0;
+    r.power.cycles = u64::MAX;
+    r.power.static_w = nan;
+    r.power.dynamic_energy.gating = -0.0;
+    r.runtime_cycles = u64::MAX;
+    r.vnet_latency[2] = (u64::MAX, -0.0);
+    r.timeline.push(IntervalSample { start: u64::MAX, packets: u64::MAX, latency_sum: u64::MAX });
+    let spec_json = serde_json::to_string(&spec).unwrap();
+    let key = ResultCache::key(&spec_json, KERNEL_VERSION);
+    let bytes = binfmt::encode_entry(&key, KERNEL_VERSION, &spec_json, &r);
+
+    let probed = binfmt::decode_result(&bytes, &key, KERNEL_VERSION).unwrap().unwrap();
+    let full = binfmt::decode_entry(&bytes).unwrap().result;
+    for back in [&probed, &full] {
+        assert_eq!(binfmt::encode_entry(&key, KERNEL_VERSION, &spec_json, back), bytes);
+        assert_eq!(back.avg_latency.to_bits(), nan.to_bits());
+        assert_eq!(back.throughput.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(back.packets, u64::MAX);
+        assert_eq!(back.timeline.last().unwrap().latency_sum, u64::MAX);
+    }
+}
+
+/// A JSON entry in the exact bytes older builds wrote.
+fn write_json_entry(path: &Path, spec: &RunSpec, result: &RunResult) {
     let entry = CacheEntry {
         kernel_version: KERNEL_VERSION,
         spec: spec.resolved(),
-        result: original.clone(),
+        result: result.clone(),
     };
-    ResultCache::new(&dir).with_format(CacheFormat::Binary).put(&key, &entry).unwrap();
-    let both = ResultCache::new(&dir);
-    assert!(both.get(&key, KERNEL_VERSION).is_some());
-    assert_eq!(both.known_keys().len(), 1);
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fs::write(path, serde_json::to_string(&entry).unwrap()).unwrap();
+}
+
+#[test]
+fn json_entries_migrate_with_their_hashes_kept() {
+    let dir = temp_cache_dir();
+    let specs: Vec<RunSpec> = (0..4).map(|i| tiny_spec(0.2 * i as f64, 400 + i)).collect();
+    let original: Vec<RunResult> = specs.iter().map(flov_bench::run).collect();
+    // Half in the seed engine's flat layout, half sharded.
+    for (i, (spec, result)) in specs.iter().zip(&original).enumerate() {
+        let key = key_of(spec);
+        let path = if i % 2 == 0 {
+            dir.join(format!("{key}.json"))
+        } else {
+            entry_path(&dir, &key, "json")
+        };
+        write_json_entry(&path, spec, result);
+    }
+
+    // Probes never read JSON: until migrate, the entries are only counted.
+    let cache = ResultCache::new(&dir);
+    assert!(cache.get(&key_of(&specs[0]), KERNEL_VERSION).is_none());
+    assert!(cache.known_keys().is_empty());
+    let s = cache.stats();
+    assert_eq!((s.entries, s.awaiting_migrate), (0, specs.len()));
+
+    let report = cache.migrate().unwrap();
+    assert_eq!((report.migrated, report.already_binary, report.quarantined), (specs.len(), 0, 0));
+    let mut expected: Vec<String> = specs.iter().map(key_of).collect();
+    expected.sort();
+    assert_eq!(cache.known_keys(), expected, "migration must preserve content hashes");
+    for key in &expected {
+        assert!(entry_path(&dir, key, "bin").exists());
+        assert!(!entry_path(&dir, key, "json").exists(), "source JSON must be consumed");
+        assert!(!dir.join(format!("{key}.json")).exists(), "source JSON must be consumed");
+    }
+    let s = cache.stats();
+    assert_eq!((s.entries, s.awaiting_migrate), (specs.len(), 0));
+    let verify = cache.verify();
+    assert_eq!((verify.checked, verify.quarantined), (specs.len(), 0));
+
+    // The warm replay serves every run, byte-identical to the simulation.
+    let engine = binary_engine(&dir);
+    let replayed = engine.run_batch(&specs);
+    assert_eq!(engine.stats().cached, specs.len());
+    assert_eq!(
+        serde_json::to_string(&replayed).unwrap(),
+        serde_json::to_string(&original).unwrap()
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn migrate_keeps_the_binary_entry_when_a_key_has_both() {
+    let dir = temp_cache_dir();
+    let spec = tiny_spec(0.35, 700);
+    let original = binary_engine(&dir).run_one(&spec);
+    let key = key_of(&spec);
+    // Stale JSON copies of the same key, with a result that differs.
+    let stale = RunResult { packets: original.packets + 1, ..original.clone() };
+    write_json_entry(&dir.join(format!("{key}.json")), &spec, &stale);
+    write_json_entry(&entry_path(&dir, &key, "json"), &spec, &stale);
+
+    let cache = ResultCache::new(&dir);
+    let report = cache.migrate().unwrap();
+    assert_eq!((report.migrated, report.already_binary, report.superseded), (0, 1, 2));
+    assert_eq!(cache.get(&key, KERNEL_VERSION).unwrap().packets, original.packets);
+    assert_eq!(cache.stats().awaiting_migrate, 0);
+
+    // `clear` empties the directory, JSON leftovers included.
+    write_json_entry(&dir.join(format!("{key}.json")), &spec, &stale);
+    assert_eq!(cache.clear().unwrap(), 2);
+    assert_eq!(cache.stats(), Default::default());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -515,7 +515,7 @@ fn mmpp_quiet_phases_skip_cycles_and_stay_bit_identical() {
 
 /// Record→replay closes the loop on the trace container: capturing a
 /// run's injection stream and core schedule, then replaying it through a
-/// `TraceWorkload`, must reproduce the source `RunResult` byte for byte —
+/// `ScriptedWorkload`, must reproduce the source `RunResult` byte for byte —
 /// on every kernel. (The trace horizon differs from the source
 /// workload's, so this also proves results are invariant to *where* the
 /// clock jumps land, as long as they are sound.)

@@ -48,6 +48,10 @@ pub enum ConfigError {
     OversaturatedRate { rate: f64, pkt_len: u16 },
     /// Ill-formed MMPP/diurnal modulation parameters.
     InvalidModulation { why: &'static str },
+    /// A trace-replay workload whose file cannot replay on this config:
+    /// unreadable, not a valid trace container, changed since the spec
+    /// pinned its CRC, or naming a node the config does not have.
+    BadTrace { path: String, why: String },
 }
 
 impl fmt::Display for ConfigError {
@@ -96,6 +100,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidModulation { why } => {
                 write!(f, "invalid load modulation: {why}")
             }
+            ConfigError::BadTrace { path, why } => write!(f, "trace file {path:?}: {why}"),
         }
     }
 }

@@ -203,8 +203,10 @@ impl Workload for SilentWorkload {
     }
 }
 
-/// Replays an explicit list of `(cycle, request)` events; used heavily in
-/// unit and integration tests for precise scenarios.
+/// Replays explicit event lists: `(cycle, request)` injections,
+/// `(cycle, node, active)` core switches and change-pulse cycles. Used
+/// heavily in unit and integration tests for precise scenarios, and as the
+/// replayer of recorded flit traces.
 pub struct ScriptedWorkload {
     /// Sorted by cycle.
     pub events: Vec<(Cycle, PacketRequest)>,
@@ -212,18 +214,37 @@ pub struct ScriptedWorkload {
     /// Core-activity switch events, sorted by cycle: `(cycle, node, active)`.
     pub core_events: Vec<(Cycle, NodeId, bool)>,
     next_core: usize,
+    /// Sorted cycles at which [`Workload::update_cores`] reports a change
+    /// even when no core flips (a recorded workload may pulse without
+    /// flipping a bit, and Router Parking reconfigures on the pulse).
+    pub change_pulses: Vec<Cycle>,
+    next_pulse: usize,
 }
 
 impl ScriptedWorkload {
     pub fn new(mut events: Vec<(Cycle, PacketRequest)>) -> ScriptedWorkload {
         events.sort_by_key(|e| e.0);
-        ScriptedWorkload { events, next: 0, core_events: Vec::new(), next_core: 0 }
+        ScriptedWorkload {
+            events,
+            next: 0,
+            core_events: Vec::new(),
+            next_core: 0,
+            change_pulses: Vec::new(),
+            next_pulse: 0,
+        }
     }
 
     pub fn with_core_events(mut self, mut ev: Vec<(Cycle, NodeId, bool)>) -> ScriptedWorkload {
         ev.sort_by_key(|e| e.0);
         self.core_events = ev;
         self.next_core = 0;
+        self
+    }
+
+    pub fn with_change_pulses(mut self, mut cycles: Vec<Cycle>) -> ScriptedWorkload {
+        cycles.sort_unstable();
+        self.change_pulses = cycles;
+        self.next_pulse = 0;
         self
     }
 }
@@ -240,6 +261,12 @@ impl Workload for ScriptedWorkload {
             }
             self.next_core += 1;
         }
+        while self.next_pulse < self.change_pulses.len()
+            && self.change_pulses[self.next_pulse] <= cycle
+        {
+            changed = true;
+            self.next_pulse += 1;
+        }
         changed
     }
 
@@ -251,18 +278,17 @@ impl Workload for ScriptedWorkload {
     }
 
     fn done(&self, delivered_packets: u64) -> bool {
-        self.next >= self.events.len() && delivered_packets >= self.events.len() as u64
+        self.next >= self.events.len()
+            && self.next_core >= self.core_events.len()
+            && self.next_pulse >= self.change_pulses.len()
+            && delivered_packets >= self.events.len() as u64
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         let pkt = self.events.get(self.next).map(|e| e.0);
         let core = self.core_events.get(self.next_core).map(|e| e.0);
-        match (pkt, core) {
-            (Some(a), Some(b)) => Some(a.min(b).max(now)),
-            (Some(a), None) => Some(a.max(now)),
-            (None, Some(b)) => Some(b.max(now)),
-            (None, None) => None,
-        }
+        let pulse = self.change_pulses.get(self.next_pulse).copied();
+        [pkt, core, pulse].into_iter().flatten().min().map(|c| c.max(now))
     }
 }
 

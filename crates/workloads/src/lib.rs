@@ -13,7 +13,8 @@
 //! * [`mmpp`] — bursty open-loop traffic: MMPP and diurnal load modulation
 //!   over the synthetic generator, with exact next-event horizons;
 //! * [`trace`] — deterministic flit-trace capture ([`trace::RecordingWorkload`])
-//!   and replay ([`trace::TraceWorkload`]).
+//!   and replay (a [`trace::TraceData`] converts into a
+//!   [`flov_noc::traits::ScriptedWorkload`]).
 
 pub mod gating;
 pub mod mmpp;
@@ -27,4 +28,4 @@ pub use mmpp::{Dwell, ModulatedWorkload};
 pub use parsec::{benchmark, memory_controllers, BenchProfile, ParsecWorkload, PARSEC_BENCHMARKS};
 pub use patterns::{Pattern, PatternSpace};
 pub use synthetic::SyntheticWorkload;
-pub use trace::{RecordingWorkload, TraceData, TraceWorkload};
+pub use trace::{RecordingWorkload, TraceData};

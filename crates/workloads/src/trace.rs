@@ -5,25 +5,26 @@
 //! active-core switch events, and the cycles where `update_cores`
 //! reported a change (Router Parking reconfigures on that pulse, so it
 //! must replay exactly even for inner workloads that return `true`
-//! without flipping a bit). [`TraceWorkload`] replays the captured
-//! [`TraceData`] as a pure event script with an exact
-//! [`Workload::next_event`] horizon, so the time-skip and parallel
-//! kernels stay bit-identical to the recorded run.
+//! without flipping a bit). A captured [`TraceData`] replays as a
+//! [`ScriptedWorkload`] — a pure event script over three sorted cursors
+//! with an exact [`Workload::next_event`] horizon — so the time-skip and
+//! parallel kernels stay bit-identical to the recorded run.
 //!
 //! The on-disk container (magic, varint-delta records, trailing
 //! CRC-32C) lives in `flov-bench::tracefmt`; this module is the
 //! in-memory model plus the replay semantics.
 
-use flov_noc::traits::{PacketRequest, Workload};
+use flov_noc::traits::{PacketRequest, ScriptedWorkload, Workload};
 use flov_noc::types::{Cycle, NodeId};
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Everything a run's workload did, in simulator-observable terms.
 ///
-/// All three vectors are sorted by cycle (recording appends in cycle
-/// order by construction; [`TraceData::sort`] restores the invariant
-/// after hand-assembly in tests or fuzzing).
+/// Recording appends in cycle order, so all three vectors are sorted by
+/// cycle; the container's delta encoding relies on that. Replay through
+/// [`ScriptedWorkload`] sorts its own copy (stably, so same-cycle record
+/// order is preserved).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceData {
     /// Injection stream: `(cycle, request)` per generated packet.
@@ -37,14 +38,6 @@ pub struct TraceData {
 }
 
 impl TraceData {
-    /// Restore the sorted-by-cycle invariant (stable, so same-cycle
-    /// record order is preserved).
-    pub fn sort(&mut self) {
-        self.packets.sort_by_key(|e| e.0);
-        self.core_events.sort_by_key(|e| e.0);
-        self.changed_cycles.sort_unstable();
-    }
-
     /// Largest node id referenced anywhere in the trace, if any.
     pub fn max_node(&self) -> Option<NodeId> {
         let pkt = self.packets.iter().map(|(_, r)| r.src.max(r.dst)).max();
@@ -53,69 +46,14 @@ impl TraceData {
     }
 }
 
-/// Replays a [`TraceData`] capture. Open-loop by default (`done` is
-/// still meaningful for closed-loop runs: the trace is finished once
-/// every scripted event has fired and every packet was delivered).
-pub struct TraceWorkload {
-    data: TraceData,
-    next_pkt: usize,
-    next_core: usize,
-    next_changed: usize,
-}
-
-impl TraceWorkload {
-    pub fn new(mut data: TraceData) -> TraceWorkload {
-        data.sort();
-        TraceWorkload { data, next_pkt: 0, next_core: 0, next_changed: 0 }
-    }
-
-    /// Total packets in the trace (drives `done` for closed-loop runs).
-    pub fn packet_count(&self) -> usize {
-        self.data.packets.len()
-    }
-}
-
-impl Workload for TraceWorkload {
-    fn update_cores(&mut self, cycle: Cycle, active: &mut [bool]) -> bool {
-        while self.next_core < self.data.core_events.len()
-            && self.data.core_events[self.next_core].0 <= cycle
-        {
-            let (_, node, on) = self.data.core_events[self.next_core];
-            active[node as usize] = on;
-            self.next_core += 1;
-        }
-        // The recorded change pulse is authoritative, not the bit flips:
-        // the source workload may have pulsed without flipping anything.
-        let mut changed = false;
-        while self.next_changed < self.data.changed_cycles.len()
-            && self.data.changed_cycles[self.next_changed] <= cycle
-        {
-            changed = true;
-            self.next_changed += 1;
-        }
-        changed
-    }
-
-    fn generate(&mut self, cycle: Cycle, _active: &[bool], out: &mut Vec<PacketRequest>) {
-        while self.next_pkt < self.data.packets.len() && self.data.packets[self.next_pkt].0 <= cycle
-        {
-            out.push(self.data.packets[self.next_pkt].1);
-            self.next_pkt += 1;
-        }
-    }
-
-    fn done(&self, delivered_packets: u64) -> bool {
-        self.next_pkt >= self.data.packets.len()
-            && self.next_core >= self.data.core_events.len()
-            && self.next_changed >= self.data.changed_cycles.len()
-            && delivered_packets >= self.data.packets.len() as u64
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        let pkt = self.data.packets.get(self.next_pkt).map(|e| e.0);
-        let core = self.data.core_events.get(self.next_core).map(|e| e.0);
-        let chg = self.data.changed_cycles.get(self.next_changed).copied();
-        [pkt, core, chg].into_iter().flatten().min().map(|c| c.max(now))
+/// Replay a capture. Open-loop by default (`done` is still meaningful for
+/// closed-loop runs: the trace is finished once every scripted event has
+/// fired and every packet was delivered).
+impl From<TraceData> for ScriptedWorkload {
+    fn from(data: TraceData) -> ScriptedWorkload {
+        ScriptedWorkload::new(data.packets)
+            .with_core_events(data.core_events)
+            .with_change_pulses(data.changed_cycles)
     }
 }
 
@@ -234,7 +172,7 @@ mod tests {
         assert_eq!(captured, truth, "captured trace differs from observed truth");
 
         // Replay must re-observe the exact same history.
-        let replay_view = observe(&mut TraceWorkload::new(captured), 16, 600);
+        let replay_view = observe(&mut ScriptedWorkload::from(captured), 16, 600);
         assert_eq!(replay_view, truth, "replay diverged from the recorded run");
     }
 
@@ -242,7 +180,7 @@ mod tests {
     fn replay_changed_pulse_is_authoritative() {
         // A pulse with no bit flip must replay as a pulse.
         let data = TraceData { packets: vec![], core_events: vec![], changed_cycles: vec![7] };
-        let mut w = TraceWorkload::new(data);
+        let mut w = ScriptedWorkload::from(data);
         let mut active = vec![true; 4];
         assert!(!w.update_cores(6, &mut active));
         assert_eq!(w.next_event(6), Some(7));
@@ -258,7 +196,7 @@ mod tests {
             core_events: vec![(5, 2, false)],
             changed_cycles: vec![5, 20],
         };
-        let mut w = TraceWorkload::new(data);
+        let mut w = ScriptedWorkload::from(data);
         assert_eq!(w.next_event(0), Some(5));
         let mut active = vec![true; 4];
         assert!(w.update_cores(5, &mut active));

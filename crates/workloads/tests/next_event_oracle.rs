@@ -14,8 +14,8 @@
 //! Synthetic, MMPP/diurnal-modulated, and trace-replay workloads are all
 //! put through the same harness.
 
-use flov_noc::traits::{PacketRequest, Workload};
-use flov_workloads::trace::{TraceData, TraceWorkload};
+use flov_noc::traits::{PacketRequest, ScriptedWorkload, Workload};
+use flov_workloads::trace::TraceData;
 use flov_workloads::{
     Dwell, GatingSchedule, ModulatedWorkload, Pattern, PatternSpace, SyntheticWorkload,
 };
@@ -135,8 +135,7 @@ proptest! {
         for _ in 0..n_changed {
             data.changed_cycles.push(next() % span);
         }
-        data.sort();
-        let w = TraceWorkload::new(data);
+        let w = ScriptedWorkload::from(data);
         let (events, _) = check_never_overshoots(Box::new(w), nodes, span + 50);
         // Sanity: a non-empty trace must produce observable activity.
         if n_packets + n_core + n_changed > 0 {
