@@ -98,9 +98,13 @@ fn arbiter_micro(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Elements(1));
     let mut rr = RoundRobin::new(12);
-    g.bench_function("round_robin_12way_dense", |b| b.iter(|| black_box(rr.grant(|_| true))));
+    g.bench_function("round_robin_12way_dense", |b| {
+        b.iter(|| black_box(rr.grant_mask(black_box(0xFFF))))
+    });
     let mut rr2 = RoundRobin::new(12);
-    g.bench_function("round_robin_12way_sparse", |b| b.iter(|| black_box(rr2.grant(|i| i == 7))));
+    g.bench_function("round_robin_12way_sparse", |b| {
+        b.iter(|| black_box(rr2.grant_mask(black_box(1 << 7))))
+    });
     g.finish();
 }
 

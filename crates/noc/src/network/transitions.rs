@@ -155,7 +155,7 @@ impl NetworkCore {
                     let flat = self.cfg.vc_index(vnet, vc);
                     let r = &mut self.routers[node as usize];
                     let slot = r.slot(port.index(), flat);
-                    r.out_vc_state[slot] = VcOwner::Free;
+                    r.free_out_vc(slot);
                     r.out_credits[slot].set(seed);
                 }
             }
@@ -166,7 +166,7 @@ impl NetworkCore {
         let r = &mut self.routers[node as usize];
         for flat in 0..total {
             let slot = r.slot(Port::Local.index(), flat);
-            r.out_vc_state[slot] = VcOwner::Free;
+            r.free_out_vc(slot);
         }
         r.touch_local(self.cycle);
     }
