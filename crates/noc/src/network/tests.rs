@@ -464,6 +464,39 @@ fn auditor_flags_mechanism_state_violation() {
 }
 
 #[test]
+fn auditor_flags_a_drifted_router_mirror() {
+    // Stop mid-flight so router 1 holds granted wormholes, then flip one
+    // bit of each mirror in turn behind the router methods' back.
+    let mut events = Vec::new();
+    for _ in 0..6 {
+        events.push((0u64, PacketRequest { src: 0, dst: 3, vnet: 0, len: 4 }));
+    }
+    let w = ScriptedWorkload::new(events);
+    let mut sim = Simulation::new(small_cfg(), Box::new(AlwaysOnYx), Box::new(w));
+    sim.run(14);
+    let mirror_violations = |sim: &Simulation| {
+        let mut aud = Auditor::with_interval(1, 0);
+        aud.check(&sim.core, sim.mech.as_ref());
+        aud.violations().iter().filter(|v| v.kind == AuditKind::StateLegality).count()
+    };
+    assert_eq!(mirror_violations(&sim), 0, "mirrors drifted on a healthy run");
+    let r = &sim.core.routers[1];
+    assert!(r.alloc_mask.iter().any(|&m| m != 0), "no granted wormhole in router 1");
+    let flips: [fn(&mut crate::router::Router); 4] = [
+        |r| r.vc_busy[Port::North.index()] ^= 1 << 5,
+        |r| r.alloc_mask[Port::North.index()] ^= 1 << 5,
+        |r| r.out_owned[Port::North.index()] ^= 1 << 5,
+        |r| r.port_occupancy[Port::North.index()] += 1,
+    ];
+    for flip in flips {
+        let saved = sim.core.routers[1].clone();
+        flip(&mut sim.core.routers[1]);
+        assert_eq!(mirror_violations(&sim), 1);
+        sim.core.routers[1] = saved;
+    }
+}
+
+#[test]
 fn auditor_reports_stall_instead_of_panicking() {
     // The watchdog scenario from `watchdog_fires_on_artificial_stall`,
     // with an auditor attached: same detection, structured report, no
