@@ -9,8 +9,9 @@
 //! sequential active-set baseline, asserting bit-identity and recording
 //! per-lane speedup and scaling efficiency. Every row also carries a
 //! per-phase wall-time breakdown (latch / delivery / inject / pipeline /
-//! mechanism / exchange-replay) so serial-fraction regressions show up in
-//! the perf trajectory. The report is written to `BENCH_kernel.json`.
+//! mechanism / exchange-replay), also divided by the row's flit-hops, so
+//! serial-fraction regressions show up in the perf trajectory in the unit
+//! perfbench reports. The report is written to `BENCH_kernel.json`.
 
 use crate::KernelMode;
 use flov_core::mechanism;
@@ -92,6 +93,39 @@ pub struct BenchRow {
     /// replay sub-bucket on parallel rows. Timing is observational only —
     /// it never enters the equivalence digests.
     pub phases: PhaseNanos,
+    /// Flit-hops over the timed window (`activity.link_flits`).
+    pub flit_hops: u64,
+    /// Wall time and `phases` per flit-hop: the unit of the ROADMAP's
+    /// stage breakdown and of perfbench's `network.*_ns_per_flit_hop`.
+    pub ns_per_flit_hop: NsPerFlitHop,
+}
+
+/// A row's wall time and per-phase times divided by its flit-hops, in
+/// nanoseconds (over one flit-hop when no flit moved).
+#[derive(Clone, Debug, Serialize)]
+pub struct NsPerFlitHop {
+    pub total: f64,
+    pub latch: f64,
+    pub delivery: f64,
+    pub inject: f64,
+    pub pipeline: f64,
+    pub mechanism: f64,
+    pub exchange: f64,
+}
+
+impl NsPerFlitHop {
+    fn new(seconds: f64, p: &PhaseNanos, flit_hops: u64) -> NsPerFlitHop {
+        let per = |ns: f64| ns / flit_hops.max(1) as f64;
+        NsPerFlitHop {
+            total: per(seconds * 1e9),
+            latch: per(p.latch as f64),
+            delivery: per(p.delivery as f64),
+            inject: per(p.inject as f64),
+            pipeline: per(p.pipeline as f64),
+            mechanism: per(p.mechanism as f64),
+            exchange: per(p.exchange as f64),
+        }
+    }
 }
 
 /// Active-vs-reference summary for one `(mechanism, load)` cell.
@@ -253,6 +287,8 @@ fn measure_sim(
         seconds,
         cycles_per_sec: cycles as f64 / seconds.max(1e-9),
         flit_events_per_sec: flit_events as f64 / seconds.max(1e-9),
+        ns_per_flit_hop: NsPerFlitHop::new(seconds, &phases, d.link_flits),
+        flit_hops: d.link_flits,
         phases,
     };
     (row, digest)
