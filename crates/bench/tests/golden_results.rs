@@ -15,7 +15,6 @@
 use flov_bench::{binfmt, run, RunSpec};
 use flov_noc::TopologySpec;
 use flov_workloads::Pattern;
-use rayon::prelude::*;
 use std::path::PathBuf;
 
 /// Every name `mechanism::by_name` accepts.
@@ -74,11 +73,11 @@ fn digest(spec: &RunSpec) -> u32 {
     binfmt::crc32(json.as_bytes())
 }
 
-/// `name digest` lines for the whole matrix, in fixture order.
+/// `name digest` lines for the whole matrix, in fixture order. One spec at
+/// a time: under `FLOV_KERNEL=parallel` each run already spins its own
+/// tile pool.
 fn digests() -> Vec<(String, u32)> {
-    let specs = specs();
-    let sums: Vec<u32> = specs.par_iter().map(|(_, s)| digest(s)).collect();
-    specs.into_iter().map(|(name, _)| name).zip(sums).collect()
+    specs().into_iter().map(|(name, spec)| (name, digest(&spec))).collect()
 }
 
 fn render(rows: &[(String, u32)]) -> String {
