@@ -2,7 +2,8 @@
 //! creates when consecutive routers sleep, and the per-VC credit audits used
 //! to re-seed credit counters at power transitions.
 
-use super::NetworkCore;
+use super::{NetworkCore, NodeTables};
+use crate::traits::PowerView;
 use crate::types::{Dir, NodeId, PowerState};
 
 /// Result of walking from a router in one direction across any sleeping
@@ -23,96 +24,118 @@ pub struct ChainTarget {
     pub sleepers: u32,
 }
 
+/// [`NetworkCore::chain_walk`] with power states read from `p`: the live
+/// core for the sequential kernels, a tile's phase-start snapshot in the
+/// parallel kernel.
+pub(super) fn chain_walk(
+    t: &NodeTables,
+    p: &impl PowerView,
+    from: NodeId,
+    d: Dir,
+    dst: NodeId,
+) -> ChainTarget {
+    let mut cur = from;
+    let mut sleepers = 0;
+    loop {
+        let Some(next) = t.neighbor(cur, d) else {
+            return ChainTarget { powered: None, blocked: false, dst_on_chain: None, sleepers };
+        };
+        if next == from {
+            // Torus wrap cycle with every other router asleep: there is no
+            // powered receiver anywhere in this direction, so new
+            // transmissions must hold.
+            return ChainTarget { powered: None, blocked: true, dst_on_chain: None, sleepers };
+        }
+        match p.power(next) {
+            PowerState::Active => {
+                return ChainTarget {
+                    powered: Some(next),
+                    blocked: false,
+                    dst_on_chain: None,
+                    sleepers,
+                }
+            }
+            PowerState::Draining => {
+                return ChainTarget {
+                    powered: Some(next),
+                    blocked: true,
+                    dst_on_chain: None,
+                    sleepers,
+                }
+            }
+            PowerState::Wakeup => {
+                // Mid-transition: not passable, not yet a buffer owner.
+                return ChainTarget { powered: None, blocked: true, dst_on_chain: None, sleepers };
+            }
+            PowerState::Sleep => {
+                if next == dst {
+                    return ChainTarget {
+                        powered: None,
+                        blocked: true,
+                        dst_on_chain: Some(next),
+                        sleepers,
+                    };
+                }
+                // An intermediate sleeper is geometrically guaranteed to
+                // have FLOV capability in this dimension unless it sits at
+                // the mesh edge, in which case the walk ends anyway.
+                if t.neighbor(next, d).is_none() {
+                    return ChainTarget {
+                        powered: None,
+                        blocked: false,
+                        dst_on_chain: None,
+                        sleepers,
+                    };
+                }
+                sleepers += 1;
+                cur = next;
+            }
+        }
+    }
+}
+
+/// [`NetworkCore::logical_neighbor`] with power states read from `p`.
+pub(super) fn logical_neighbor(
+    t: &NodeTables,
+    p: &impl PowerView,
+    node: NodeId,
+    d: Dir,
+) -> Option<(NodeId, u32)> {
+    let mut cur = node;
+    let mut hops = 0;
+    loop {
+        let next = t.neighbor(cur, d)?;
+        if next == node {
+            // Torus wrap cycle of sleepers: no logical neighbor exists.
+            return None;
+        }
+        if p.power(next) != PowerState::Sleep {
+            return Some((next, hops));
+        }
+        hops += 1;
+        cur = next;
+    }
+}
+
+/// [`NetworkCore::psr`] with power states read from `p`.
+pub(super) fn psr(t: &NodeTables, p: &impl PowerView, node: NodeId) -> [Option<PowerState>; 4] {
+    Dir::ALL.map(|d| t.grid_neighbor(node, d).map(|m| p.power(m)))
+}
+
 impl NetworkCore {
     /// Walk from `from` in direction `d`, flying over sleeping routers,
     /// until a powered router, a Wakeup router, or the mesh edge. `dst` is
     /// the packet destination (to detect wake-up-needed cases); pass the
     /// walking router's own id when no packet is involved.
     pub fn chain_walk(&self, from: NodeId, d: Dir, dst: NodeId) -> ChainTarget {
-        let mut cur = from;
-        let mut sleepers = 0;
-        loop {
-            let Some(next) = self.neighbor(cur, d) else {
-                return ChainTarget { powered: None, blocked: false, dst_on_chain: None, sleepers };
-            };
-            if next == from {
-                // Torus wrap cycle with every other router asleep: there is
-                // no powered receiver anywhere in this direction, so new
-                // transmissions must hold.
-                return ChainTarget { powered: None, blocked: true, dst_on_chain: None, sleepers };
-            }
-            match self.power(next) {
-                PowerState::Active => {
-                    return ChainTarget {
-                        powered: Some(next),
-                        blocked: false,
-                        dst_on_chain: None,
-                        sleepers,
-                    }
-                }
-                PowerState::Draining => {
-                    return ChainTarget {
-                        powered: Some(next),
-                        blocked: true,
-                        dst_on_chain: None,
-                        sleepers,
-                    }
-                }
-                PowerState::Wakeup => {
-                    // Mid-transition: not passable, not yet a buffer owner.
-                    return ChainTarget {
-                        powered: None,
-                        blocked: true,
-                        dst_on_chain: None,
-                        sleepers,
-                    };
-                }
-                PowerState::Sleep => {
-                    if next == dst {
-                        return ChainTarget {
-                            powered: None,
-                            blocked: true,
-                            dst_on_chain: Some(next),
-                            sleepers,
-                        };
-                    }
-                    // An intermediate sleeper is geometrically guaranteed to
-                    // have FLOV capability in this dimension unless it sits
-                    // at the mesh edge, in which case the walk ends anyway.
-                    if self.neighbor(next, d).is_none() {
-                        return ChainTarget {
-                            powered: None,
-                            blocked: false,
-                            dst_on_chain: None,
-                            sleepers,
-                        };
-                    }
-                    debug_assert!(self.routers[next as usize].has_flov(d));
-                    sleepers += 1;
-                    cur = next;
-                }
-            }
-        }
+        chain_walk(&self.tables, self, from, d, dst)
     }
 
     /// The logical neighbor of `node` in `d`: the nearest router in that
     /// direction that is not asleep (Draining/Wakeup routers are handshake
     /// participants), together with the sleeping-hop distance.
     pub fn logical_neighbor(&self, node: NodeId, d: Dir) -> Option<(NodeId, u32)> {
-        let mut cur = node;
-        let mut hops = 0;
-        loop {
-            let next = self.neighbor(cur, d)?;
-            if next == node {
-                // Torus wrap cycle of sleepers: no logical neighbor exists.
-                return None;
-            }
-            if self.power(next) != PowerState::Sleep {
-                return Some((next, hops));
-            }
-            hops += 1;
-            cur = next;
-        }
+        logical_neighbor(&self.tables, self, node, d)
     }
 
     /// True if no committed traffic can still arrive at `node` from the

@@ -9,16 +9,20 @@
 //! 6. router pipelines (VA, then SA/ST) for powered routers,
 //! 7. accounting (watchdog; residency accumulates lazily at transitions).
 //!
-//! Two interchangeable scheduling strategies drive phases 2, 3, 5 and 6
+//! Three interchangeable scheduling strategies drive phases 2, 3, 5 and 6
 //! (see [`KernelMode`]): the *reference* kernel scans every router, slot
-//! and channel each cycle, while the default *active-set* kernel visits
-//! only resources with work, tracked incrementally. Both produce
-//! bit-identical results; the invariant that makes this safe is that every
-//! state change which can give a resource work re-marks it (see the
-//! marking helpers below and `DESIGN.md` § "Kernel scheduling").
+//! and channel each cycle, the default *active-set* kernel visits only
+//! resources with work, tracked incrementally, and the *parallel* kernel
+//! partitions the active sets over tiles. All three run the same phase
+//! bodies (the `delivery` and `pipeline` modules), written once against
+//! the `Fabric` seam, and produce bit-identical results; the invariant
+//! that makes skipping safe is that every state change which can give a
+//! resource work re-marks it (see the marking notes below and `DESIGN.md`
+//! § "Kernel scheduling").
 
 pub mod audit;
 mod chain;
+mod delivery;
 mod par;
 mod pipeline;
 #[cfg(test)]
@@ -32,14 +36,14 @@ use crate::active::ActiveSet;
 use crate::activity::{ActivityCounters, Residency};
 use crate::config::{ConfigError, NocConfig};
 use crate::flit::Flit;
-use crate::link::Channel;
+use crate::link::{Channel, CreditMsg};
 use crate::nic::Nic;
-use crate::packet::Packet;
+use crate::packet::{DeliveredPacket, Packet};
 use crate::ring::{BypassRing, RingDelivery};
 use crate::router::Router;
 use crate::stats::NetStats;
 use crate::topology::{AnyTopology, Topology};
-use crate::traits::{PacketRequest, PowerMechanism, Workload};
+use crate::traits::{PacketRequest, PowerMechanism, PowerView, Workload};
 use crate::types::{Coord, Cycle, Dir, NodeId, PacketId, PowerState};
 
 /// Scheduling strategy for the per-cycle kernel loops.
@@ -116,6 +120,16 @@ struct SchedSets {
     scratch: Vec<u32>,
 }
 
+/// Names one of the [`SchedSets`] in a mark or lazy removal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SetId {
+    Latch,
+    Work,
+    Inject,
+    Chan,
+    Eject,
+}
+
 impl SchedSets {
     fn new(nodes: usize) -> SchedSets {
         SchedSets {
@@ -125,6 +139,16 @@ impl SchedSets {
             chan: ActiveSet::new(nodes * 4),
             eject: ActiveSet::new(nodes),
             scratch: Vec::new(),
+        }
+    }
+
+    fn set(&mut self, id: SetId) -> &mut ActiveSet {
+        match id {
+            SetId::Latch => &mut self.latch,
+            SetId::Work => &mut self.work,
+            SetId::Inject => &mut self.inject,
+            SetId::Chan => &mut self.chan,
+            SetId::Eject => &mut self.eject,
         }
     }
 }
@@ -352,6 +376,9 @@ impl NetworkCore {
     //   gated periods until the backlog drains.
     // * `chan`/`eject` (in-flight traffic): every `send_flit`/`send_credit`
     //   on the corresponding channel.
+    //
+    // The phase bodies mark through `Fabric::mark`; the helpers below serve
+    // packet submission, ring transfers and power transitions.
 
     #[inline]
     pub(crate) fn mark_work(&mut self, node: NodeId) {
@@ -359,23 +386,8 @@ impl NetworkCore {
     }
 
     #[inline]
-    fn mark_latch(&mut self, node: NodeId) {
-        self.sched.latch.insert(node as usize);
-    }
-
-    #[inline]
     fn mark_inject(&mut self, node: NodeId) {
         self.sched.inject.insert(node as usize);
-    }
-
-    #[inline]
-    pub(crate) fn mark_chan(&mut self, e: usize) {
-        self.sched.chan.insert(e);
-    }
-
-    #[inline]
-    pub(crate) fn mark_eject(&mut self, node: NodeId) {
-        self.sched.eject.insert(node as usize);
     }
 
     /// Router-grid width (`kx`; the historical square radix).
@@ -470,11 +482,7 @@ impl NetworkCore {
     /// edge logic stay mesh-semantic on a torus (wrap links carry only the
     /// baseline's wrap-minimal traffic and physical transit).
     pub fn psr(&self, node: NodeId) -> [Option<PowerState>; 4] {
-        let mut out = [None; 4];
-        for d in Dir::ALL {
-            out[d.index()] = self.grid_neighbor(node, d).map(|m| self.power(m));
-        }
-        out
+        chain::psr(&self.tables, self, node)
     }
 
     /// True if the NIC of `node` has traffic queued or mid-serialization.
@@ -628,257 +636,6 @@ impl NetworkCore {
         self.last_progress = self.cycle;
     }
 
-    /// Phase 2: power-gated routers move latched flits onward.
-    fn latch_phase(&mut self) {
-        match self.kernel {
-            KernelMode::Reference => {
-                for i in 0..self.routers.len() {
-                    if !self.routers[i].power.is_flov() {
-                        debug_assert!(self.routers[i].latches_empty());
-                        continue;
-                    }
-                    self.latch_router(i);
-                }
-            }
-            KernelMode::ActiveSet => {
-                let mut scratch = std::mem::take(&mut self.sched.scratch);
-                self.sched.latch.collect_into(&mut scratch);
-                for &i in &scratch {
-                    let i = i as usize;
-                    // A marked router may have woken since (wakeup requires
-                    // empty latches) — then this is just the lazy removal.
-                    if self.routers[i].latches_empty() {
-                        self.sched.latch.remove(i);
-                        continue;
-                    }
-                    self.latch_router(i);
-                    if self.routers[i].latches_empty() {
-                        self.sched.latch.remove(i);
-                    }
-                }
-                self.sched.scratch = scratch;
-            }
-            KernelMode::Parallel { tiles, grid } => par::latch_phase(self, tiles, grid),
-        }
-    }
-
-    /// Forward every forwardable latched flit of router `i` (latch-phase
-    /// body shared by both kernels).
-    fn latch_router(&mut self, i: usize) {
-        let now = self.cycle;
-        let link_lat = self.cfg.link_latency as u64;
-        for d in Dir::ALL {
-            let Some((t0, flit)) = self.routers[i].latches[d.index()] else { continue };
-            if t0 >= now {
-                continue; // latched this cycle; hold for one cycle
-            }
-            assert!(
-                self.neighbor(i as NodeId, d).is_some(),
-                "FLOV latch forwarding would leave the mesh"
-            );
-            let mut f = flit;
-            f.hops_link += 1;
-            self.activity.link_flits += 1;
-            let e = self.edge(i as NodeId, d);
-            self.link_util[e] += 1;
-            self.channels[e].send_flit(now + link_lat, f);
-            self.mark_chan(e);
-            self.routers[i].latches[d.index()] = None;
-            self.note_progress();
-        }
-    }
-
-    /// Phase 3: deliver arrived flits and credits.
-    fn delivery_phase(&mut self) {
-        match self.kernel {
-            KernelMode::Reference => {
-                for e in 0..self.channels.len() {
-                    let node = (e / 4) as NodeId;
-                    let d = Dir::from_index(e % 4);
-                    let Some(target) = self.neighbor(node, d) else {
-                        debug_assert!(self.channels[e].is_idle(), "traffic on an edge channel");
-                        continue;
-                    };
-                    self.deliver_channel(e, d, target);
-                }
-                for n in 0..self.eject.len() {
-                    self.deliver_eject(n);
-                }
-            }
-            KernelMode::ActiveSet => {
-                let now = self.cycle;
-                let mut scratch = std::mem::take(&mut self.sched.scratch);
-                self.sched.chan.collect_into(&mut scratch);
-                for &e in &scratch {
-                    let e = e as usize;
-                    match self.channels[e].earliest_arrival() {
-                        None => {
-                            self.sched.chan.remove(e);
-                            continue;
-                        }
-                        // Everything in flight is still on the wire.
-                        Some(a) if a > now => continue,
-                        Some(_) => {}
-                    }
-                    let node = (e / 4) as NodeId;
-                    let d = Dir::from_index(e % 4);
-                    // Edge channels are never sent on, hence never marked.
-                    let target = self.neighbor(node, d).expect("active channel on a mesh edge");
-                    self.deliver_channel(e, d, target);
-                    if self.channels[e].is_idle() {
-                        self.sched.chan.remove(e);
-                    }
-                }
-                self.sched.eject.collect_into(&mut scratch);
-                for &n in &scratch {
-                    let n = n as usize;
-                    if self.eject[n].is_idle() {
-                        self.sched.eject.remove(n);
-                        continue;
-                    }
-                    self.deliver_eject(n);
-                    if self.eject[n].is_idle() {
-                        self.sched.eject.remove(n);
-                    }
-                }
-                self.sched.scratch = scratch;
-            }
-            KernelMode::Parallel { tiles, grid } => par::delivery_phase(self, tiles, grid),
-        }
-    }
-
-    /// Deliver everything that has arrived on inter-router channel `e`
-    /// (delivery-phase body shared by both kernels).
-    fn deliver_channel(&mut self, e: usize, d: Dir, target: NodeId) {
-        let now = self.cycle;
-        // Flits.
-        while let Some(flit) = self.channels[e].recv_flit(now) {
-            self.deliver_flit(target, d, flit);
-        }
-        // Credits: travel in direction `d`; at a powered router they
-        // refund the output facing back along `opposite(d)`.
-        while let Some(c) = self.channels[e].recv_credit(now) {
-            self.deliver_credit(target, d, c);
-        }
-    }
-
-    /// Deliver everything that has arrived on ejection channel `n`
-    /// (delivery-phase body shared by both kernels).
-    fn deliver_eject(&mut self, n: usize) {
-        let now = self.cycle;
-        while let Some(flit) = self.eject[n].recv_flit(now) {
-            if flit.dst != n as NodeId {
-                // Mesh-to-ring transfer at a proxy node: the routing
-                // function ejected the flit here so it can ride the
-                // bypass ring the rest of the way (NoRD only).
-                assert!(
-                    self.ring.is_some(),
-                    "flit misdelivered: dst {} ejected at {n} without a ring",
-                    flit.dst
-                );
-                let exit = flit.dst;
-                self.ring_ingress(n as NodeId, flit, exit);
-                continue;
-            }
-            self.activity.flits_delivered += 1;
-            self.routers[n].touch_local(now);
-            if let Some(done) = self.nics[n].receive(flit, now, n as NodeId) {
-                self.activity.packets_delivered += 1;
-                self.in_flight_packets -= 1;
-                self.stats.record(&done);
-            }
-            self.note_progress();
-        }
-    }
-
-    fn deliver_flit(&mut self, target: NodeId, travel: Dir, flit: crate::flit::Flit) {
-        let now = self.cycle;
-        let r = &mut self.routers[target as usize];
-        if r.power.is_flov() {
-            // Fly over: into the output latch of the same travel direction.
-            debug_assert!(
-                r.has_flov(travel),
-                "flit flying over router {target} without FLOV capability in {travel:?}"
-            );
-            debug_assert!(flit.dst != target, "flit for a gated router reached its latch");
-            let slot = &mut r.latches[travel.index()];
-            assert!(slot.is_none(), "FLOV latch conflict at router {target}");
-            let mut f = flit;
-            f.hops_flov += 1;
-            *slot = Some((now, f));
-            self.activity.flov_latch_flits += 1;
-            self.mark_latch(target);
-        } else {
-            let in_port = crate::types::Port::from_dir(travel.opposite());
-            let vc_flat = self.cfg.vc_index(flit.vnet as usize, flit.vc as usize);
-            let slot = r.slot(in_port.index(), vc_flat);
-            r.push_flit(in_port.index(), slot, flit, now);
-            self.activity.buffer_writes += 1;
-            self.mark_work(target);
-        }
-        self.note_progress();
-    }
-
-    /// True if a credit relayed onward from `from` in `travel` can ever
-    /// reach a powered consumer. Trivially true on a mesh (the relay path
-    /// either hits a powered router or falls off the edge and is dropped);
-    /// on a torus a fully-gated wrap cycle would relay the credit forever,
-    /// so the (rare, sleeping-router-only) relay path checks ahead.
-    fn relay_has_consumer(&self, from: NodeId, travel: Dir) -> bool {
-        if !self.topo.wraps() {
-            return true;
-        }
-        let mut cur = from;
-        loop {
-            let Some(next) = self.neighbor(cur, travel) else { return false };
-            if next == from {
-                return false; // full wrap: nothing powered on the cycle
-            }
-            if self.routers[next as usize].power.is_powered() {
-                return true;
-            }
-            cur = next;
-        }
-    }
-
-    fn deliver_credit(&mut self, target: NodeId, travel: Dir, c: crate::link::CreditMsg) {
-        let now = self.cycle;
-        if self.routers[target as usize].power.is_flov() {
-            // Relay upstream: one extra cycle per sleeping hop.
-            if self.neighbor(target, travel).is_some() && self.relay_has_consumer(target, travel) {
-                self.activity.credit_msgs += 1;
-                self.activity.credit_relays += 1;
-                let e = self.edge(target, travel);
-                self.channels[e].send_credit(now + 1, c);
-                self.mark_chan(e);
-            }
-            // At a mesh edge (or on a fully-gated torus wrap cycle) the
-            // credit has no consumer left; drop it.
-        } else {
-            let out_port = crate::types::Port::from_dir(travel.opposite());
-            let vc_flat = self.cfg.vc_index(c.vnet as usize, c.vc as usize);
-            let r = &self.routers[target as usize];
-            let slot = r.slot(out_port.index(), vc_flat);
-            // The assert's message arguments (the chain walk included) are
-            // evaluated only when it fires.
-            assert!(
-                r.out_credits[slot].available() < self.cfg.buf_depth,
-                "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
-                 (cycle {now}, router state {:?}, logical downstream {:?})",
-                c.vnet,
-                c.vc,
-                r.power,
-                self.logical_neighbor(target, travel.opposite()),
-            );
-            self.routers[target as usize].out_credits[slot].refund();
-            // A refund can unblock SA at `target`. Defensive: the flit
-            // waiting on this credit is buffered at `target`, so the router
-            // is already in the work set — re-mark anyway per the marking
-            // invariant.
-            self.mark_work(target);
-        }
-    }
-
     /// Ring exit node for a packet entering the ring at `from` with
     /// destination `dst`: the first node after `from` (ring order) whose
     /// router is powered — where the packet re-enters the mesh — or `dst`
@@ -893,31 +650,6 @@ impl NetworkCore {
             cur = ring.successor(cur);
         }
         dst
-    }
-
-    /// Queue a flit onto the bypass ring at `node`, stamping its exit node
-    /// into the (ring-unused) `vc` field. Flits are staged per packet and
-    /// released to the ring station only once the tail arrives, so packets
-    /// stay contiguous (flits of different packets interleave on the
-    /// ejection channel).
-    fn ring_ingress(&mut self, node: NodeId, mut flit: Flit, exit: NodeId) {
-        debug_assert!(exit != node);
-        flit.vc = exit as u8;
-        let is_tail = flit.kind.is_tail();
-        let stage = &mut self.ring_stage[node as usize];
-        match stage.iter_mut().find(|(p, _)| *p == flit.packet) {
-            Some((_, fs)) => fs.push(flit),
-            None => stage.push((flit.packet, vec![flit])),
-        }
-        if is_tail {
-            let pos = stage.iter().position(|(p, _)| *p == flit.packet).unwrap();
-            let (_, fs) = stage.swap_remove(pos);
-            let ring = self.ring.as_mut().unwrap();
-            for f in fs {
-                ring.enqueue(node, f);
-            }
-        }
-        self.note_progress();
     }
 
     /// Ring phase: advance the bypass ring one cycle; ejections complete
@@ -937,14 +669,7 @@ impl NetworkCore {
         for d in out.drain(..) {
             match d {
                 RingDelivery::Eject(node, flit) => {
-                    self.activity.flits_delivered += 1;
-                    self.routers[node as usize].touch_local(now);
-                    if let Some(done) = self.nics[node as usize].receive(flit, now, node) {
-                        self.activity.packets_delivered += 1;
-                        self.in_flight_packets -= 1;
-                        self.stats.record(&done);
-                    }
-                    self.note_progress();
+                    delivery::eject_local(&mut Seq(self), node, flit)
                 }
                 RingDelivery::MeshEntry(node, flit) => {
                     self.ring_transfer[node as usize].push_back(flit);
@@ -1005,7 +730,7 @@ impl NetworkCore {
                     self.nics[node as usize].vnet_rr = (vn + 1) % vnets;
                     let exit = self.ring_exit_for(node, pkt.dst);
                     for idx in 0..pkt.len {
-                        self.ring_ingress(node, pkt.flit(idx, now), exit);
+                        delivery::ring_ingress(&mut Seq(self), node, pkt.flit(idx, now), exit);
                         self.activity.flits_injected += 1;
                     }
                     self.activity.packets_injected += 1;
@@ -1075,6 +800,191 @@ impl NetworkCore {
     }
 }
 
+impl NetworkCore {
+    /// The active-set loop: run `task` on every member of `set`, in
+    /// ascending index order, through [`Seq`]. Tasks remove idle members
+    /// themselves (the lazy removal); marks they add defer to the next
+    /// cycle, since the loop walks a snapshot.
+    fn for_each_marked(&mut self, set: SetId, mut task: impl FnMut(&mut Seq<'_>, u32)) {
+        let mut scratch = std::mem::take(&mut self.sched.scratch);
+        self.sched.set(set).collect_into(&mut scratch);
+        let mut fab = Seq(self);
+        for &i in &scratch {
+            task(&mut fab, i);
+        }
+        self.sched.scratch = scratch;
+    }
+}
+
+/// The seam every phase body is written against: FLOV latch forwarding,
+/// link delivery and credit relays, ejection and ring ingress (the
+/// `delivery` module), NIC injection and the VA/SA/ST pipeline (the
+/// `pipeline` module). The reference scan and the active-set loop run the
+/// bodies through [`Seq`], which applies every effect to the core at once;
+/// the parallel kernel runs them through `par::Lane`, which writes only the
+/// elements its tile owns and buffers every other effect into its `Delta`
+/// for ordered replay after the phase join (DESIGN.md §7b).
+trait Fabric {
+    /// Power reads: the live core, or a tile's phase-start snapshot.
+    type View: PowerView;
+
+    fn now(&self) -> Cycle;
+    fn cfg(&self) -> &NocConfig;
+    fn topo(&self) -> &AnyTopology;
+    fn tables(&self) -> &NodeTables;
+    fn has_ring(&self) -> bool;
+    fn view(&self) -> &Self::View;
+
+    // Elements. A body touches only the ones its phase lets it own: its
+    // router, NIC, outgoing and ejection channels and ring stage, or (in
+    // delivery) the channels it receives from.
+    fn router(&mut self, i: usize) -> &mut Router;
+    fn chan(&mut self, e: usize) -> &mut Channel;
+    fn eject(&mut self, n: usize) -> &mut Channel;
+    fn nic(&mut self, n: usize) -> &mut Nic;
+    fn link_util(&mut self, e: usize) -> &mut u64;
+    fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)>;
+    /// VA scratch: occupied slots in rotated scan order.
+    fn va_order(&mut self) -> &mut Vec<u16>;
+
+    // Effects on state shared across the fabric.
+    fn act(&mut self) -> &mut ActivityCounters;
+    fn mark(&mut self, set: SetId, idx: usize);
+    fn unmark(&mut self, set: SetId, idx: usize);
+    fn progress(&mut self);
+    /// A packet at `origin` waits for the sleeping router `sleeper`.
+    fn wakeup(&mut self, origin: NodeId, sleeper: NodeId);
+    fn ring_enqueue(&mut self, node: NodeId, flit: Flit);
+    /// A credit relayed onto channel `e`, which another router consumes.
+    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg);
+    fn delivered(&mut self, done: DeliveredPacket);
+    fn escape_diversion(&mut self);
+    fn stalled_injection(&mut self);
+}
+
+/// The whole core as a [`Fabric`]: every effect applies at once.
+struct Seq<'a>(&'a mut NetworkCore);
+
+impl Fabric for Seq<'_> {
+    type View = NetworkCore;
+
+    #[inline]
+    fn now(&self) -> Cycle {
+        self.0.cycle
+    }
+
+    #[inline]
+    fn cfg(&self) -> &NocConfig {
+        &self.0.cfg
+    }
+
+    #[inline]
+    fn topo(&self) -> &AnyTopology {
+        &self.0.topo
+    }
+
+    #[inline]
+    fn tables(&self) -> &NodeTables {
+        &self.0.tables
+    }
+
+    #[inline]
+    fn has_ring(&self) -> bool {
+        self.0.ring.is_some()
+    }
+
+    #[inline]
+    fn view(&self) -> &NetworkCore {
+        self.0
+    }
+
+    #[inline]
+    fn router(&mut self, i: usize) -> &mut Router {
+        &mut self.0.routers[i]
+    }
+
+    #[inline]
+    fn chan(&mut self, e: usize) -> &mut Channel {
+        &mut self.0.channels[e]
+    }
+
+    #[inline]
+    fn eject(&mut self, n: usize) -> &mut Channel {
+        &mut self.0.eject[n]
+    }
+
+    #[inline]
+    fn nic(&mut self, n: usize) -> &mut Nic {
+        &mut self.0.nics[n]
+    }
+
+    #[inline]
+    fn link_util(&mut self, e: usize) -> &mut u64 {
+        &mut self.0.link_util[e]
+    }
+
+    #[inline]
+    fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)> {
+        &mut self.0.ring_stage[n]
+    }
+
+    #[inline]
+    fn va_order(&mut self) -> &mut Vec<u16> {
+        &mut self.0.va_order
+    }
+
+    #[inline]
+    fn act(&mut self) -> &mut ActivityCounters {
+        &mut self.0.activity
+    }
+
+    #[inline]
+    fn mark(&mut self, set: SetId, idx: usize) {
+        self.0.sched.set(set).insert(idx);
+    }
+
+    #[inline]
+    fn unmark(&mut self, set: SetId, idx: usize) {
+        self.0.sched.set(set).remove(idx);
+    }
+
+    #[inline]
+    fn progress(&mut self) {
+        self.0.note_progress();
+    }
+
+    #[inline]
+    fn wakeup(&mut self, _origin: NodeId, sleeper: NodeId) {
+        self.0.request_wakeup(sleeper);
+    }
+
+    #[inline]
+    fn ring_enqueue(&mut self, node: NodeId, flit: Flit) {
+        self.0.ring.as_mut().expect("ring enqueue without a ring").enqueue(node, flit);
+    }
+
+    #[inline]
+    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
+        self.0.channels[e].send_credit(arrival, c);
+    }
+
+    #[inline]
+    fn delivered(&mut self, done: DeliveredPacket) {
+        self.0.in_flight_packets -= 1;
+        self.0.stats.record(&done);
+    }
+
+    #[inline]
+    fn escape_diversion(&mut self) {
+        self.0.escape_diversions += 1;
+    }
+
+    #[inline]
+    fn stalled_injection(&mut self) {
+        self.0.stalled_injection_node_cycles += 1;
+    }
+}
+
 /// A complete simulation: the network core plus a mechanism and a workload.
 pub struct Simulation {
     pub core: NetworkCore,
@@ -1124,12 +1034,12 @@ impl Simulation {
         // Optional per-phase wall-time accounting; see [`PhaseNanos`].
         let mut t0 = core.phase_nanos.as_deref().map(|_| std::time::Instant::now());
         // Phase 2: FLOV latches.
-        core.latch_phase();
+        delivery::latch_phase(core);
         lap(core, &mut t0, |p| &mut p.latch);
         // Phase 2b: the NoRD bypass ring (if enabled).
         core.ring_phase();
         // Phase 3: link delivery.
-        core.delivery_phase();
+        delivery::delivery_phase(core);
         lap(core, &mut t0, |p| &mut p.delivery);
         // Phase 4: mechanism control — sharded when the kernel is parallel
         // and the mechanism opts in (see `par::control_phase`), otherwise
@@ -1247,5 +1157,3 @@ fn lap(
         *t0 = Some(now);
     }
 }
-
-pub use pipeline::build_route_ctx;

@@ -27,6 +27,18 @@
 //!   channels of a router are drained by the same tile, in the same
 //!   relative (ascending-index) order as the sequential scan.
 //!
+//! # One body per phase
+//!
+//! A tile runs the very functions the sequential kernels run — the
+//! `latch_task`, `chan_task` and `eject_task` of the `delivery` module and
+//! the `inject_task` and `pipeline_task` of the `pipeline` module — through
+//! the [`Fabric`] seam. Where the sequential `Seq` applies every effect to
+//! the core at once, a tile's [`Lane`] reaches only the elements its tile
+//! owns (router, NIC, channels, ejection channel, link counter, ring stage,
+//! VA scratch), reads power from the phase-start snapshot, and buffers
+//! every other effect into its [`Delta`]. This module therefore holds no
+//! datapath code of its own: only the partition, the pool and the replay.
+//!
 //! # Boundary exchange
 //!
 //! Everything a tile would write outside its own elements is buffered in a
@@ -89,18 +101,19 @@
 //! `RunResult` — is bit-for-bit identical to the sequential kernel, which
 //! is why `KernelMode` stays out of result cache keys.
 
-use super::{NetworkCore, NodeTables};
+use super::delivery::{chan_task, eject_task, latch_task};
+use super::pipeline::{inject_task, pipeline_task};
+use super::{Fabric, NetworkCore, NodeTables, SetId};
 use crate::activity::ActivityCounters;
 use crate::config::NocConfig;
 use crate::flit::Flit;
 use crate::link::{Channel, CreditMsg};
-use crate::nic::{InjectState, Nic};
+use crate::nic::Nic;
 use crate::packet::DeliveredPacket;
 use crate::router::Router;
-use crate::routing::RouteCtx;
 use crate::topology::{AnyTopology, Topology};
 use crate::traits::{PowerMechanism, PowerView};
-use crate::types::{Cycle, Dir, NodeId, PacketId, Port, PowerState};
+use crate::types::{Cycle, Dir, NodeId, PacketId, PowerState};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -229,15 +242,6 @@ impl TilePlan {
 
 // --- Per-tile delta ---------------------------------------------------------
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SetId {
-    Latch,
-    Work,
-    Inject,
-    Chan,
-    Eject,
-}
-
 /// Everything a tile body would write outside its own elements, buffered
 /// for in-order replay by the driver after the phase join.
 #[derive(Default)]
@@ -300,16 +304,6 @@ fn add_activity(into: &mut ActivityCounters, d: &ActivityCounters) {
     into.flits_delivered += d.flits_delivered;
 }
 
-fn sched_set(core: &mut NetworkCore, id: SetId) -> &mut crate::active::ActiveSet {
-    match id {
-        SetId::Latch => &mut core.sched.latch,
-        SetId::Work => &mut core.sched.work,
-        SetId::Inject => &mut core.sched.inject,
-        SetId::Chan => &mut core.sched.chan,
-        SetId::Eject => &mut core.sched.eject,
-    }
-}
-
 /// K-way merge one per-tile, ascending-by-origin effect stream back into
 /// global ascending-origin order. Origins are disjoint across tiles (a
 /// node is owned by exactly one tile) and ascend within a tile, so the
@@ -352,12 +346,12 @@ fn merge_ordered<T: Copy>(
 fn apply_deltas(core: &mut NetworkCore, deltas: &mut [Delta], cursors: &mut Vec<usize>) {
     for t in deltas.iter() {
         for &(s, idx) in &t.removes {
-            sched_set(core, s).remove(idx as usize);
+            core.sched.set(s).remove(idx as usize);
         }
     }
     for t in deltas.iter() {
         for &(s, idx) in &t.inserts {
-            sched_set(core, s).insert(idx as usize);
+            core.sched.set(s).insert(idx as usize);
         }
     }
     for d in deltas.iter_mut() {
@@ -428,7 +422,7 @@ struct Shared<'a> {
     cfg: &'a NocConfig,
     topo: &'a AnyTopology,
     tables: &'a NodeTables,
-    powers: &'a [PowerState],
+    view: SnapView<'a>,
     /// The mechanism, for the injection-gate and routing hooks; `None` in
     /// the latch/delivery phases, which never consult it.
     mech: Option<&'a dyn PowerMechanism>,
@@ -445,598 +439,149 @@ struct Shared<'a> {
 unsafe impl Send for Shared<'_> {}
 unsafe impl Sync for Shared<'_> {}
 
-/// One tile's execution context for one phase: shard access plus the
-/// tile-private delta and scratch.
+/// One tile's execution context for one phase: the phase bodies run on it
+/// as a [`Fabric`] that reaches only this tile's elements and buffers
+/// every other effect into the tile-private delta.
 struct Lane<'a> {
     sh: &'a Shared<'a>,
     d: &'a mut Delta,
     va_order: &'a mut Vec<u16>,
 }
 
-#[allow(clippy::mut_from_ref)] // per-phase single-writer discipline; see Shared
-impl Lane<'_> {
-    #[inline]
-    unsafe fn router(&self, i: usize) -> &mut Router {
-        debug_assert!(i < self.sh.nodes);
-        &mut *self.sh.routers.add(i)
-    }
+// The element accessors below share one safety argument: each asserts its
+// index lies inside the array `make_shared` took the pointer of; the phase
+// bodies pass only indices of elements the running tile owns in this
+// phase (module docs); and the returned borrow is tied to `&mut self`, so
+// one lane never holds two borrows of one element.
+impl<'a> Fabric for Lane<'a> {
+    type View = SnapView<'a>;
 
     #[inline]
-    unsafe fn chan(&self, e: usize) -> &mut Channel {
-        debug_assert!(e < self.sh.nodes * 4);
-        &mut *self.sh.channels.add(e)
-    }
-
-    #[inline]
-    unsafe fn eject_chan(&self, n: usize) -> &mut Channel {
-        debug_assert!(n < self.sh.nodes);
-        &mut *self.sh.eject.add(n)
+    fn now(&self) -> Cycle {
+        self.sh.now
     }
 
     #[inline]
-    unsafe fn nic(&self, n: usize) -> &mut Nic {
-        debug_assert!(n < self.sh.nodes);
-        &mut *self.sh.nics.add(n)
+    fn cfg(&self) -> &NocConfig {
+        self.sh.cfg
     }
 
     #[inline]
-    fn neighbor(&self, node: NodeId, d: Dir) -> Option<NodeId> {
-        self.sh.tables.neighbor(node, d)
+    fn topo(&self) -> &AnyTopology {
+        self.sh.topo
     }
 
     #[inline]
-    fn snap_power(&self, n: NodeId) -> PowerState {
-        self.sh.powers[n as usize]
+    fn tables(&self) -> &NodeTables {
+        self.sh.tables
     }
 
-    /// PSR register contents from the snapshot (mirrors `NetworkCore::psr`).
-    fn psr(&self, node: NodeId) -> [Option<PowerState>; 4] {
-        let mut out = [None; 4];
-        for d in Dir::ALL {
-            out[d.index()] = self.sh.tables.grid_neighbor(node, d).map(|m| self.snap_power(m));
-        }
-        out
+    #[inline]
+    fn has_ring(&self) -> bool {
+        self.sh.has_ring
     }
 
-    /// Snapshot twin of `NetworkCore::chain_walk`.
-    fn chain_walk(&self, from: NodeId, d: Dir, dst: NodeId) -> super::ChainTarget {
-        use super::ChainTarget;
-        let mut cur = from;
-        let mut sleepers = 0;
-        loop {
-            let Some(next) = self.neighbor(cur, d) else {
-                return ChainTarget { powered: None, blocked: false, dst_on_chain: None, sleepers };
-            };
-            if next == from {
-                return ChainTarget { powered: None, blocked: true, dst_on_chain: None, sleepers };
-            }
-            match self.snap_power(next) {
-                PowerState::Active => {
-                    return ChainTarget {
-                        powered: Some(next),
-                        blocked: false,
-                        dst_on_chain: None,
-                        sleepers,
-                    }
-                }
-                PowerState::Draining => {
-                    return ChainTarget {
-                        powered: Some(next),
-                        blocked: true,
-                        dst_on_chain: None,
-                        sleepers,
-                    }
-                }
-                PowerState::Wakeup => {
-                    return ChainTarget {
-                        powered: None,
-                        blocked: true,
-                        dst_on_chain: None,
-                        sleepers,
-                    };
-                }
-                PowerState::Sleep => {
-                    if next == dst {
-                        return ChainTarget {
-                            powered: None,
-                            blocked: true,
-                            dst_on_chain: Some(next),
-                            sleepers,
-                        };
-                    }
-                    if self.neighbor(next, d).is_none() {
-                        return ChainTarget {
-                            powered: None,
-                            blocked: false,
-                            dst_on_chain: None,
-                            sleepers,
-                        };
-                    }
-                    sleepers += 1;
-                    cur = next;
-                }
-            }
-        }
+    #[inline]
+    fn view(&self) -> &SnapView<'a> {
+        &self.sh.view
     }
 
-    /// Snapshot twin of `NetworkCore::logical_neighbor` (assert diagnostics
-    /// in the credit path).
-    fn logical_neighbor(&self, node: NodeId, d: Dir) -> Option<(NodeId, u32)> {
-        let mut cur = node;
-        let mut hops = 0;
-        loop {
-            let next = self.neighbor(cur, d)?;
-            if next == node {
-                return None;
-            }
-            if self.snap_power(next) != PowerState::Sleep {
-                return Some((next, hops));
-            }
-            hops += 1;
-            cur = next;
-        }
+    #[inline]
+    fn router(&mut self, i: usize) -> &mut Router {
+        assert!(i < self.sh.nodes);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.routers.add(i) }
     }
 
-    /// Snapshot twin of `NetworkCore::relay_has_consumer`.
-    fn relay_has_consumer(&self, from: NodeId, travel: Dir) -> bool {
-        if !self.sh.topo.wraps() {
-            return true;
-        }
-        let mut cur = from;
-        loop {
-            let Some(next) = self.neighbor(cur, travel) else { return false };
-            if next == from {
-                return false;
-            }
-            if self.snap_power(next).is_powered() {
-                return true;
-            }
-            cur = next;
-        }
+    #[inline]
+    fn chan(&mut self, e: usize) -> &mut Channel {
+        assert!(e < self.sh.nodes * 4);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.channels.add(e) }
     }
 
-    // --- Phase 2: FLOV latches (partitioned by owner) -----------------------
-
-    /// Active-set latch task for router `i`, including the lazy removal.
-    fn latch_task(&mut self, i: usize) {
-        unsafe {
-            if self.router(i).latches_empty() {
-                self.d.removes.push((SetId::Latch, i as u32));
-                return;
-            }
-            self.latch_router(i);
-            if self.router(i).latches_empty() {
-                self.d.removes.push((SetId::Latch, i as u32));
-            }
-        }
+    #[inline]
+    fn eject(&mut self, n: usize) -> &mut Channel {
+        assert!(n < self.sh.nodes);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.eject.add(n) }
     }
 
-    /// Body twin of `NetworkCore::latch_router`.
-    unsafe fn latch_router(&mut self, i: usize) {
-        let now = self.sh.now;
-        let link_lat = self.sh.cfg.link_latency as u64;
-        for d in Dir::ALL {
-            let Some((t0, flit)) = self.router(i).latches[d.index()] else { continue };
-            if t0 >= now {
-                continue; // latched this cycle; hold for one cycle
-            }
-            assert!(
-                self.neighbor(i as NodeId, d).is_some(),
-                "FLOV latch forwarding would leave the mesh"
-            );
-            let mut f = flit;
-            f.hops_link += 1;
-            self.d.act.link_flits += 1;
-            let e = i * 4 + d.index();
-            *self.sh.link_util.add(e) += 1;
-            self.chan(e).send_flit(now + link_lat, f);
-            self.d.inserts.push((SetId::Chan, e as u32));
-            self.router(i).latches[d.index()] = None;
-            self.d.progressed = true;
-        }
+    #[inline]
+    fn nic(&mut self, n: usize) -> &mut Nic {
+        assert!(n < self.sh.nodes);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.nics.add(n) }
     }
 
-    // --- Phase 3: delivery (partitioned by receiver) ------------------------
-
-    /// Active-set channel-delivery task for channel `e` (its receiver is in
-    /// this tile), including the lazy removal.
-    fn chan_task(&mut self, e: usize) {
-        let now = self.sh.now;
-        unsafe {
-            match self.chan(e).earliest_arrival() {
-                None => {
-                    self.d.removes.push((SetId::Chan, e as u32));
-                    return;
-                }
-                Some(a) if a > now => return,
-                Some(_) => {}
-            }
-            let node = (e / 4) as NodeId;
-            let d = Dir::from_index(e % 4);
-            let target = self.neighbor(node, d).expect("active channel on a mesh edge");
-            while let Some(flit) = self.chan(e).recv_flit(now) {
-                self.deliver_flit(target, d, flit);
-            }
-            while let Some(c) = self.chan(e).recv_credit(now) {
-                self.deliver_credit(target, d, c);
-            }
-            if self.chan(e).is_idle() {
-                self.d.removes.push((SetId::Chan, e as u32));
-            }
-        }
+    #[inline]
+    fn link_util(&mut self, e: usize) -> &mut u64 {
+        assert!(e < self.sh.nodes * 4);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.link_util.add(e) }
     }
 
-    /// Body twin of `NetworkCore::deliver_flit` (`target` is tile-owned).
-    unsafe fn deliver_flit(&mut self, target: NodeId, travel: Dir, flit: Flit) {
-        let now = self.sh.now;
-        let r = self.router(target as usize);
-        if r.power.is_flov() {
-            debug_assert!(
-                r.has_flov(travel),
-                "flit flying over router {target} without FLOV capability in {travel:?}"
-            );
-            debug_assert!(flit.dst != target, "flit for a gated router reached its latch");
-            let slot = &mut r.latches[travel.index()];
-            assert!(slot.is_none(), "FLOV latch conflict at router {target}");
-            let mut f = flit;
-            f.hops_flov += 1;
-            *slot = Some((now, f));
-            self.d.act.flov_latch_flits += 1;
-            self.d.inserts.push((SetId::Latch, target as u32));
-        } else {
-            let in_port = Port::from_dir(travel.opposite());
-            let vc_flat = self.sh.cfg.vc_index(flit.vnet as usize, flit.vc as usize);
-            let slot = r.slot(in_port.index(), vc_flat);
-            r.push_flit(in_port.index(), slot, flit, now);
-            self.d.act.buffer_writes += 1;
-            self.d.inserts.push((SetId::Work, target as u32));
-        }
+    #[inline]
+    fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)> {
+        assert!(n < self.sh.nodes);
+        // SAFETY: an in-bounds, tile-owned element (see above).
+        unsafe { &mut *self.sh.ring_stage.add(n) }
+    }
+
+    #[inline]
+    fn va_order(&mut self) -> &mut Vec<u16> {
+        self.va_order
+    }
+
+    #[inline]
+    fn act(&mut self) -> &mut ActivityCounters {
+        &mut self.d.act
+    }
+
+    #[inline]
+    fn mark(&mut self, set: SetId, idx: usize) {
+        self.d.inserts.push((set, idx as u32));
+    }
+
+    #[inline]
+    fn unmark(&mut self, set: SetId, idx: usize) {
+        self.d.removes.push((set, idx as u32));
+    }
+
+    #[inline]
+    fn progress(&mut self) {
         self.d.progressed = true;
     }
 
-    /// Body twin of `NetworkCore::deliver_credit` (`target` is tile-owned;
-    /// onward relays may target another tile's channel and are buffered).
-    unsafe fn deliver_credit(&mut self, target: NodeId, travel: Dir, c: CreditMsg) {
-        let now = self.sh.now;
-        if self.router(target as usize).power.is_flov() {
-            if self.neighbor(target, travel).is_some() && self.relay_has_consumer(target, travel) {
-                self.d.act.credit_msgs += 1;
-                self.d.act.credit_relays += 1;
-                let e = target as usize * 4 + travel.index();
-                self.d.credit_sends.push((e, now + 1, c));
-                self.d.inserts.push((SetId::Chan, e as u32));
-            }
-        } else {
-            let out_port = Port::from_dir(travel.opposite());
-            let vc_flat = self.sh.cfg.vc_index(c.vnet as usize, c.vc as usize);
-            let r = self.router(target as usize);
-            let slot = r.slot(out_port.index(), vc_flat);
-            assert!(
-                r.out_credits[slot].available() < self.sh.cfg.buf_depth,
-                "credit overflow at router {target} port {out_port:?} vnet {} vc {} \
-                 (cycle {now}, router state {:?}, logical downstream {:?})",
-                c.vnet,
-                c.vc,
-                r.power,
-                self.logical_neighbor(target, travel.opposite()),
-            );
-            r.out_credits[slot].refund();
-            self.d.inserts.push((SetId::Work, target as u32));
-        }
+    #[inline]
+    fn wakeup(&mut self, origin: NodeId, sleeper: NodeId) {
+        self.d.wakes.push((origin, sleeper));
     }
 
-    /// Active-set ejection task for node `n`, including the lazy removal.
-    fn eject_task(&mut self, n: usize) {
-        let now = self.sh.now;
-        unsafe {
-            if self.eject_chan(n).is_idle() {
-                self.d.removes.push((SetId::Eject, n as u32));
-                return;
-            }
-            while let Some(flit) = self.eject_chan(n).recv_flit(now) {
-                if flit.dst != n as NodeId {
-                    assert!(
-                        self.sh.has_ring,
-                        "flit misdelivered: dst {} ejected at {n} without a ring",
-                        flit.dst
-                    );
-                    let exit = flit.dst;
-                    self.ring_ingress(n as NodeId, flit, exit);
-                    continue;
-                }
-                self.d.act.flits_delivered += 1;
-                self.router(n).touch_local(now);
-                if let Some(done) = self.nic(n).receive(flit, now, n as NodeId) {
-                    self.d.act.packets_delivered += 1;
-                    self.d.in_flight_dec += 1;
-                    self.d.delivered.push(done);
-                }
-                self.d.progressed = true;
-            }
-            if self.eject_chan(n).is_idle() {
-                self.d.removes.push((SetId::Eject, n as u32));
-            }
-        }
+    #[inline]
+    fn ring_enqueue(&mut self, node: NodeId, flit: Flit) {
+        self.d.ring_enq.push((node, flit));
     }
 
-    /// Body twin of `NetworkCore::ring_ingress`: staging is tile-owned,
-    /// released whole packets are buffered for the driver to enqueue.
-    unsafe fn ring_ingress(&mut self, node: NodeId, mut flit: Flit, exit: NodeId) {
-        debug_assert!(exit != node);
-        flit.vc = exit as u8;
-        let is_tail = flit.kind.is_tail();
-        let stage = &mut *self.sh.ring_stage.add(node as usize);
-        match stage.iter_mut().find(|(p, _)| *p == flit.packet) {
-            Some((_, fs)) => fs.push(flit),
-            None => stage.push((flit.packet, vec![flit])),
-        }
-        if is_tail {
-            let pos = stage.iter().position(|(p, _)| *p == flit.packet).unwrap();
-            let (_, fs) = stage.swap_remove(pos);
-            for f in fs {
-                self.d.ring_enq.push((node, f));
-            }
-        }
-        self.d.progressed = true;
+    #[inline]
+    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
+        self.d.credit_sends.push((e, arrival, c));
     }
 
-    // --- Phase 5: NIC injection (partitioned by owner) ----------------------
-
-    /// Active-set injection task for node `n`, including the lazy removal
-    /// (gated nodes with backlog stay marked, exactly like the sequential
-    /// kernel).
-    fn inject_task(&mut self, node: NodeId) {
-        let now = self.sh.now;
-        let vnets = self.sh.cfg.vnets;
-        unsafe {
-            if !self.nic(node as usize).pending() {
-                self.d.removes.push((SetId::Inject, node as u32));
-                return;
-            }
-            if !self.router(node as usize).power.is_powered() {
-                return; // router gated; the mechanism is responsible for waking it
-            }
-            let mech = self.sh.mech.expect("injection phase requires the mechanism");
-            let gate_open = mech.injection_allowed(&SnapView { powers: self.sh.powers }, node);
-            if !gate_open && self.nic(node as usize).in_progress.iter().all(|p| p.is_none()) {
-                self.d.stalled += 1;
-                return;
-            }
-            let rr0 = self.nic(node as usize).vnet_rr;
-            for i in 0..vnets {
-                let vn = (rr0 + i) % vnets;
-                if self.nic(node as usize).in_progress[vn].is_none() {
-                    if !gate_open || self.nic(node as usize).queues[vn].is_empty() {
-                        continue;
-                    }
-                    let reg = self.sh.cfg.regular_vcs - usize::from(self.sh.has_ring);
-                    let mut chosen = None;
-                    for j in 0..reg {
-                        let vc = (now as usize + j) % reg;
-                        let flat = self.sh.cfg.vc_index(vn, vc);
-                        let r = self.router(node as usize);
-                        if r.inputs[r.slot(Port::Local.index(), flat)].buf.free() > 0 {
-                            chosen = Some(vc);
-                            break;
-                        }
-                    }
-                    let Some(vc) = chosen else { continue };
-                    let pkt = self.nic(node as usize).queues[vn].pop_front().unwrap();
-                    self.nic(node as usize).in_progress[vn] =
-                        Some(InjectState { pkt, next: 0, vc: vc as u8 });
-                }
-                let st = self.nic(node as usize).in_progress[vn].unwrap();
-                let flat = self.sh.cfg.vc_index(vn, st.vc as usize);
-                let slot = {
-                    let r = self.router(node as usize);
-                    r.slot(Port::Local.index(), flat)
-                };
-                if self.router(node as usize).inputs[slot].buf.free() == 0 {
-                    continue;
-                }
-                let mut f = st.pkt.flit(st.next, now);
-                f.vc = st.vc;
-                let r = self.router(node as usize);
-                r.push_flit(Port::Local.index(), slot, f, now);
-                r.touch_local(now);
-                self.d.act.buffer_writes += 1;
-                self.d.act.flits_injected += 1;
-                if st.next == 0 {
-                    self.d.act.packets_injected += 1;
-                }
-                let nic = self.nic(node as usize);
-                if st.next + 1 == st.pkt.len {
-                    nic.in_progress[vn] = None;
-                } else {
-                    nic.in_progress[vn] = Some(InjectState { next: st.next + 1, ..st });
-                }
-                nic.vnet_rr = (vn + 1) % vnets;
-                self.d.inserts.push((SetId::Work, node as u32));
-                self.d.progressed = true;
-                break; // one flit per node per cycle
-            }
-        }
+    #[inline]
+    fn delivered(&mut self, done: DeliveredPacket) {
+        self.d.in_flight_dec += 1;
+        self.d.delivered.push(done);
     }
 
-    // --- Phase 6: router pipelines (partitioned by owner) -------------------
-
-    /// Active-set pipeline task for node `n`, including the lazy removal.
-    fn pipeline_task(&mut self, node: NodeId) {
-        unsafe {
-            if self.router(node as usize).buffered_flits() == 0 {
-                self.d.removes.push((SetId::Work, node as u32));
-                return;
-            }
-            debug_assert!(self.router(node as usize).power.is_powered());
-        }
-        self.va_stage(node);
-        self.sa_stage(node);
+    #[inline]
+    fn escape_diversion(&mut self) {
+        self.d.escape_diversions += 1;
     }
 
-    fn build_route_ctx(&self, at: NodeId, in_port: Port, dst: NodeId, escape: bool) -> RouteCtx {
-        RouteCtx {
-            kx: self.sh.topo.kx(),
-            ky: self.sh.topo.ky(),
-            torus: self.sh.topo.wraps(),
-            at: self.sh.tables.coord(at),
-            in_port,
-            dst: self.sh.tables.coord(dst),
-            escape,
-            neighbors: self.psr(at),
-        }
-    }
-
-    /// Body twin of `pipeline::va_stage`.
-    fn va_stage(&mut self, node: NodeId) {
-        let now = self.sh.now;
-        let total_vcs = self.sh.cfg.total_vcs();
-        let mut order = std::mem::take(self.va_order);
-        // SAFETY: this tile owns `node` in the pipeline phase (see `Shared`).
-        unsafe { self.router(node as usize).va_order(now, &mut order) };
-        for &s in &order {
-            let s = s as usize;
-            let port = s / total_vcs;
-            let (dst, vnet, mut escape, head_since);
-            unsafe {
-                let invc = &self.router(node as usize).inputs[s];
-                let f = invc.buf.front().expect("VA candidate with an empty buffer");
-                debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
-                head_since = invc.head_since;
-                if now < head_since + 1 {
-                    continue; // still in the RC stage
-                }
-                dst = f.dst;
-                vnet = f.vnet as usize;
-                escape = f.escape;
-            }
-            if !escape
-                && self.sh.cfg.escape_vcs > 0
-                && now - head_since > self.sh.cfg.escape_timeout as u64
-            {
-                escape = true;
-                self.d.escape_diversions += 1;
-                unsafe {
-                    self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
-                }
-            }
-            let in_port = Port::from_index(port);
-            let ctx = self.build_route_ctx(node, in_port, dst, escape);
-            let view = SnapView { powers: self.sh.powers };
-            let mech = self.sh.mech.expect("pipeline phase requires the mechanism");
-            let mut routed = mech.route(&view, &ctx);
-            if routed.is_none() && !escape && self.sh.cfg.escape_vcs > 0 {
-                escape = true;
-                self.d.escape_diversions += 1;
-                unsafe {
-                    self.router(node as usize).inputs[s].buf.front_mut().unwrap().escape = true;
-                }
-                routed = mech.route(&view, &RouteCtx { escape: true, ..ctx });
-            }
-            let Some(out) = routed else { continue };
-            debug_assert!(
-                escape || out == Port::Local || out != in_port,
-                "mechanism routed a non-escape U-turn at router {node}"
-            );
-            let (first, count) = if escape {
-                let e = self.sh.cfg.escape_vc().expect("escape flit but no escape VC configured");
-                (e, 1)
-            } else {
-                (0, self.sh.cfg.regular_vcs)
-            };
-            if out == Port::Local {
-                debug_assert!(
-                    dst == node || self.sh.has_ring,
-                    "local ejection routed for a non-local flit without a ring"
-                );
-                self.try_grant(node, s, Port::Local.index(), vnet, 0, self.sh.cfg.vcs_per_vnet());
-                continue;
-            }
-            let d = out.dir().unwrap();
-            debug_assert!(
-                self.neighbor(node, d).is_some(),
-                "mechanism routed off the mesh at {node}"
-            );
-            let walk = self.chain_walk(node, d, dst);
-            if let Some(sleeper) = walk.dst_on_chain {
-                self.d.wakes.push((node, sleeper));
-                continue;
-            }
-            if walk.blocked || walk.powered.is_none() {
-                continue; // retry next cycle; handshakes resolve this
-            }
-            self.try_grant(node, s, out.index(), vnet, first, count);
-        }
-        *self.va_order = order;
-    }
-
-    /// Body twin of `pipeline::try_grant`.
-    fn try_grant(
-        &mut self,
-        node: NodeId,
-        s: usize,
-        op: usize,
-        vnet: usize,
-        first: usize,
-        count: usize,
-    ) {
-        let now = self.sh.now;
-        // SAFETY: this tile owns `node` in the pipeline phase (see `Shared`).
-        if unsafe { self.router(node as usize).claim_vc(now, s, op, vnet, first, count) } {
-            self.d.act.va_grants += 1;
-        }
-    }
-
-    /// Body twin of `pipeline::sa_stage`.
-    fn sa_stage(&mut self, node: NodeId) {
-        // SAFETY: this tile owns `node` in the pipeline phase (see `Shared`).
-        let winners = unsafe { self.router(node as usize).switch_allocate(self.sh.now) };
-        for (op, w) in winners.into_iter().enumerate() {
-            if let Some((p, s, ovc)) = w {
-                self.st_traverse(node, p, s, op, ovc);
-            }
-        }
-    }
-
-    /// Body twin of `pipeline::st_traverse` (all writes are tile-owned:
-    /// the router, its outgoing channels, its ejection channel).
-    fn st_traverse(&mut self, node: NodeId, in_port: usize, s: usize, op: usize, ovc: u8) {
-        let now = self.sh.now;
-        let link_lat = self.sh.cfg.link_latency as u64;
-        unsafe {
-            let mut f = self.router(node as usize).depart(in_port, s, op, ovc, now);
-            self.d.act.buffer_reads += 1;
-            self.d.act.xbar_traversals += 1;
-            self.d.act.sa_grants += 1;
-            f.vc = ovc;
-            if op != Port::Local.index() && self.sh.cfg.is_escape_vc(ovc as usize) {
-                f.escape = true;
-            }
-            f.hops_router += 1;
-            f.hops_link += 1;
-            self.d.act.link_flits += 1;
-            let arrival = now + link_lat + 2; // ST next cycle, then the wire
-            if op == Port::Local.index() {
-                self.eject_chan(node as usize).send_flit(arrival, f);
-                self.d.inserts.push((SetId::Eject, node as u32));
-            } else {
-                let d = Port::from_index(op).dir().unwrap();
-                let e = node as usize * 4 + d.index();
-                *self.sh.link_util.add(e) += 1;
-                self.chan(e).send_flit(arrival, f);
-                self.d.inserts.push((SetId::Chan, e as u32));
-            }
-            if in_port != Port::Local.index() {
-                let d_up = Port::from_index(in_port).dir().unwrap();
-                if self.neighbor(node, d_up).is_some() {
-                    let (vn, vc) = self.sh.cfg.vc_split(s % self.sh.cfg.total_vcs());
-                    let e = node as usize * 4 + d_up.index();
-                    self.chan(e).send_credit(now + 3, CreditMsg { vnet: vn as u8, vc: vc as u8 });
-                    self.d.inserts.push((SetId::Chan, e as u32));
-                    self.d.act.credit_msgs += 1;
-                }
-            }
-            self.d.progressed = true;
-        }
+    #[inline]
+    fn stalled_injection(&mut self) {
+        self.d.stalled += 1;
     }
 }
 
@@ -1254,14 +799,12 @@ unsafe fn run_tile(ctx: *const (), tile: usize) {
     let j = &*(ctx as *const JobCtx);
     let d = &mut *j.deltas.add(tile);
     let va_order = &mut *j.va_orders.add(tile);
-    let mut lane = Lane { sh: &j.sh, d, va_order };
-    let plan = j.plan;
+    let lane = &mut Lane { sh: &j.sh, d, va_order };
+    let owned = |n: u32| j.plan.tile_of(n) == tile;
     match j.kind {
         PhaseKind::Latch => {
-            for &i in j.tasks {
-                if plan.tile_of(i) == tile {
-                    lane.latch_task(i as usize);
-                }
+            for &i in j.tasks.iter().filter(|&&i| owned(i)) {
+                latch_task(lane, i as usize);
             }
         }
         PhaseKind::Deliver => {
@@ -1271,28 +814,24 @@ unsafe fn run_tile(ctx: *const (), tile: usize) {
                 // Edge channels are never sent on, hence never marked.
                 let target =
                     j.sh.tables.neighbor(node, dir).expect("active channel on a mesh edge");
-                if plan.tile_of(target as u32) == tile {
-                    lane.chan_task(e as usize);
+                if owned(target as u32) {
+                    chan_task(lane, e as usize);
                 }
             }
-            for &n in j.tasks {
-                if plan.tile_of(n) == tile {
-                    lane.eject_task(n as usize);
-                }
+            for &n in j.tasks.iter().filter(|&&n| owned(n)) {
+                eject_task(lane, n as usize);
             }
         }
         PhaseKind::Inject => {
-            for &n in j.tasks {
-                if plan.tile_of(n) == tile {
-                    lane.inject_task(n as NodeId);
-                }
+            let mech = j.sh.mech.expect("injection phase requires the mechanism");
+            for &n in j.tasks.iter().filter(|&&n| owned(n)) {
+                inject_task(lane, mech, n as NodeId);
             }
         }
         PhaseKind::Pipeline => {
-            for &n in j.tasks {
-                if plan.tile_of(n) == tile {
-                    lane.pipeline_task(n as NodeId);
-                }
+            let mech = j.sh.mech.expect("pipeline phase requires the mechanism");
+            for &n in j.tasks.iter().filter(|&&n| owned(n)) {
+                pipeline_task(lane, mech, n as NodeId);
             }
         }
     }
@@ -1370,7 +909,7 @@ fn make_shared<'a>(
         cfg: &core.cfg,
         topo: &core.topo,
         tables: &core.tables,
-        powers,
+        view: SnapView { powers },
         mech,
         has_ring: core.ring.is_some(),
         nodes: core.routers.len(),
