@@ -9,11 +9,13 @@
 //! `flov` CLI run through here — a figure regenerated twice costs one
 //! simulation sweep.
 //!
-//! Nested parallelism is arbitrated per job: while many runs are live the
-//! requested in-run tiling (`FLOV_KERNEL=parallel`) is demoted to the
-//! single-threaded active-set kernel — one core per run beats
+//! Nested parallelism is arbitrated per job against the host's core budget
+//! (`FLOV_THREADS`, else the available parallelism): while many runs are
+//! live the requested in-run tiling (`FLOV_KERNEL=parallel`) is demoted to
+//! the single-threaded active-set kernel — one core per run beats
 //! oversubscribing — and as the batch drains to its last few stragglers,
-//! each surviving run is granted a share of the freed cores. All kernels
+//! each surviving run is granted a share of the freed cores. A one-run
+//! batch gets every tile it asked for, up to the budget. All kernels
 //! are bit-identical (enforced by the equivalence suite), so arbitration
 //! can never change a result, only its wall-clock cost.
 
@@ -244,30 +246,22 @@ impl Engine {
         let misses: Vec<usize> = (0..uniques.len()).filter(|&slot| slots[slot].is_none()).collect();
         let n_cached = uniques.len() - misses.len();
 
-        // Simulate the misses over the work-stealing scheduler; each job
-        // re-arbitrates its kernel against the live-job count at start.
+        // Simulate the misses; each job arbitrates the requested kernel
+        // against the host's core budget at start.
         let requested_kernel = crate::kernel_from_env();
-        let workers = workers_for(misses.len());
-        let (computed, sched) = run_work_stealing(misses.len(), workers, |j, ctx| {
-            let i = uniques[misses[j]];
-            let kernel = arbitrate(requested_kernel, ctx.live_jobs(), ctx.workers);
-            let result = crate::run_kernel(&resolved[i], kernel);
-            if let Some(cache) = &self.cache {
-                let entry = CacheEntry {
-                    kernel_version: self.kernel_version,
-                    spec: resolved[i].clone(),
-                    result: result.clone(),
-                };
-                if let Err(e) = cache.put(&keys[i], &entry) {
-                    eprintln!("[flov] warning: could not persist {}: {e}", &keys[i]);
-                }
-            }
-            progress.tick(false);
-            result
-        });
+        let jobs: Vec<usize> = misses.iter().map(|&slot| uniques[slot]).collect();
+        let (computed, sched) = self.simulate(
+            &resolved,
+            &keys,
+            &jobs,
+            requested_kernel,
+            workers_for(usize::MAX),
+            &progress,
+        );
         if !misses.is_empty() {
             *self.last_sched.lock().expect("sched stats lock") = Some(sched);
         }
+        let (computed, granted): (Vec<RunResult>, Vec<KernelMode>) = computed.into_iter().unzip();
         let sim_cycles: u64 = computed.iter().map(|r| r.runtime_cycles).sum();
         for (&slot, result) in misses.iter().zip(computed) {
             slots[slot] = Some(result);
@@ -282,22 +276,27 @@ impl Engine {
             // Keep this line's shape stable: CI greps it to assert hit
             // rates. New fields go at the end, after the grepped ones.
             let wall = batch_start.elapsed().as_secs_f64();
-            // Under the parallel kernel, report the effective tile
-            // geometry (requested vs planned) instead of clamping
-            // silently; batches can mix topologies, hence the set.
+            // Under the parallel kernel, report the tile geometries the
+            // runs were actually granted (batches can mix topologies,
+            // hence the set) and how many runs got tiles at all.
             let geometry = match requested_kernel {
-                KernelMode::Parallel { tiles, .. } if !uniques.is_empty() => {
-                    let mut geoms: Vec<String> = uniques
+                KernelMode::Parallel { tiles, .. } if !jobs.is_empty() => {
+                    let mut geoms: Vec<String> = jobs
                         .iter()
-                        .filter_map(|&i| {
-                            let cfg = &resolved[i].cfg;
-                            requested_kernel.planned_grid(cfg.kx(), cfg.ky())
+                        .zip(&granted)
+                        .filter_map(|(&i, kernel)| {
+                            kernel.planned_grid(resolved[i].cfg.kx(), resolved[i].cfg.ky())
                         })
                         .map(|(r, c)| format!("{r}x{c}"))
                         .collect();
+                    let tiled = geoms.len();
                     geoms.sort();
                     geoms.dedup();
-                    format!(", parallel tiles {} ({tiles} requested)", geoms.join("|"))
+                    let geoms = if geoms.is_empty() { "none".to_string() } else { geoms.join("|") };
+                    format!(
+                        ", parallel tiles {geoms} on {tiled}/{} runs ({tiles} requested)",
+                        jobs.len()
+                    )
                 }
                 _ => String::new(),
             };
@@ -340,6 +339,40 @@ impl Engine {
                 }
             })
             .collect()
+    }
+
+    /// Simulate the specs at indices `jobs` over the work-stealing
+    /// scheduler and persist each result. Each job arbitrates `requested`
+    /// against the live-job count and the `budget` of cores it may fan out
+    /// over — the host's, not the batch's worker count, since a one-job
+    /// batch runs on one worker but may tile over every core. Returns
+    /// each job's result and the kernel it ran on.
+    fn simulate(
+        &self,
+        specs: &[RunSpec],
+        keys: &[String],
+        jobs: &[usize],
+        requested: KernelMode,
+        budget: usize,
+        progress: &Progress,
+    ) -> (Vec<(RunResult, KernelMode)>, SchedStats) {
+        run_work_stealing(jobs.len(), workers_for(jobs.len()), |j, ctx| {
+            let i = jobs[j];
+            let kernel = arbitrate(requested, ctx.live_jobs(), budget);
+            let result = crate::run_kernel(&specs[i], kernel);
+            if let Some(cache) = &self.cache {
+                let entry = CacheEntry {
+                    kernel_version: self.kernel_version,
+                    spec: specs[i].clone(),
+                    result: result.clone(),
+                };
+                if let Err(e) = cache.put(&keys[i], &entry) {
+                    eprintln!("[flov] warning: could not persist {}: {e}", &keys[i]);
+                }
+            }
+            progress.tick(false);
+            (result, kernel)
+        })
     }
 }
 
@@ -419,6 +452,19 @@ mod tests {
         // Non-parallel kernels pass through untouched.
         assert_eq!(arbitrate(KernelMode::ActiveSet, 1, 8), KernelMode::ActiveSet);
         assert_eq!(arbitrate(KernelMode::Reference, 1, 8), KernelMode::Reference);
+    }
+
+    #[test]
+    fn a_one_job_batch_gets_its_requested_tiles() {
+        // One job runs on one scheduler worker, but the core budget (here
+        // 2) is what its tiles may use.
+        let e = Engine::without_cache();
+        let requested = KernelMode::Parallel { tiles: 2, grid: None };
+        let specs = [tiny("rFLOV", 0.3).resolved()];
+        let progress = Progress::new(1, false);
+        let (out, sched) = e.simulate(&specs, &[String::new()], &[0], requested, 2, &progress);
+        assert_eq!(sched.workers, 1);
+        assert_eq!(out[0].1, requested);
     }
 
     #[test]
