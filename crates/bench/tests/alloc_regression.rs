@@ -114,8 +114,9 @@ fn hot_loop_is_allocation_free_after_warmup() {
         ("parallel3x2", KernelMode::Parallel { tiles: 6, grid: Some((3, 2)) }),
     ];
     // Baseline bounds the raw datapath; rFLOV/gFLOV exercise the FLOV
-    // latch/chain machinery plus the sharded control path; RP adds the
-    // punch scratch vectors and fallback-wakeup buffers.
+    // latch/chain machinery plus the handshake FSMs and their wakeup
+    // buffer; RP adds Router Parking's Fabric Manager step and up*/down*
+    // table routing.
     let mechanisms = ["Baseline", "rFLOV", "gFLOV", "RP"];
     let mut failures = Vec::new();
     for (kname, kernel) in kernels {

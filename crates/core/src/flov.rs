@@ -158,17 +158,91 @@ impl Flov {
         }
     }
 
-    /// Returns `true` iff the wakeup actually began (core mutated).
-    fn try_begin_wakeup(&mut self, core: &mut NetworkCore, node: NodeId) -> bool {
+    /// Start waking `node` if it is asleep and its wakeup is permitted.
+    fn try_begin_wakeup(&mut self, core: &mut NetworkCore, node: NodeId) {
         if core.power(node) != PowerState::Sleep || !self.wakeup_permitted(core, node) {
-            return false;
+            return;
         }
         core.begin_wakeup(node);
         core.activity.handshake_signals += self.signal_cost(core, node);
         let c = &mut self.ctl[node as usize];
         c.ramp = core.cfg.wakeup_latency;
         c.stable = 0;
-        true
+    }
+
+    /// One cycle of router `n`'s power FSM (paper Fig. 2).
+    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
+        let now = core.cycle;
+        match core.power(n) {
+            PowerState::Active => {
+                let gated_core = !core.router_core_active(n);
+                let idle =
+                    core.routers[n as usize].local_idle(now) >= self.params.idle_threshold as u64;
+                if gated_core
+                    && idle
+                    && now >= self.ctl[n as usize].retry_after
+                    && !core.nic_pending(n)
+                    && self.drain_permitted(core, n)
+                {
+                    core.begin_drain(n);
+                    core.activity.handshake_signals += self.signal_cost(core, n);
+                    let c = &mut self.ctl[n as usize];
+                    c.drain_since = now;
+                    c.stable = 0;
+                }
+            }
+            PowerState::Draining => {
+                // Local traffic reappeared: the drain must abort.
+                if core.router_core_active(n) || core.nic_pending(n) {
+                    core.abort_drain(n);
+                    core.activity.handshake_signals += self.signal_cost(core, n);
+                    return;
+                }
+                let timed_out =
+                    now - self.ctl[n as usize].drain_since > self.params.drain_timeout as u64;
+                if timed_out {
+                    // E.g. a buffered packet waits on a sleeping
+                    // destination: give up, back off, retry later.
+                    core.abort_drain(n);
+                    self.ctl[n as usize].retry_after = now + 4 * self.params.drain_timeout as u64;
+                    core.activity.handshake_signals += self.signal_cost(core, n);
+                    return;
+                }
+                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
+                let c = &mut self.ctl[n as usize];
+                if ready {
+                    c.stable += 1;
+                    if c.stable >= self.handshake_window(core, n) {
+                        core.enter_sleep(n);
+                        core.activity.handshake_signals += self.signal_cost(core, n);
+                    }
+                } else {
+                    c.stable = 0;
+                }
+            }
+            PowerState::Sleep => {
+                if core.router_core_active(n) || core.nic_pending(n) {
+                    self.try_begin_wakeup(core, n);
+                }
+            }
+            PowerState::Wakeup => {
+                let c = &mut self.ctl[n as usize];
+                if c.ramp > 0 {
+                    c.ramp -= 1;
+                    return;
+                }
+                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
+                if ready {
+                    c.stable += 1;
+                    if c.stable >= self.handshake_window(core, n) {
+                        core.complete_wakeup(n);
+                        core.activity.handshake_signals += self.signal_cost(core, n);
+                    }
+                } else {
+                    c.stable = 0;
+                }
+            }
+        }
     }
 
     /// HSC wire activations for one broadcast from `node` (one per physical
@@ -199,20 +273,6 @@ impl PowerMechanism for Flov {
     }
 
     fn step(&mut self, core: &mut NetworkCore) {
-        // Exactly prologue + per-node scan in id order (which realizes the
-        // paper's smaller-id-wins drain arbitration) — the contract that
-        // lets the parallel kernel shard this step.
-        self.control_prologue(core);
-        for n in 0..core.nodes() as NodeId {
-            self.control_node(core, n);
-        }
-    }
-
-    fn sharded_control(&self) -> bool {
-        true
-    }
-
-    fn control_prologue(&mut self, core: &mut NetworkCore) {
         // Wakeup requests raised by blocked packets whose destination
         // router is asleep.
         let mut wake = std::mem::take(&mut self.wake_buf);
@@ -221,112 +281,10 @@ impl PowerMechanism for Flov {
             self.try_begin_wakeup(core, n);
         }
         self.wake_buf = wake;
-    }
-
-    // The negated conjunction mirrors `control_node`'s Active-arm trigger
-    // verbatim; De Morganing it would hide the correspondence the quiet
-    // contract depends on.
-    #[allow(clippy::nonminimal_bool)]
-    fn control_quiet(&self, core: &NetworkCore, n: NodeId) -> bool {
-        let now = core.cycle;
-        match core.power(n) {
-            // `drain_permitted` is deliberately excluded: it reads neighbor
-            // power states that a lower-id node may change this phase, so
-            // `control_node` re-evaluates it at its serial position. The
-            // remaining conditions read only node-local state no other
-            // node's body mutates.
-            PowerState::Active => {
-                !(!core.router_core_active(n)
-                    && core.routers[n as usize].local_idle(now)
-                        >= self.params.idle_threshold as u64
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n))
-            }
-            // Mid-handshake FSMs tick their own control state every cycle.
-            PowerState::Draining | PowerState::Wakeup => false,
-            PowerState::Sleep => !(core.router_core_active(n) || core.nic_pending(n)),
-        }
-    }
-
-    fn control_node(&mut self, core: &mut NetworkCore, n: NodeId) -> bool {
-        let now = core.cycle;
-        match core.power(n) {
-            PowerState::Active => {
-                let gated_core = !core.router_core_active(n);
-                let idle =
-                    core.routers[n as usize].local_idle(now) >= self.params.idle_threshold as u64;
-                if gated_core
-                    && idle
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                    && self.drain_permitted(core, n)
-                {
-                    core.begin_drain(n);
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    let c = &mut self.ctl[n as usize];
-                    c.drain_since = now;
-                    c.stable = 0;
-                    return true;
-                }
-                false
-            }
-            PowerState::Draining => {
-                // Local traffic reappeared: the drain must abort.
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    core.abort_drain(n);
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    return true;
-                }
-                let timed_out =
-                    now - self.ctl[n as usize].drain_since > self.params.drain_timeout as u64;
-                if timed_out {
-                    // E.g. a buffered packet waits on a sleeping
-                    // destination: give up, back off, retry later.
-                    core.abort_drain(n);
-                    self.ctl[n as usize].retry_after = now + 4 * self.params.drain_timeout as u64;
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    return true;
-                }
-                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_window(core, n) {
-                        core.enter_sleep(n);
-                        core.activity.handshake_signals += self.signal_cost(core, n);
-                        return true;
-                    }
-                } else {
-                    c.stable = 0;
-                }
-                false
-            }
-            PowerState::Sleep => {
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    return self.try_begin_wakeup(core, n);
-                }
-                false
-            }
-            PowerState::Wakeup => {
-                let c = &mut self.ctl[n as usize];
-                if c.ramp > 0 {
-                    c.ramp -= 1;
-                    return false;
-                }
-                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_window(core, n) {
-                        core.complete_wakeup(n);
-                        core.activity.handshake_signals += self.signal_cost(core, n);
-                        return true;
-                    }
-                } else {
-                    c.stable = 0;
-                }
-                false
-            }
+        // The id-ordered scan realizes the paper's smaller-id-wins drain
+        // arbitration.
+        for n in 0..core.nodes() as NodeId {
+            self.step_node(core, n);
         }
     }
 

@@ -113,56 +113,9 @@ impl Nord {
             self.table = updown::build_table(core.cfg.kx(), core.cfg.ky(), &on);
         }
     }
-}
 
-impl PowerMechanism for Nord {
-    fn name(&self) -> &'static str {
-        "NoRD"
-    }
-
-    fn step(&mut self, core: &mut NetworkCore) {
-        // Exactly prologue + per-node scan in id order + epilogue — the
-        // contract that lets the parallel kernel shard this step.
-        self.control_prologue(core);
-        for n in 0..core.nodes() as NodeId {
-            self.control_node(core, n);
-        }
-        self.control_epilogue(core);
-    }
-
-    fn sharded_control(&self) -> bool {
-        true
-    }
-
-    fn control_prologue(&mut self, core: &mut NetworkCore) {
-        // Defensive: drain any wakeup requests (routing never targets
-        // sleeping routers under NoRD, so these should not occur).
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        core.take_wakeup_requests(&mut wake);
-        self.wake_buf = wake;
-    }
-
-    fn control_quiet(&self, core: &NetworkCore, n: NodeId) -> bool {
-        let now = core.cycle;
-        match core.power(n) {
-            // The neighbor-draining blocker is deliberately excluded: it
-            // reads neighbor power states that a lower-id node may change
-            // this phase, so `control_node` re-evaluates it at its serial
-            // position. The remaining conditions are node-local.
-            PowerState::Active => {
-                !(!core.router_core_active(n)
-                    && core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                    && !core.ring_transfer_pending(n))
-            }
-            // Mid-handshake FSMs tick their own control state every cycle.
-            PowerState::Draining | PowerState::Wakeup => false,
-            PowerState::Sleep => !(core.router_core_active(n) || core.ring_transfer_pending(n)),
-        }
-    }
-
-    fn control_node(&mut self, core: &mut NetworkCore, n: NodeId) -> bool {
+    /// One cycle of router `n`'s power FSM.
+    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
         let now = core.cycle;
         match core.power(n) {
             PowerState::Active => {
@@ -187,21 +140,19 @@ impl PowerMechanism for Nord {
                     let c = &mut self.ctl[n as usize];
                     c.drain_since = now;
                     c.stable = 0;
-                    return true;
                 }
-                false
             }
             PowerState::Draining => {
                 if core.router_core_active(n) || core.nic_pending(n) {
                     core.abort_drain(n);
-                    return true;
+                    return;
                 }
                 if now - self.ctl[n as usize].drain_since > self.drain_timeout as u64 {
                     core.abort_drain(n);
                     // Back off: let the traffic this drain was blocking
                     // clear before trying again.
                     self.ctl[n as usize].retry_after = now + 4 * self.drain_timeout as u64;
-                    return true;
+                    return;
                 }
                 let ready = core.routers[n as usize].is_drained()
                     && core.fully_quiescent(n)
@@ -211,12 +162,10 @@ impl PowerMechanism for Nord {
                     c.stable += 1;
                     if c.stable >= self.handshake_rtt {
                         core.enter_sleep(n);
-                        return true;
                     }
                 } else {
                     c.stable = 0;
                 }
-                false
             }
             PowerState::Sleep => {
                 // Wake for the core (deliveries ride the ring) — or for
@@ -228,33 +177,43 @@ impl PowerMechanism for Nord {
                     let c = &mut self.ctl[n as usize];
                     c.ramp = core.cfg.wakeup_latency;
                     c.stable = 0;
-                    return true;
                 }
-                false
             }
             PowerState::Wakeup => {
                 let c = &mut self.ctl[n as usize];
                 if c.ramp > 0 {
                     c.ramp -= 1;
-                    return false;
+                    return;
                 }
                 let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
                 if ready {
                     c.stable += 1;
                     if c.stable >= self.handshake_rtt {
                         core.complete_wakeup(n);
-                        return true;
                     }
                 } else {
                     c.stable = 0;
                 }
-                false
             }
         }
     }
+}
 
-    fn control_epilogue(&mut self, core: &mut NetworkCore) {
+impl PowerMechanism for Nord {
+    fn name(&self) -> &'static str {
+        "NoRD"
+    }
+
+    fn step(&mut self, core: &mut NetworkCore) {
+        // Defensive: drain any wakeup requests (routing never targets
+        // sleeping routers under NoRD, so these should not occur).
+        let mut wake = std::mem::take(&mut self.wake_buf);
+        core.take_wakeup_requests(&mut wake);
+        self.wake_buf = wake;
+        // The id-ordered scan realizes smaller-id-wins drain arbitration.
+        for n in 0..core.nodes() as NodeId {
+            self.step_node(core, n);
+        }
         self.rebuild_if_changed(core);
     }
 

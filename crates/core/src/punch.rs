@@ -119,6 +119,84 @@ impl PowerPunch {
             at = flov_noc::topology::grid_step(at, d, kx, ky).expect("yx stays in the grid");
         }
     }
+
+    /// One cycle of router `n`'s power FSM.
+    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
+        let now = core.cycle;
+        // Power FSM (NoRD-style: no adjacency constraints, but punched
+        // routers hold awake for a while).
+        match core.power(n) {
+            PowerState::Active => {
+                let gated = !core.router_core_active(n);
+                let idle = core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64;
+                let held = now < self.ctl[n as usize].punch_hold_until;
+                // Adjacent simultaneous drains starve each other (each
+                // blocks the other's egress): forbid them, id order
+                // arbitrating simultaneous attempts.
+                let neighbor_draining = flov_noc::types::Dir::ALL.iter().any(|&d| {
+                    core.neighbor(n, d).is_some_and(|m| core.power(m) == PowerState::Draining)
+                });
+                if gated
+                    && idle
+                    && !held
+                    && !neighbor_draining
+                    && now >= self.ctl[n as usize].retry_after
+                    && !core.nic_pending(n)
+                {
+                    core.begin_drain(n);
+                    let c = &mut self.ctl[n as usize];
+                    c.drain_since = now;
+                    c.stable = 0;
+                }
+            }
+            PowerState::Draining => {
+                let held = now < self.ctl[n as usize].punch_hold_until;
+                if core.router_core_active(n) || core.nic_pending(n) || held {
+                    core.abort_drain(n);
+                    return;
+                }
+                if now - self.ctl[n as usize].drain_since > self.drain_timeout as u64 {
+                    core.abort_drain(n);
+                    self.ctl[n as usize].retry_after = now + 4 * self.drain_timeout as u64;
+                    return;
+                }
+                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
+                let c = &mut self.ctl[n as usize];
+                if ready {
+                    c.stable += 1;
+                    if c.stable >= self.handshake_rtt {
+                        core.enter_sleep(n);
+                    }
+                } else {
+                    c.stable = 0;
+                }
+            }
+            PowerState::Sleep => {
+                if core.router_core_active(n) || core.nic_pending(n) {
+                    core.begin_wakeup(n);
+                    let c = &mut self.ctl[n as usize];
+                    c.ramp = core.cfg.wakeup_latency;
+                    c.stable = 0;
+                }
+            }
+            PowerState::Wakeup => {
+                let c = &mut self.ctl[n as usize];
+                if c.ramp > 0 {
+                    c.ramp -= 1;
+                    return;
+                }
+                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
+                if ready {
+                    c.stable += 1;
+                    if c.stable >= self.handshake_rtt {
+                        core.complete_wakeup(n);
+                    }
+                } else {
+                    c.stable = 0;
+                }
+            }
+        }
+    }
 }
 
 impl PowerMechanism for PowerPunch {
@@ -127,20 +205,6 @@ impl PowerMechanism for PowerPunch {
     }
 
     fn step(&mut self, core: &mut NetworkCore) {
-        // Exactly prologue + per-node scan in id order + epilogue — the
-        // contract that lets the parallel kernel shard this step.
-        self.control_prologue(core);
-        for n in 0..core.nodes() as NodeId {
-            self.control_node(core, n);
-        }
-        self.control_epilogue(core);
-    }
-
-    fn sharded_control(&self) -> bool {
-        true
-    }
-
-    fn control_prologue(&mut self, core: &mut NetworkCore) {
         let now = core.cycle;
         // Fallback wakeups (should be rare: punches precede packets).
         let mut wake = std::mem::take(&mut self.wake_buf);
@@ -203,116 +267,10 @@ impl PowerMechanism for PowerPunch {
         }
         to_repunch.clear();
         self.to_repunch = to_repunch;
-    }
-
-    fn control_quiet(&self, core: &NetworkCore, n: NodeId) -> bool {
-        let now = core.cycle;
-        match core.power(n) {
-            // The neighbor-draining blocker is deliberately excluded: it
-            // reads neighbor power states that a lower-id node may change
-            // this phase, so `control_node` re-evaluates it at its serial
-            // position. `punch_hold_until` is safe: the prologue (which
-            // writes it) runs before any verdict is taken.
-            PowerState::Active => {
-                !(!core.router_core_active(n)
-                    && core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64
-                    && now >= self.ctl[n as usize].punch_hold_until
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n))
-            }
-            // Mid-handshake FSMs tick their own control state every cycle.
-            PowerState::Draining | PowerState::Wakeup => false,
-            PowerState::Sleep => !(core.router_core_active(n) || core.nic_pending(n)),
+        // The id-ordered scan realizes smaller-id-wins drain arbitration.
+        for n in 0..core.nodes() as NodeId {
+            self.step_node(core, n);
         }
-    }
-
-    fn control_node(&mut self, core: &mut NetworkCore, n: NodeId) -> bool {
-        let now = core.cycle;
-        // Power FSM (NoRD-style: no adjacency constraints, but punched
-        // routers hold awake for a while).
-        match core.power(n) {
-            PowerState::Active => {
-                let gated = !core.router_core_active(n);
-                let idle = core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64;
-                let held = now < self.ctl[n as usize].punch_hold_until;
-                // Adjacent simultaneous drains starve each other (each
-                // blocks the other's egress): forbid them, id order
-                // arbitrating simultaneous attempts.
-                let neighbor_draining = flov_noc::types::Dir::ALL.iter().any(|&d| {
-                    core.neighbor(n, d).is_some_and(|m| core.power(m) == PowerState::Draining)
-                });
-                if gated
-                    && idle
-                    && !held
-                    && !neighbor_draining
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                {
-                    core.begin_drain(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.drain_since = now;
-                    c.stable = 0;
-                    return true;
-                }
-                false
-            }
-            PowerState::Draining => {
-                let held = now < self.ctl[n as usize].punch_hold_until;
-                if core.router_core_active(n) || core.nic_pending(n) || held {
-                    core.abort_drain(n);
-                    return true;
-                }
-                if now - self.ctl[n as usize].drain_since > self.drain_timeout as u64 {
-                    core.abort_drain(n);
-                    self.ctl[n as usize].retry_after = now + 4 * self.drain_timeout as u64;
-                    return true;
-                }
-                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.enter_sleep(n);
-                        return true;
-                    }
-                } else {
-                    c.stable = 0;
-                }
-                false
-            }
-            PowerState::Sleep => {
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    core.begin_wakeup(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.ramp = core.cfg.wakeup_latency;
-                    c.stable = 0;
-                    return true;
-                }
-                false
-            }
-            PowerState::Wakeup => {
-                let c = &mut self.ctl[n as usize];
-                if c.ramp > 0 {
-                    c.ramp -= 1;
-                    return false;
-                }
-                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.complete_wakeup(n);
-                        return true;
-                    }
-                } else {
-                    c.stable = 0;
-                }
-                false
-            }
-        }
-    }
-
-    fn control_epilogue(&mut self, _core: &mut NetworkCore) {
         // Bound the punched-set memory (ids of long-delivered packets).
         if self.punched.len() > 100_000 {
             self.punched.clear();

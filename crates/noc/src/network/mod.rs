@@ -70,8 +70,8 @@ pub enum KernelMode {
     /// and 6 fanned out over a 2-D grid of tiles on persistent worker
     /// threads and a deterministic boundary exchange merging cross-tile
     /// effects back into sequential order (see the `par` module). Phase 4
-    /// (the mechanism control step) also shards for mechanisms that opt
-    /// in via [`crate::traits::PowerMechanism::sharded_control`].
+    /// (the mechanism control step) runs the mechanism's own
+    /// [`crate::traits::PowerMechanism::step`] on the driving thread.
     /// Bit-identical to the sequential kernels at every geometry;
     /// `Parallel { tiles: 1, grid: None }` degenerates to single-threaded
     /// execution on the driving thread.
@@ -617,21 +617,6 @@ impl NetworkCore {
         self.activity.flits_injected + queued
     }
 
-    /// True if every channel between `a` and its neighbor in `d` (both
-    /// directions) is idle. Used by handshake quiescence checks.
-    pub fn link_quiescent(&self, a: NodeId, d: Dir) -> bool {
-        let Some(b) = self.neighbor(a, d) else { return true };
-        self.channel(a, d).is_idle() && self.channel(b, d.opposite()).is_idle()
-    }
-
-    /// Incoming flit channels of `node` are all empty.
-    pub fn incoming_flits_clear(&self, node: NodeId) -> bool {
-        Dir::ALL.iter().all(|&d| {
-            self.neighbor(node, d)
-                .is_none_or(|m| self.channel(m, d.opposite()).flits_in_flight() == 0)
-        })
-    }
-
     fn note_progress(&mut self) {
         self.last_progress = self.cycle;
     }
@@ -1041,15 +1026,9 @@ impl Simulation {
         // Phase 3: link delivery.
         delivery::delivery_phase(core);
         lap(core, &mut t0, |p| &mut p.delivery);
-        // Phase 4: mechanism control — sharded when the kernel is parallel
-        // and the mechanism opts in (see `par::control_phase`), otherwise
-        // the mechanism's own sequential step.
-        match core.kernel {
-            KernelMode::Parallel { tiles, grid } if self.mech.sharded_control() => {
-                par::control_phase(core, self.mech.as_mut(), tiles, grid);
-            }
-            _ => self.mech.step(core),
-        }
+        // Phase 4: mechanism control, on the driving thread under every
+        // kernel.
+        self.mech.step(core);
         lap(core, &mut t0, |p| &mut p.mechanism);
         // Phase 5: NIC injection (plus ring transfers / bypass injection).
         pipeline::injection_phase(core, self.mech.as_ref());

@@ -63,31 +63,14 @@
 //!
 //! # Power snapshot
 //!
-//! Power states change only in phase 4 (the mechanism step) and are *read*
-//! across tile boundaries by routing (`psr`, FLOV chain walks, credit
-//! relay checks). Each parallel phase therefore snapshots the power vector
-//! up front and evaluates all cross-tile power reads — including the
+//! Power states change only in phase 4 (the mechanism step, which runs on
+//! the driving thread between the delivery and injection fork-joins) and
+//! are *read* across tile boundaries by routing (`psr`, FLOV chain walks,
+//! credit relay checks). Each parallel phase therefore snapshots the power
+//! vector up front and evaluates all cross-tile power reads — including the
 //! mechanism's [`PowerMechanism::route`] / `injection_allowed` hooks, via
 //! [`SnapView`] — against the immutable snapshot, while a tile reads its
 //! *own* routers' states directly (identical by construction).
-//!
-//! # Sharded mechanism control (phase 4)
-//!
-//! Mechanisms that opt in ([`PowerMechanism::sharded_control`]) split
-//! their per-cycle control step into a serial prologue, a per-node FSM
-//! body (`control_node`, the exact sequential body), and a serial
-//! epilogue. The driver runs the prologue, then a parallel *read-only*
-//! verdict pass (`control_quiet`) that flags every node whose body could
-//! do anything at all, then replays `control_node` serially over the
-//! flagged nodes in ascending node order. Verdicts are computed against
-//! pre-phase state and are conservative: the first body that mutates the
-//! core (a power transition) invalidates later verdicts, so the driver
-//! escalates and runs the body on *every* remaining node — from that
-//! point the scan is literally the sequential loop, and id-order
-//! arbitration (lower id transitions first, higher id sees `Draining`
-//! and backs off) is preserved bit-for-bit. Self-only control-state
-//! ticks return `false` and don't escalate: no other node's body or
-//! verdict reads them.
 //!
 //! # Determinism argument (summary; see DESIGN.md §7)
 //!
@@ -849,8 +832,6 @@ pub(super) struct ParState {
     tasks: Vec<u32>,
     chan_tasks: Vec<u32>,
     va_orders: Vec<Vec<u16>>,
-    /// Per-node not-quiet flags for the sharded control step.
-    ctl_flags: Vec<u8>,
     /// Persistent scratch for the ordered replay merges.
     cursors: Vec<usize>,
 }
@@ -877,7 +858,6 @@ impl ParState {
             tasks: Vec::new(),
             chan_tasks: Vec::new(),
             va_orders: (0..t).map(|_| Vec::new()).collect(),
-            ctl_flags: Vec::new(),
             cursors: Vec::new(),
             plan,
         }
@@ -1007,76 +987,6 @@ pub(super) fn pipeline_phase(
         snapshot_powers(core, &mut st.powers);
         run_phase(core, Some(mech), &mut st, PhaseKind::Pipeline);
     }
-    core.par = Some(st);
-}
-
-// --- Sharded mechanism control (phase 4) ------------------------------------
-
-/// Job context for the control verdict pass: shared read-only core and
-/// mechanism, plus the per-node not-quiet flags (each tile writes only
-/// its own nodes' flag bytes).
-struct ControlCtx<'a> {
-    core: &'a NetworkCore,
-    mech: &'a dyn PowerMechanism,
-    plan: &'a TilePlan,
-    nodes: usize,
-    flags: *mut u8,
-}
-
-// The verdict pass is read-only on `core`/`mech`; `flags` is written
-// single-writer per node (the owning tile).
-unsafe impl Send for ControlCtx<'_> {}
-unsafe impl Sync for ControlCtx<'_> {}
-
-unsafe fn run_control_tile(ctx: *const (), tile: usize) {
-    let j = &*(ctx as *const ControlCtx);
-    for n in 0..j.nodes {
-        if j.plan.tile_of(n as u32) == tile {
-            *j.flags.add(n) = u8::from(!j.mech.control_quiet(j.core, n as NodeId));
-        }
-    }
-}
-
-/// Phase 4, sharded: the mechanism control step for mechanisms that opt
-/// in via [`PowerMechanism::sharded_control`]. Serial prologue → parallel
-/// read-only verdict pass → serial ascending replay of the exact
-/// sequential per-node body over the flagged nodes → serial epilogue.
-/// Verdicts are computed against pre-phase state, so the first body that
-/// mutates the core escalates the scan to every remaining node; see the
-/// module docs for why this is bit-identical to the sequential step.
-pub(super) fn control_phase(
-    core: &mut NetworkCore,
-    mech: &mut dyn PowerMechanism,
-    tiles: usize,
-    grid: Option<(u16, u16)>,
-) {
-    let mut st = take_state(core, tiles, grid);
-    mech.control_prologue(core);
-    let nodes = core.routers.len();
-    st.ctl_flags.clear();
-    st.ctl_flags.resize(nodes, 0);
-    {
-        let ctx = ControlCtx {
-            core,
-            mech: &*mech,
-            plan: &st.plan,
-            nodes,
-            flags: st.ctl_flags.as_mut_ptr(),
-        };
-        let t = st.plan.tiles();
-        st.pool.run(Job {
-            ctx: &ctx as *const ControlCtx as *const (),
-            run: run_control_tile,
-            tiles: t,
-        });
-    }
-    let mut escalated = false;
-    for n in 0..nodes {
-        if (escalated || st.ctl_flags[n] != 0) && mech.control_node(core, n as NodeId) {
-            escalated = true;
-        }
-    }
-    mech.control_epilogue(core);
     core.par = Some(st);
 }
 

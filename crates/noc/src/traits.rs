@@ -41,7 +41,7 @@ impl PowerView for NetworkCore {
 ///
 /// `Sync` is a supertrait: the parallel kernel shares the mechanism
 /// immutably across tile workers during the routing phases (`step` keeps
-/// `&mut self` and always runs on the driving thread).
+/// `&mut self` and runs on the driving thread under every kernel).
 pub trait PowerMechanism: Sync {
     /// Human-readable name, used in result tables ("Baseline", "RP", ...).
     fn name(&self) -> &'static str;
@@ -91,56 +91,6 @@ pub trait PowerMechanism: Sync {
     /// implementations may inspect the whole fabric. The default reports
     /// nothing — mechanisms without protocol invariants stay untouched.
     fn audit_state(&self, _core: &NetworkCore, _report: &mut dyn FnMut(String)) {}
-
-    // --- Sharded control step (opt-in; see `network::par::control_phase`) ---
-    //
-    // A mechanism opts in by returning `true` from `sharded_control` and
-    // restructuring its `step` as exactly:
-    //
-    //   control_prologue(core);
-    //   for n in 0..core.nodes() { control_node(core, n); }
-    //   control_epilogue(core);
-    //
-    // The parallel kernel then replaces the middle loop with a parallel
-    // read-only `control_quiet` verdict pass plus a serial replay of
-    // `control_node` over the non-quiet nodes (escalating to all
-    // remaining nodes after the first core mutation), which is
-    // bit-identical by construction. Mechanisms with cross-fabric control
-    // state (Router Parking's Fabric Manager) simply don't opt in and
-    // keep the sequential `step`.
-
-    /// Whether this mechanism's control step may run through the sharded
-    /// phase-4 path. Defaults to `false`: the sequential
-    /// [`PowerMechanism::step`] is always correct.
-    fn sharded_control(&self) -> bool {
-        false
-    }
-
-    /// Serial pre-scan work of the control step: drain wakeup requests,
-    /// run cross-fabric scans — anything the per-node bodies depend on.
-    fn control_prologue(&mut self, _core: &mut NetworkCore) {}
-
-    /// Read-only verdict for node `n`, evaluated against pre-step state:
-    /// return `true` only if [`PowerMechanism::control_node`] for `n`
-    /// would be a complete no-op (no core mutation *and* no own-control
-    /// state change), provided no lower-id node mutates the core first.
-    /// Must be safe to call concurrently from worker threads. The
-    /// conservative default (`false` everywhere) degenerates to the
-    /// sequential scan.
-    fn control_quiet(&self, _core: &NetworkCore, _n: NodeId) -> bool {
-        false
-    }
-
-    /// The exact sequential per-node body of the control step. Returns
-    /// `true` iff it mutated the core (a power transition, a handshake
-    /// signal — anything another node's body or verdict could observe);
-    /// self-only control-state ticks return `false`.
-    fn control_node(&mut self, _core: &mut NetworkCore, _n: NodeId) -> bool {
-        false
-    }
-
-    /// Serial post-scan work of the control step (table rebuilds, trims).
-    fn control_epilogue(&mut self, _core: &mut NetworkCore) {}
 }
 
 /// A request to create one packet; the core assigns the id and birth cycle.

@@ -86,11 +86,6 @@ impl GatingSchedule {
         changed
     }
 
-    /// The scheduled change cycles (diagnostics).
-    pub fn change_cycles(&self) -> Vec<Cycle> {
-        self.events.iter().map(|e| e.0).collect()
-    }
-
     /// Cycle of the next unapplied event, if any — the schedule's
     /// contribution to the workload's next-event horizon: the clock must
     /// not jump past it.
