@@ -159,6 +159,13 @@ impl RunSpec {
                 Err(ConfigError::OversaturatedRate { rate, pkt_len })
             }
         };
+        let gated_ok = |fraction: f64| {
+            if (0.0..=1.0).contains(&fraction) {
+                Ok(())
+            } else {
+                Err(ConfigError::InvalidGatedFraction { fraction })
+            }
+        };
         let rates_ok = |rates: &[f64]| {
             if rates.is_empty() {
                 return Err(ConfigError::InvalidModulation {
@@ -168,12 +175,16 @@ impl RunSpec {
             rates.iter().try_for_each(|&r| rate_ok(r))
         };
         match &self.workload {
-            WorkloadSpec::Synthetic { rate, .. } => rate_ok(*rate),
+            WorkloadSpec::Synthetic { rate, gated_fraction, .. } => {
+                gated_ok(*gated_fraction)?;
+                rate_ok(*rate)
+            }
             WorkloadSpec::Parsec { .. } => Ok(()),
             WorkloadSpec::Trace { path, crc, .. } => {
                 crate::tracefmt::load_trace(path, *crc, resolved.cfg.cores()).map(drop)
             }
-            WorkloadSpec::Mmpp { rates, mean_dwell, .. } => {
+            WorkloadSpec::Mmpp { rates, mean_dwell, gated_fraction, .. } => {
+                gated_ok(*gated_fraction)?;
                 rates_ok(rates)?;
                 if *mean_dwell == 0 {
                     return Err(ConfigError::InvalidModulation {
@@ -182,7 +193,8 @@ impl RunSpec {
                 }
                 Ok(())
             }
-            WorkloadSpec::Diurnal { rates, dwell, .. } => {
+            WorkloadSpec::Diurnal { rates, dwell, gated_fraction, .. } => {
+                gated_ok(*gated_fraction)?;
                 rates_ok(rates)?;
                 if *dwell == 0 {
                     return Err(ConfigError::InvalidModulation {
@@ -540,6 +552,31 @@ mod tests {
         let mut bad = RunSpec::builder().build();
         bad.cfg.vnets = 0;
         assert_eq!(bad.validate(), Err(ConfigError::NoVnets));
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_gated_fraction() {
+        // Rounding `nodes * fraction` would turn 1.5 into "every core" and
+        // -1 or NaN into "no core": a different experiment than requested.
+        for f in [1.5, -0.1, -1.0, f64::NAN, f64::INFINITY] {
+            let s = RunSpec::builder().gated_fraction(f).build();
+            match s.validate() {
+                Err(ConfigError::InvalidGatedFraction { fraction }) => {
+                    assert_eq!(fraction.to_bits(), f.to_bits())
+                }
+                other => panic!("gated fraction {f} validated as {other:?}"),
+            }
+        }
+        // Both ends of the range are legal.
+        assert_eq!(RunSpec::builder().gated_fraction(0.0).build().validate(), Ok(()));
+        assert_eq!(RunSpec::builder().gated_fraction(1.0).build().validate(), Ok(()));
+        // The modulated workloads carry the same field and the same check.
+        for s in [
+            RunSpec::builder().mmpp(vec![0.1], 1_000).gated_fraction(2.0).build(),
+            RunSpec::builder().diurnal(vec![0.1], 1_000).gated_fraction(f64::NAN).build(),
+        ] {
+            assert!(matches!(s.validate(), Err(ConfigError::InvalidGatedFraction { .. })));
+        }
     }
 
     #[test]

@@ -58,6 +58,9 @@ pub enum ConfigError {
     OversaturatedRate { rate: f64, pkt_len: u16 },
     /// Ill-formed MMPP/diurnal modulation parameters.
     InvalidModulation { why: &'static str },
+    /// Gated-core fraction outside `[0, 1]` or not a number: rounding the
+    /// gated count would silently run "all cores" or "no cores" instead.
+    InvalidGatedFraction { fraction: f64 },
     /// A trace-replay workload whose file cannot replay on this config:
     /// unreadable, not a valid trace container, changed since the spec
     /// pinned its CRC, or naming a node the config does not have.
@@ -115,6 +118,11 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidModulation { why } => {
                 write!(f, "invalid load modulation: {why}")
             }
+            ConfigError::InvalidGatedFraction { fraction } => write!(
+                f,
+                "gated-core fraction {fraction} must be a number in [0, 1] \
+                 (the share of cores power-gated)"
+            ),
             ConfigError::BadTrace { path, why } => write!(f, "trace file {path:?}: {why}"),
         }
     }
