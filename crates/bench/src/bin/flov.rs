@@ -239,10 +239,27 @@ fn check_mech(name: &str) {
     }
 }
 
+/// Check every `FLOV_*` switch once, before any subcommand runs, so a bad
+/// value exits 2 like the equivalent flag instead of panicking inside a run
+/// (or passing unnoticed when every run is a cache hit).
+fn check_env_or_die() {
+    let errors = [
+        flov_bench::kernel_from_env().err(),
+        flov_bench::threads_from_env().err(),
+        flov_bench::tiles_from_env().err(),
+        flov_bench::audit_override().err(),
+    ];
+    if let Some(e) = errors.into_iter().flatten().next() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first().cloned() else { usage() };
     let rest = &argv[1..];
+    check_env_or_die();
 
     let quick = argv.iter().any(|a| a == "--quick");
     let quiet = argv.iter().any(|a| a == "--quiet");
@@ -722,11 +739,11 @@ fn trace_record(rest: &[String]) {
     let spec = build_sim_spec(&a).resolved();
     validate_or_die(&spec);
     apply_kernel_flags(&a);
-    let (audited, data) = flov_bench::record_trace(&spec, flov_bench::kernel_from_env())
-        .unwrap_or_else(|e| {
-            eprintln!("error: invalid configuration for {}: {e}", spec.mechanism);
-            std::process::exit(2);
-        });
+    let kernel = flov_bench::kernel_from_env().expect("FLOV_* switches are checked at startup");
+    let (audited, data) = flov_bench::record_trace(&spec, kernel).unwrap_or_else(|e| {
+        eprintln!("error: invalid configuration for {}: {e}", spec.mechanism);
+        std::process::exit(2);
+    });
     for v in &audited.violations {
         eprintln!("[flov] audit violation ({}): {v}", spec.mechanism);
     }

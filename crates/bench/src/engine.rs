@@ -248,7 +248,7 @@ impl Engine {
 
         // Simulate the misses; each job arbitrates the requested kernel
         // against the host's core budget at start.
-        let requested_kernel = crate::kernel_from_env();
+        let requested_kernel = crate::kernel_from_env().unwrap_or_else(|e| panic!("{e}"));
         let jobs: Vec<usize> = misses.iter().map(|&slot| uniques[slot]).collect();
         let (computed, sched) = self.simulate(
             &resolved,

@@ -37,7 +37,6 @@ pub use spec::{RunResult, RunSpec, RunSpecBuilder, WorkloadSpec};
 
 use flov_core::mechanism;
 use flov_noc::network::Simulation;
-use flov_noc::stats::IntervalSample;
 use flov_noc::topology::Topology;
 use flov_noc::traits::{ScriptedWorkload, Workload};
 use flov_noc::types::Cycle;
@@ -58,29 +57,46 @@ use std::rc::Rc;
 /// tile budget (default 4) and the seam-minimizing planner picks the
 /// grid. All kernels produce bit-identical results (enforced by the
 /// equivalence suite), so this is a debugging/benchmarking switch, not an
-/// experiment parameter — it never enters the result cache key.
-pub fn kernel_from_env() -> KernelMode {
+/// experiment parameter — it never enters the result cache key. A bad
+/// value is an `Err` naming the variable.
+pub fn kernel_from_env() -> Result<KernelMode, String> {
     match std::env::var("FLOV_KERNEL").ok().as_deref() {
-        None | Some("") | Some("active") | Some("active-set") => KernelMode::ActiveSet,
-        Some("reference") | Some("ref") => KernelMode::Reference,
+        None | Some("") | Some("active") | Some("active-set") => Ok(KernelMode::ActiveSet),
+        Some("reference") | Some("ref") => Ok(KernelMode::Reference),
         Some("parallel") | Some("par") => {
-            if let Some(v) = std::env::var("FLOV_TILES").ok().filter(|v| !v.is_empty()) {
-                let (r, c) = parse_tile_geometry(&v)
-                    .unwrap_or_else(|| panic!("bad FLOV_TILES value {v:?} (use RxC, e.g. 4x2)"));
-                return KernelMode::Parallel { tiles: r as usize * c as usize, grid: Some((r, c)) };
+            if let Some((r, c)) = tiles_from_env()? {
+                let tiles = r as usize * c as usize;
+                return Ok(KernelMode::Parallel { tiles, grid: Some((r, c)) });
             }
-            let tiles =
-                match std::env::var("FLOV_THREADS").ok().as_deref() {
-                    None | Some("") => 4,
-                    Some(v) => v.parse::<usize>().ok().filter(|&t| t >= 1).unwrap_or_else(|| {
-                        panic!("bad FLOV_THREADS value {v:?} (positive integer)")
-                    }),
-                };
-            KernelMode::Parallel { tiles, grid: None }
+            Ok(KernelMode::Parallel { tiles: threads_from_env()?.unwrap_or(4), grid: None })
         }
         Some(other) => {
-            panic!("unknown FLOV_KERNEL value {other:?} (use active|reference|parallel)")
+            Err(format!("unknown FLOV_KERNEL value {other:?} (use active|reference|parallel)"))
         }
+    }
+}
+
+/// The `FLOV_THREADS` core budget: `Ok(None)` when unset or empty, else a
+/// positive integer. A bad value is an `Err` naming the variable.
+pub fn threads_from_env() -> Result<Option<usize>, String> {
+    match std::env::var("FLOV_THREADS").ok().as_deref() {
+        None | Some("") => Ok(None),
+        Some(v) => match v.parse::<usize>() {
+            Ok(t) if t >= 1 => Ok(Some(t)),
+            _ => Err(format!("bad FLOV_THREADS value {v:?} (positive integer)")),
+        },
+    }
+}
+
+/// The `FLOV_TILES` geometry: `Ok(None)` when unset or empty, else `RxC`
+/// (see [`parse_tile_geometry`]). A bad value is an `Err` naming the
+/// variable.
+pub fn tiles_from_env() -> Result<Option<(u16, u16)>, String> {
+    match std::env::var("FLOV_TILES").ok().filter(|v| !v.is_empty()) {
+        None => Ok(None),
+        Some(v) => parse_tile_geometry(&v)
+            .map(Some)
+            .ok_or_else(|| format!("bad FLOV_TILES value {v:?} (use RxC, e.g. 4x2)")),
     }
 }
 
@@ -100,15 +116,16 @@ pub fn parse_tile_geometry(v: &str) -> Option<(u16, u16)> {
 /// * any other integer `n >= 2` — `Some(Some(n))` (audit every `n` cycles).
 ///
 /// Like `FLOV_KERNEL` this never enters the result cache key: auditing is
-/// read-only, so results are bit-identical with or without it.
-pub fn audit_override() -> Option<Option<Cycle>> {
+/// read-only, so results are bit-identical with or without it. A bad value
+/// is an `Err` naming the variable.
+pub fn audit_override() -> Result<Option<Option<Cycle>>, String> {
     match std::env::var("FLOV_AUDIT").ok().as_deref() {
-        None | Some("") => None,
-        Some("0") | Some("off") => Some(None),
-        Some("1") | Some("on") => Some(Some(DEFAULT_AUDIT_INTERVAL)),
+        None | Some("") => Ok(None),
+        Some("0") | Some("off") => Ok(Some(None)),
+        Some("1") | Some("on") => Ok(Some(Some(DEFAULT_AUDIT_INTERVAL))),
         Some(other) => match other.parse::<Cycle>() {
-            Ok(n) if n >= 2 => Some(Some(n)),
-            _ => panic!("unknown FLOV_AUDIT value {other:?} (use 0|1|off|on|<interval>)"),
+            Ok(n) if n >= 2 => Ok(Some(Some(n))),
+            _ => Err(format!("unknown FLOV_AUDIT value {other:?} (use 0|1|off|on|<interval>)")),
         },
     }
 }
@@ -128,7 +145,7 @@ pub struct AuditedRun {
 
 /// Execute one simulation per `spec`, resolving the mechanism by name.
 pub fn run(spec: &RunSpec) -> RunResult {
-    run_kernel(spec, kernel_from_env())
+    run_kernel(spec, kernel_from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// [`run`] with an explicit kernel mode (the equivalence suite and
@@ -181,7 +198,7 @@ pub fn record_trace(
 /// Execute one simulation with an explicitly constructed mechanism (used by
 /// the ablation studies, which tweak mechanism-internal parameters).
 pub fn run_with(spec: &RunSpec, mech: Box<dyn flov_noc::PowerMechanism>) -> RunResult {
-    run_with_kernel(spec, mech, kernel_from_env())
+    run_with_kernel(spec, mech, kernel_from_env().unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// [`run_with`] with an explicit kernel mode. Auditor violations (if
@@ -304,7 +321,7 @@ fn run_audited_inner(
     sim.core.kernel = kernel;
     sim.measure_from(spec.warmup);
     sim.core.stats.interval_width = spec.timeline_width;
-    let audit_interval = match audit_override() {
+    let audit_interval = match audit_override().unwrap_or_else(|e| panic!("{e}")) {
         Some(forced) => forced,
         None => spec.audit.then_some(DEFAULT_AUDIT_INTERVAL),
     };
@@ -429,11 +446,6 @@ pub mod axes {
     pub const GATED_FRACTIONS: [f64; 9] = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
     /// Injection rates of Figs. 6–7 (flits/cycle/node).
     pub const INJECTION_RATES: [f64; 2] = [0.02, 0.08];
-}
-
-/// Timeline helper for Fig. 10: bucketed average latency.
-pub fn timeline_rows(t: &[IntervalSample]) -> Vec<(u64, f64, u64)> {
-    t.iter().map(|s| (s.start, s.avg_latency(), s.packets)).collect()
 }
 
 #[cfg(test)]

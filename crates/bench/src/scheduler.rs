@@ -67,10 +67,9 @@ impl SchedStats {
 /// Worker count for a batch of `jobs`: one thread per job up to the
 /// host's parallelism (`FLOV_THREADS` overrides, matching the kernel).
 pub fn workers_for(jobs: usize) -> usize {
-    let host = std::env::var("FLOV_THREADS")
+    let host = crate::threads_from_env()
         .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
+        .flatten()
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     host.min(jobs).max(1)
 }
