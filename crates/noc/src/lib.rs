@@ -1,7 +1,7 @@
 //! # flov-noc — cycle-accurate 2D-mesh NoC simulator
 //!
 //! The substrate for the Fly-Over (FLOV) reproduction: a deterministic,
-//! single-threaded, flit-level network-on-chip simulator with
+//! flit-level network-on-chip simulator with
 //!
 //! * wormhole switching over virtual channels with credit-based flow
 //!   control (3 regular VCs + 1 escape VC per virtual network, Table I),
@@ -12,18 +12,23 @@
 //!   across arbitrarily long sleeping chains,
 //! * power-state transitions with contract-checked quiescence and the
 //!   credit zero/copy protocol of the paper's Fig. 3,
-//! * two interchangeable cycle kernels — a full-scan reference and the
-//!   default active-set kernel whose per-cycle cost scales with traffic,
-//!   not mesh size, proven bit-identical ([`network::KernelMode`]),
-//! * pluggable [`traits::PowerMechanism`]s (Baseline, rFLOV, gFLOV and
-//!   Router Parking live in the `flov-core` crate) and
+//! * three interchangeable cycle kernels, proven bit-identical
+//!   ([`network::KernelMode`]): a full-scan reference, the default
+//!   active-set kernel whose per-cycle cost scales with traffic rather
+//!   than mesh size, and a parallel kernel that shards one run's datapath
+//!   phases over a grid of tiles on pooled worker threads,
+//! * pluggable [`traits::PowerMechanism`]s (the always-on Baseline lives
+//!   in [`baseline`]; rFLOV, gFLOV, Router Parking, NoRD and Power Punch
+//!   live in the `flov-core` crate) and
 //!   [`traits::Workload`]s (synthetic and PARSEC-proxy traffic live in
 //!   `flov-workloads`).
 //!
 //! Determinism: identical configuration + seed produce bit-identical
-//! results on every platform (the kernel carries its own PRNG and uses
-//! fixed iteration orders). Parallelism belongs *outside* the kernel —
-//! sweep many simulations with rayon, as `flov-bench` does.
+//! results on every platform and under every kernel (the kernel carries
+//! its own PRNG, uses fixed iteration orders, and the parallel kernel
+//! replays cross-tile effects in sequential order). Batches of runs are
+//! scheduled outside the kernel: `flov-bench` spreads them over its own
+//! work-stealing scheduler.
 //!
 //! ## Quick example
 //!
