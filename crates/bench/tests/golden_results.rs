@@ -60,6 +60,19 @@ fn specs() -> Vec<(String, RunSpec)> {
             out.push((format!("{tname}/{mech}/mid"), spec));
         }
     }
+    // NoRD's ring on every non-serpentine construction (the torus
+    // "tornado" cycle, the transposed weave of an odd-height rectangle,
+    // a concentrated mesh), and the baseline's wrap-minimal routing.
+    let rows = [
+        ("torus5", TopologySpec::Torus { k: 5 }, "NoRD"),
+        ("rect4x3", TopologySpec::RectMesh { kx: 4, ky: 3 }, "NoRD"),
+        ("cmesh4c4", TopologySpec::CMesh { k: 4, c: 4 }, "NoRD"),
+        ("torus8", TopologySpec::Torus { k: 8 }, "Baseline"),
+    ];
+    for (tname, topology, mech) in rows {
+        let spec = synthetic(mech, 0.08).topology(topology).build();
+        out.push((format!("{tname}/{mech}/mid"), spec));
+    }
     let parsec = RunSpec::builder().mechanism("gFLOV").parsec("swaptions").seed(0x51).build();
     out.push(("parsec/swaptions/gFLOV".into(), parsec));
     let mmpp = synthetic("rFLOV", 0.0).cycles(4_000).mmpp(vec![0.002, 0.15], 1_000).build();
