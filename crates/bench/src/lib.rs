@@ -37,7 +37,6 @@ pub use spec::{RunResult, RunSpec, RunSpecBuilder, WorkloadSpec};
 
 use flov_core::mechanism;
 use flov_noc::network::Simulation;
-use flov_noc::topology::Topology;
 use flov_noc::traits::{ScriptedWorkload, Workload};
 use flov_noc::types::Cycle;
 use flov_noc::ConfigError;

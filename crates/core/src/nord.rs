@@ -27,7 +27,6 @@ use flov_noc::network::NetworkCore;
 use flov_noc::routing::RouteCtx;
 use flov_noc::traits::{PowerMechanism, PowerView};
 use flov_noc::types::{Cycle, NodeId, Port, PowerState};
-use flov_noc::Topology;
 
 /// Per-router controller state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -62,8 +61,8 @@ pub struct Nord {
 impl Nord {
     pub fn new(cfg: &flov_noc::NocConfig) -> Nord {
         assert!(cfg.enable_ring, "NoRD requires cfg.enable_ring");
-        let topo = cfg.build_topology();
-        let succ = topo
+        let succ = cfg
+            .topology_spec()
             .ring_successors()
             .expect("NoRD bypass ring requires a Hamiltonian topology (see NocConfig::validate)");
         let n = cfg.nodes();

@@ -8,15 +8,9 @@
 //! decides whether to conservatively or aggressively power-gate") switches
 //! to it under high load.
 
-use flov_noc::topology::grid_step;
-use flov_noc::types::{Coord, Dir, NodeId};
+use flov_noc::topology::grid_neighbor;
+use flov_noc::types::{Dir, NodeId};
 use std::collections::VecDeque;
-
-/// Grid neighbor of `n` in `d`, as a node id.
-#[inline]
-fn step(n: NodeId, d: Dir, kx: u16, ky: u16) -> Option<NodeId> {
-    grid_step(Coord { x: n % kx, y: n / kx }, d, kx, ky).map(|c| c.y * kx + c.x)
-}
 
 /// Parking aggressiveness for one reconfiguration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +31,7 @@ fn keeps_connected(kx: u16, ky: u16, parked: &[bool], keep: &[bool]) -> bool {
     q.push_back(start as NodeId);
     while let Some(cur) = q.pop_front() {
         for d in Dir::ALL {
-            if let Some(m) = step(cur, d, kx, ky) {
+            if let Some(m) = grid_neighbor(cur, d, kx, ky) {
                 if !parked[m as usize] && !seen[m as usize] {
                     seen[m as usize] = true;
                     q.push_back(m);
@@ -60,9 +54,9 @@ pub fn select_parked(kx: u16, ky: u16, keep: &[bool], policy: ParkPolicy) -> Vec
             continue;
         }
         if policy == ParkPolicy::Spread {
-            let adjacent_parked = Dir::ALL
-                .iter()
-                .any(|&d| step(cand as NodeId, d, kx, ky).is_some_and(|m| parked[m as usize]));
+            let adjacent_parked = Dir::ALL.iter().any(|&d| {
+                grid_neighbor(cand as NodeId, d, kx, ky).is_some_and(|m| parked[m as usize])
+            });
             if adjacent_parked {
                 continue;
             }
@@ -78,6 +72,7 @@ pub fn select_parked(kx: u16, ky: u16, keep: &[bool], policy: ParkPolicy) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flov_noc::types::Coord;
 
     fn count(v: &[bool]) -> usize {
         v.iter().filter(|&&b| b).count()

@@ -12,23 +12,12 @@
 //! links): on a torus the wrap edges are simply not used, which keeps the
 //! orientation argument untouched.
 
-use flov_noc::topology::grid_step;
+use flov_noc::topology::grid_neighbor;
 use flov_noc::types::{Coord, Dir, NodeId, Port};
 use std::collections::VecDeque;
 
 /// Marker for "no route" in the next-hop table.
 pub const NO_ROUTE: u8 = u8::MAX;
-
-#[inline]
-fn coord(n: NodeId, kx: u16) -> Coord {
-    Coord { x: n % kx, y: n / kx }
-}
-
-/// Grid neighbor of `n` in `d`, as a node id.
-#[inline]
-fn step(n: NodeId, d: Dir, kx: u16, ky: u16) -> Option<NodeId> {
-    grid_step(coord(n, kx), d, kx, ky).map(|c| c.y * kx + c.x)
-}
 
 /// BFS levels from `root` over the on-subgraph; `u32::MAX` = unreachable.
 fn bfs_levels(kx: u16, ky: u16, on: &[bool], root: NodeId) -> Vec<u32> {
@@ -39,7 +28,7 @@ fn bfs_levels(kx: u16, ky: u16, on: &[bool], root: NodeId) -> Vec<u32> {
     q.push_back(root);
     while let Some(cur) = q.pop_front() {
         for d in Dir::ALL {
-            if let Some(m) = step(cur, d, kx, ky) {
+            if let Some(m) = grid_neighbor(cur, d, kx, ky) {
                 if on[m as usize] && level[m as usize] == u32::MAX {
                     level[m as usize] = level[cur as usize] + 1;
                     q.push_back(m);
@@ -65,11 +54,11 @@ pub fn pick_root(kx: u16, ky: u16, on: &[bool]) -> Option<NodeId> {
     let cy = (ky - 1) as f64 / 2.0;
     (0..on.len() as NodeId).filter(|&n| on[n as usize]).min_by(|&a, &b| {
         let da = {
-            let c = coord(a, kx);
+            let c = Coord::of(a, kx);
             (c.x as f64 - cx).abs() + (c.y as f64 - cy).abs()
         };
         let db = {
-            let c = coord(b, kx);
+            let c = Coord::of(b, kx);
             (c.x as f64 - cx).abs() + (c.y as f64 - cy).abs()
         };
         da.partial_cmp(&db).unwrap().then(a.cmp(&b))
@@ -153,7 +142,7 @@ pub fn build_table(kx: u16, ky: u16, on: &[bool]) -> Vec<u8> {
         q.push_back(dst);
         while let Some(m) = q.pop_front() {
             for d in Dir::ALL {
-                let Some(p) = step(m, d, kx, ky) else { continue };
+                let Some(p) = grid_neighbor(m, d, kx, ky) else { continue };
                 if !on[p as usize] || level[p as usize] == u32::MAX {
                     continue;
                 }
@@ -173,7 +162,7 @@ pub fn build_table(kx: u16, ky: u16, on: &[bool]) -> Vec<u8> {
             }
             let mut best = u32::MAX;
             for d in Dir::ALL {
-                let Some(m) = step(x, d, kx, ky) else { continue };
+                let Some(m) = grid_neighbor(x, d, kx, ky) else { continue };
                 if !on[m as usize] || level[m as usize] == u32::MAX {
                     continue;
                 }
@@ -201,7 +190,7 @@ pub fn build_table(kx: u16, ky: u16, on: &[bool]) -> Vec<u8> {
             let mut best: Option<(u32, u8)> = None;
             for i in 0..4 {
                 let d = Dir::from_index((i + dst as usize) % 4);
-                let Some(m) = step(src, d, kx, ky) else { continue };
+                let Some(m) = grid_neighbor(src, d, kx, ky) else { continue };
                 if !on[m as usize] || level[m as usize] == u32::MAX {
                     continue;
                 }
@@ -241,7 +230,7 @@ pub fn walk(table: &[u8], kx: u16, ky: u16, src: NodeId, dst: NodeId) -> Option<
             return None;
         }
         let d = Port::from_index(e as usize).dir().unwrap();
-        cur = step(cur, d, kx, ky)?;
+        cur = grid_neighbor(cur, d, kx, ky)?;
         hops += 1;
         if hops > 4 * n as u32 {
             return None; // loop
@@ -283,7 +272,7 @@ mod tests {
                     continue;
                 }
                 let hops = walk(&table, kx, ky, s, d).expect("unroutable pair on 5x3");
-                let (sc, dc) = (coord(s, kx), coord(d, kx));
+                let (sc, dc) = (Coord::of(s, kx), Coord::of(d, kx));
                 let min = sc.x.abs_diff(dc.x) as u32 + sc.y.abs_diff(dc.y) as u32;
                 assert!(hops >= min);
             }

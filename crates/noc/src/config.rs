@@ -1,6 +1,6 @@
 //! Simulation configuration (paper Table I).
 
-use crate::topology::{AnyTopology, TopologySpec};
+use crate::topology::TopologySpec;
 use crate::types::NodeId;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -318,11 +318,6 @@ impl NocConfig {
     #[inline]
     pub fn topology_spec(&self) -> TopologySpec {
         self.topology.unwrap_or(TopologySpec::Mesh { k: self.k })
-    }
-
-    /// Instantiate the configured topology.
-    pub fn build_topology(&self) -> AnyTopology {
-        self.topology_spec().build()
     }
 
     /// Router-grid width.

@@ -70,6 +70,6 @@ pub use network::audit;
 pub use network::audit::{AuditKind, AuditViolation, Auditor};
 pub use network::{KernelMode, NetworkCore, Simulation};
 pub use stats::NetStats;
-pub use topology::{AnyTopology, Topology, TopologySpec};
+pub use topology::TopologySpec;
 pub use traits::{PacketRequest, PowerMechanism, PowerView, Workload};
 pub use types::{Coord, Cycle, Dir, NodeId, PacketId, Port, PowerState};

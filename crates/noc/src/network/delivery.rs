@@ -8,7 +8,6 @@
 use super::{chain, Fabric, KernelMode, NetworkCore, Seq, SetId};
 use crate::flit::Flit;
 use crate::link::CreditMsg;
-use crate::topology::Topology;
 use crate::traits::PowerView;
 use crate::types::{Dir, NodeId, Port};
 

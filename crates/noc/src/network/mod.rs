@@ -42,7 +42,7 @@ use crate::packet::{DeliveredPacket, Packet};
 use crate::ring::{BypassRing, RingDelivery};
 use crate::router::Router;
 use crate::stats::NetStats;
-use crate::topology::{AnyTopology, Topology};
+use crate::topology::TopologySpec;
 use crate::traits::{PacketRequest, PowerMechanism, PowerView, Workload};
 use crate::types::{Coord, Cycle, Dir, NodeId, PacketId, PowerState};
 
@@ -166,9 +166,9 @@ struct NodeTables {
 }
 
 impl NodeTables {
-    fn new(topo: &AnyTopology) -> NodeTables {
+    fn new(topo: &TopologySpec) -> NodeTables {
         let ids = 0..topo.routers() as NodeId;
-        let table = |f: fn(&AnyTopology, NodeId, Dir) -> Option<NodeId>| {
+        let table = |f: fn(&TopologySpec, NodeId, Dir) -> Option<NodeId>| {
             ids.clone().map(|i| Dir::ALL.map(|d| f(topo, i, d).unwrap_or(NodeId::MAX))).collect()
         };
         NodeTables {
@@ -199,9 +199,9 @@ impl NodeTables {
 /// The network state, without the mechanism/workload policies.
 pub struct NetworkCore {
     pub cfg: NocConfig,
-    /// The instantiated fabric topology (from `cfg.topology`), the source
-    /// of every adjacency query (tabulated in `tables`).
-    pub topo: AnyTopology,
+    /// The fabric topology (`cfg.topology_spec()`), the source of every
+    /// adjacency query (tabulated in `tables`).
+    pub topo: TopologySpec,
     tables: NodeTables,
     pub cycle: Cycle,
     pub routers: Vec<Router>,
@@ -310,7 +310,7 @@ impl NetworkCore {
     /// misconfiguration (including NoRD on a ring-less topology).
     pub fn try_new(cfg: NocConfig) -> Result<NetworkCore, ConfigError> {
         cfg.validate()?;
-        let topo = cfg.build_topology();
+        let topo = cfg.topology_spec();
         let n = topo.routers();
         let cores = topo.cores();
         let measure_from = 0;
@@ -815,7 +815,7 @@ trait Fabric {
 
     fn now(&self) -> Cycle;
     fn cfg(&self) -> &NocConfig;
-    fn topo(&self) -> &AnyTopology;
+    fn topo(&self) -> &TopologySpec;
     fn tables(&self) -> &NodeTables;
     fn has_ring(&self) -> bool;
     fn view(&self) -> &Self::View;
@@ -864,7 +864,7 @@ impl Fabric for Seq<'_> {
     }
 
     #[inline]
-    fn topo(&self) -> &AnyTopology {
+    fn topo(&self) -> &TopologySpec {
         &self.0.topo
     }
 

@@ -94,7 +94,7 @@ use crate::link::{Channel, CreditMsg};
 use crate::nic::Nic;
 use crate::packet::DeliveredPacket;
 use crate::router::Router;
-use crate::topology::{AnyTopology, Topology};
+use crate::topology::TopologySpec;
 use crate::traits::{PowerMechanism, PowerView};
 use crate::types::{Cycle, Dir, NodeId, PacketId, PowerState};
 use std::cell::UnsafeCell;
@@ -403,7 +403,7 @@ impl PowerView for SnapView<'_> {
 struct Shared<'a> {
     now: Cycle,
     cfg: &'a NocConfig,
-    topo: &'a AnyTopology,
+    topo: &'a TopologySpec,
     tables: &'a NodeTables,
     view: SnapView<'a>,
     /// The mechanism, for the injection-gate and routing hooks; `None` in
@@ -450,7 +450,7 @@ impl<'a> Fabric for Lane<'a> {
     }
 
     #[inline]
-    fn topo(&self) -> &AnyTopology {
+    fn topo(&self) -> &TopologySpec {
         self.sh.topo
     }
 

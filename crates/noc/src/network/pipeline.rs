@@ -11,7 +11,6 @@ use super::{chain, Fabric, KernelMode, NetworkCore, Seq, SetId};
 use crate::link::CreditMsg;
 use crate::nic::InjectState;
 use crate::routing::RouteCtx;
-use crate::topology::Topology;
 use crate::traits::PowerMechanism;
 use crate::types::{NodeId, Port};
 

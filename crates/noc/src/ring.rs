@@ -4,19 +4,22 @@
 //! power-gated — at the cost of O(N) worst-case hop counts, which is the
 //! scalability critique the FLOV paper makes of it.
 //!
-//! Topology: for even `k`, the classic grid Hamiltonian cycle — serpentine
-//! through columns x >= 1, return along column x = 0. For odd `k` no
-//! Hamiltonian cycle exists on a k x k grid (odd number of cells in a
-//! bipartite graph), which reproduces the paper's observation that "a
+//! The ring itself is [`TopologySpec::ring_successors`]: the seed's
+//! serpentine on grids with an even height (its transposed weave when only
+//! the width is even) and the "tornado" cycle on a torus of any radix. A
+//! grid with both sides odd has no Hamiltonian cycle (odd number of cells
+//! in a bipartite graph), which reproduces the paper's observation that "a
 //! bypass can be constructed in a (k x k) mesh, if and only if k is even".
 //!
 //! Flow control: credit-based with two virtual channels and a dateline at
 //! ring position 0 — packets start on VC0 and switch to VC1 when crossing
 //! the dateline, which breaks the cyclic channel dependency of the ring.
 //! Each hop takes [`RING_HOP_LATENCY`] cycles (bypass latch + wire).
+//!
+//! [`TopologySpec::ring_successors`]: crate::topology::TopologySpec::ring_successors
 
 use crate::flit::Flit;
-use crate::types::{Coord, Cycle, NodeId};
+use crate::types::{Cycle, NodeId};
 use std::collections::VecDeque;
 
 /// Cycles per ring hop (bypass latch + inter-node wire).
@@ -24,44 +27,6 @@ pub const RING_HOP_LATENCY: u64 = 2;
 
 /// Ring buffer depth per VC per node.
 pub const RING_BUF_DEPTH: usize = 4;
-
-/// Build the Hamiltonian ring successor map for a `k x k` mesh.
-/// Returns `None` for odd `k` (no Hamiltonian cycle exists).
-pub fn ring_successors(k: u16) -> Option<Vec<NodeId>> {
-    if k < 2 || !k.is_multiple_of(2) {
-        return None;
-    }
-    let id = |x: u16, y: u16| Coord::new(x, y).id(k);
-    let n = (k as usize) * (k as usize);
-    let mut order: Vec<NodeId> = Vec::with_capacity(n);
-    // Bottom row eastward: (0,0) .. (k-1,0).
-    for x in 0..k {
-        order.push(id(x, 0));
-    }
-    // Serpentine upward through columns x >= 1: row 1..k-1 alternating.
-    for y in 1..k {
-        if y % 2 == 1 {
-            // westward down to x = 1
-            for x in (1..k).rev() {
-                order.push(id(x, y));
-            }
-        } else {
-            for x in 1..k {
-                order.push(id(x, y));
-            }
-        }
-    }
-    // Return along column 0 from (0, k-1) down to (0, 1); then back to (0,0).
-    for y in (1..k).rev() {
-        order.push(id(0, y));
-    }
-    debug_assert_eq!(order.len(), n);
-    let mut succ = vec![0 as NodeId; n];
-    for i in 0..n {
-        succ[order[i] as usize] = order[(i + 1) % n];
-    }
-    Some(succ)
-}
 
 /// Ring distance (hops) from `a` to `b` following successors.
 pub fn ring_distance(succ: &[NodeId], a: NodeId, b: NodeId) -> u32 {
@@ -141,17 +106,10 @@ pub struct BypassRing {
 }
 
 impl BypassRing {
-    /// Build the ring for an even-radix mesh. `None` when no Hamiltonian
-    /// cycle exists (odd `k`).
-    pub fn new(k: u16) -> Option<BypassRing> {
-        Some(BypassRing::from_successors(ring_successors(k)?))
-    }
-
-    /// Build the ring transport over an arbitrary Hamiltonian successor
-    /// map (one entry per node; `succ[n]` is n's ring successor). The
-    /// topology layer supplies these — the seed serpentine for even square
-    /// meshes, generalized serpentines for rectangles, and the "tornado"
-    /// cycle for tori (which admit a ring at any radix, odd included).
+    /// Build the ring transport over a Hamiltonian successor map (one
+    /// entry per node; `succ[n]` is n's ring successor), as
+    /// [`TopologySpec::ring_successors`](crate::topology::TopologySpec::ring_successors)
+    /// supplies it.
     pub fn from_successors(succ: Vec<NodeId>) -> BypassRing {
         let n = succ.len();
         let mut pred = vec![0 as NodeId; n];
@@ -347,22 +305,32 @@ impl BypassRing {
 mod tests {
     use super::*;
     use crate::packet::Packet;
+    use crate::topology::TopologySpec;
+    use crate::types::Coord;
+
+    fn mesh_ring_successors(k: u16) -> Option<Vec<NodeId>> {
+        TopologySpec::Mesh { k }.ring_successors()
+    }
+
+    fn mesh4_ring() -> BypassRing {
+        BypassRing::from_successors(mesh_ring_successors(4).unwrap())
+    }
 
     #[test]
     fn ring_exists_iff_k_even() {
         // The paper's NoRD critique: bypass ring iff k is even.
-        assert!(ring_successors(2).is_some());
-        assert!(ring_successors(4).is_some());
-        assert!(ring_successors(8).is_some());
-        assert!(ring_successors(3).is_none());
-        assert!(ring_successors(5).is_none());
-        assert!(ring_successors(7).is_none());
+        assert!(mesh_ring_successors(2).is_some());
+        assert!(mesh_ring_successors(4).is_some());
+        assert!(mesh_ring_successors(8).is_some());
+        assert!(mesh_ring_successors(3).is_none());
+        assert!(mesh_ring_successors(5).is_none());
+        assert!(mesh_ring_successors(7).is_none());
     }
 
     #[test]
     fn ring_is_a_single_hamiltonian_cycle() {
         for k in [2u16, 4, 6, 8] {
-            let succ = ring_successors(k).unwrap();
+            let succ = mesh_ring_successors(k).unwrap();
             let n = succ.len();
             // Adjacent in the mesh.
             for (a, &b) in succ.iter().enumerate() {
@@ -385,7 +353,7 @@ mod tests {
 
     #[test]
     fn ring_distance_sums_to_n() {
-        let succ = ring_successors(4).unwrap();
+        let succ = mesh_ring_successors(4).unwrap();
         for a in 0..16u16 {
             for b in 0..16u16 {
                 if a == b {
@@ -417,7 +385,7 @@ mod tests {
 
     #[test]
     fn single_packet_rides_ring_to_destination() {
-        let mut ring = BypassRing::new(4).unwrap();
+        let mut ring = mesh4_ring();
         for f in packet_flits(1, 0, 5, 4) {
             ring.enqueue(0, f);
         }
@@ -431,9 +399,9 @@ mod tests {
 
     #[test]
     fn packets_cross_the_dateline() {
-        let mut ring = BypassRing::new(4).unwrap();
+        let mut ring = mesh4_ring();
         // Source just after... pick a pair whose ring path crosses node 0.
-        let succ = ring_successors(4).unwrap();
+        let succ = mesh_ring_successors(4).unwrap();
         // Find the predecessor of 0 on the ring and send from there to succ(0).
         let pred0 = (0..16u16).find(|&n| succ[n as usize] == 0).unwrap();
         let target = succ[0];
@@ -449,7 +417,7 @@ mod tests {
 
     #[test]
     fn many_packets_from_many_sources_all_delivered_intact() {
-        let mut ring = BypassRing::new(4).unwrap();
+        let mut ring = mesh4_ring();
         let mut expected = std::collections::HashMap::new();
         for i in 0..24u64 {
             let src = (i % 16) as NodeId;
@@ -480,7 +448,7 @@ mod tests {
         // Two sources merging at the same node: the downstream receive
         // order within one packet must stay contiguous per VC lock. We
         // detect interleaving via the per-packet flit index order at eject.
-        let mut ring = BypassRing::new(4).unwrap();
+        let mut ring = mesh4_ring();
         for f in packet_flits(10, 1, 9, 4) {
             ring.enqueue(1, f);
         }
@@ -499,7 +467,7 @@ mod tests {
 
     #[test]
     fn mesh_entry_exit_rule_is_honored() {
-        let mut ring = BypassRing::new(4).unwrap();
+        let mut ring = mesh4_ring();
         for f in packet_flits(3, 0, 10, 4) {
             ring.enqueue(0, f);
         }

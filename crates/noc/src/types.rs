@@ -171,13 +171,13 @@ impl Coord {
         Coord { x, y }
     }
 
-    /// Row-major node id in a `k x k` mesh.
+    /// Row-major node id in a grid `k` routers wide.
     #[inline]
     pub fn id(self, k: u16) -> NodeId {
         self.y * k + self.x
     }
 
-    /// Coordinate of a node id in a `k x k` mesh.
+    /// Coordinate of a node id in a grid `k` routers wide.
     #[inline]
     pub fn of(id: NodeId, k: u16) -> Coord {
         Coord { x: id % k, y: id / k }

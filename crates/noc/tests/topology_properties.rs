@@ -1,9 +1,9 @@
-//! Property tests for the topology layer: every `Topology` implementation
+//! Property tests for the topology layer: every `TopologySpec` variant
 //! must expose a reciprocal link relation, a connected fabric, and a
 //! deterministic enumeration order — the invariants the network constructor,
 //! the chain walks, and the cache keys all lean on.
 
-use flov_noc::topology::{Topology, TopologySpec};
+use flov_noc::topology::TopologySpec;
 use flov_noc::types::{NodeId, Port};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -20,7 +20,7 @@ fn any_spec() -> impl Strategy<Value = TopologySpec> {
     ]
 }
 
-fn check_reciprocity(t: &dyn Topology) {
+fn check_reciprocity(t: &TopologySpec) {
     for n in 0..t.routers() as NodeId {
         for p in Port::ALL {
             if let Some((m, q)) = t.neighbor(n, p) {
@@ -36,7 +36,7 @@ fn check_reciprocity(t: &dyn Topology) {
     }
 }
 
-fn check_connected(t: &dyn Topology) {
+fn check_connected(t: &TopologySpec) {
     let n = t.routers();
     let mut seen = vec![false; n];
     let mut q = VecDeque::new();
@@ -56,9 +56,9 @@ fn check_connected(t: &dyn Topology) {
 }
 
 fn check_deterministic_enumeration(spec: TopologySpec) {
-    let a = spec.build().links();
-    let b = spec.build().links();
-    assert_eq!(a, b, "links() must enumerate identically across builds");
+    let a = spec.links();
+    let b = spec.links();
+    assert_eq!(a, b, "links() must enumerate identically across calls");
     // Node-major, Port::ALL-order: the (node, port) key sequence is sorted.
     let keys: Vec<(NodeId, usize)> = a.iter().map(|&(n, p, _, _)| (n, p.index())).collect();
     let mut sorted = keys.clone();
@@ -71,12 +71,12 @@ proptest! {
 
     #[test]
     fn links_are_reciprocal(spec in any_spec()) {
-        check_reciprocity(&spec.build());
+        check_reciprocity(&spec);
     }
 
     #[test]
     fn fabric_is_connected(spec in any_spec()) {
-        check_connected(&spec.build());
+        check_connected(&spec);
     }
 
     #[test]
@@ -87,14 +87,13 @@ proptest! {
     #[test]
     fn ring_claims_are_honest(spec in any_spec()) {
         // admits_ring() ⟺ ring_successors() is a Hamiltonian cycle.
-        let t = spec.build();
-        match t.ring_successors() {
+        match spec.ring_successors() {
             Some(succ) => {
                 prop_assert!(spec.admits_ring());
-                prop_assert_eq!(succ.len(), t.routers());
-                let mut seen = vec![false; t.routers()];
+                prop_assert_eq!(succ.len(), spec.routers());
+                let mut seen = vec![false; spec.routers()];
                 let mut cur: NodeId = 0;
-                for _ in 0..t.routers() {
+                for _ in 0..spec.routers() {
                     prop_assert!(!seen[cur as usize], "ring revisits {}", cur);
                     seen[cur as usize] = true;
                     cur = succ[cur as usize];
@@ -107,13 +106,12 @@ proptest! {
 
     #[test]
     fn torus_wraps_and_meshes_do_not(spec in any_spec()) {
-        let t = spec.build();
         // Every router on a torus has all four neighbors; a mesh corner
         // is missing two.
-        let full_degree = (0..t.routers() as NodeId).all(|n| {
-            Port::ALL.iter().filter(|&&p| t.neighbor(n, p).is_some()).count() == 4
+        let full_degree = (0..spec.routers() as NodeId).all(|n| {
+            Port::ALL.iter().filter(|&&p| spec.neighbor(n, p).is_some()).count() == 4
         });
-        prop_assert_eq!(full_degree, t.wraps() || t.routers() == 1);
+        prop_assert_eq!(full_degree, spec.wraps() || spec.routers() == 1);
     }
 }
 
@@ -125,10 +123,9 @@ fn grid_view_agrees_with_physical_on_meshes() {
         TopologySpec::RectMesh { kx: 6, ky: 3 },
         TopologySpec::CMesh { k: 4, c: 4 },
     ] {
-        let t = spec.build();
-        for n in 0..t.routers() as NodeId {
+        for n in 0..spec.routers() as NodeId {
             for d in Dir::ALL {
-                assert_eq!(t.neighbor_dir(n, d), t.grid_neighbor(n, d), "{spec:?} {n} {d:?}");
+                assert_eq!(spec.neighbor_dir(n, d), spec.grid_neighbor(n, d), "{spec:?} {n} {d:?}");
             }
         }
     }
