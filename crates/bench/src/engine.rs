@@ -125,8 +125,8 @@ impl Engine {
         Engine::with_cache(ResultCache::new(dir))
     }
 
-    /// Caching engine over an explicitly configured cache (format,
-    /// legacy layout, shared index).
+    /// Caching engine over an existing cache handle; engines built from
+    /// clones of one handle share its lazily built index.
     pub fn with_cache(cache: ResultCache) -> Engine {
         Engine {
             cache: Some(cache),

@@ -19,7 +19,7 @@
 //!    truth `free slots at the logical downstream owner − flits in
 //!    flight toward it − credits in flight back` (the invariant the
 //!    power-transition re-seeding maintains; [`NetworkCore::audit_credits`]).
-//!    Chains whose logical owner is mid-[`PowerState::Wakeup`] and chains
+//!    Chains whose logical owner is mid-[`PowerState::Wakeup`](crate::types::PowerState::Wakeup) and chains
 //!    that dead-end at the mesh edge are skipped: their counters are
 //!    transitional (re-seeded on wakeup completion / zeroed and unused).
 //! 3. **Gated residency** — a power-gated router (Sleep/Wakeup) may hold

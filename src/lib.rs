@@ -3,12 +3,12 @@
 //! Re-exports the workspace crates so examples and downstream users can
 //! depend on one name:
 //!
-//! * [`noc`](flov_noc) — the cycle-accurate 2D-mesh NoC simulator,
-//! * [`core`](flov_core) — the FLOV mechanism (rFLOV/gFLOV, partition
+//! * [`noc`] — the cycle-accurate 2D-mesh NoC simulator,
+//! * [`core`] — the FLOV mechanism (rFLOV/gFLOV, partition
 //!   routing, escape network) and the Router Parking baseline,
-//! * [`power`](flov_power) — the 32 nm power/energy/area model,
-//! * [`workloads`](flov_workloads) — synthetic + PARSEC-proxy traffic,
-//! * [`bench`](flov_bench) — the experiment harness regenerating every
+//! * [`power`] — the 32 nm power/energy/area model,
+//! * [`workloads`] — synthetic + PARSEC-proxy traffic,
+//! * [`bench`](mod@bench) — the experiment harness regenerating every
 //!   table and figure of the paper.
 //!
 //! See the repository README for the quickstart and EXPERIMENTS.md for the
