@@ -227,14 +227,9 @@ fn validate_or_die(spec: &RunSpec) {
     }
 }
 
-/// Every name `RunSpec::resolve` + `mechanism::by_name` can build (the
-/// resolve step supplies NoRD's ring and PowerPunch's VC rearrangement).
-const MECH_NAMES: [&str; 7] =
-    ["Baseline", "RP", "RP-aggressive", "rFLOV", "gFLOV", "NoRD", "PowerPunch"];
-
 fn check_mech(name: &str) {
-    if !MECH_NAMES.contains(&name) {
-        eprintln!("error: unknown mechanism {name:?} (one of: {})", MECH_NAMES.join("|"));
+    if !mechanism::NAMES.contains(&name) {
+        eprintln!("error: unknown mechanism {name:?} (one of: {})", mechanism::NAMES.join("|"));
         std::process::exit(2);
     }
 }
@@ -378,6 +373,9 @@ fn main() {
             }
             let seed =
                 flag_value(rest, "--seed").map(|v| parse_or_die("--seed", &v)).unwrap_or(0xF10F);
+            for bench in &benches {
+                mechs.iter().for_each(|m| validate_or_die(&RunSpec::parsec(m, bench, seed)));
+            }
             let (table, _) = fig_parsec(&engine, &benches, seed, &mechs);
             table.emit("parsec");
         }

@@ -101,8 +101,6 @@ impl FuzzReport {
 
 const RATES: [f64; 7] = [0.0, 0.005, 0.02, 0.05, 0.08, 0.15, 0.30];
 const GATED: [f64; 5] = [0.0, 0.1, 0.3, 0.5, 0.8];
-const MECHS: [&str; 7] =
-    ["Baseline", "RP", "RP-aggressive", "rFLOV", "gFLOV", "NoRD", "PowerPunch"];
 
 /// Sample one random spec. Every sampled spec is *legal by construction*
 /// (NoRD only lands on ring-admitting topologies, PowerPunch never on a
@@ -110,7 +108,7 @@ const MECHS: [&str; 7] =
 /// loosen the protocol), so any failure is a simulator bug, never a
 /// malformed input.
 pub fn sample_spec(rng: &mut Rng, max_cycles: Cycle) -> RunSpec {
-    let mechanism = *rng.pick(&MECHS);
+    let mechanism = *rng.pick(&flov_core::mechanism::NAMES);
     let mut k = *rng.pick(&[2u16, 3, 4, 4, 5, 6, 8]);
     // Topology draw (mesh-weighted), constrained by the mechanism: a torus
     // needs its escape VCs (which PowerPunch models away), and NoRD's

@@ -168,11 +168,18 @@ pub fn try_run_kernel_audited(
     spec: &RunSpec,
     kernel: KernelMode,
 ) -> Result<AuditedRun, ConfigError> {
+    let (spec, mech) = resolve_mechanism(spec)?;
+    Ok(run_with_kernel_audited(&spec, mech, kernel))
+}
+
+/// `spec` resolved and validated, with the mechanism it names.
+fn resolve_mechanism(
+    spec: &RunSpec,
+) -> Result<(RunSpec, Box<dyn flov_noc::PowerMechanism>), ConfigError> {
     let spec = spec.resolved();
     spec.validate()?;
-    let mech = mechanism::by_name(&spec.mechanism, &spec.cfg)
-        .unwrap_or_else(|| panic!("unknown mechanism {:?}", spec.mechanism));
-    Ok(run_with_kernel_audited(&spec, mech, kernel))
+    let mech = mechanism::by_name(&spec.mechanism, &spec.cfg).expect("validated mechanism");
+    Ok((spec, mech))
 }
 
 /// Run `spec` while capturing its workload's full observable behaviour —
@@ -184,10 +191,7 @@ pub fn record_trace(
     spec: &RunSpec,
     kernel: KernelMode,
 ) -> Result<(AuditedRun, TraceData), ConfigError> {
-    let spec = spec.resolved();
-    spec.validate()?;
-    let mech = mechanism::by_name(&spec.mechanism, &spec.cfg)
-        .unwrap_or_else(|| panic!("unknown mechanism {:?}", spec.mechanism));
+    let (spec, mech) = resolve_mechanism(spec)?;
     let log = Rc::new(RefCell::new(TraceData::default()));
     let audited = run_audited_inner(&spec, mech, kernel, Some(Rc::clone(&log)));
     let data = Rc::try_unwrap(log).expect("recording log still shared after the run").into_inner();
@@ -423,7 +427,7 @@ fn run_switched(sim: &mut Simulation, spec: &RunSpec, until: Cycle) {
         sim.run(*at - sim.core.cycle);
         let from = sim.mech.name();
         assert!(
-            matches!((from, name.as_str()), ("Baseline", "rFLOV" | "gFLOV") | ("rFLOV", "gFLOV")),
+            spec::loosens(from, name),
             "illegal mechanism switch {from} -> {name} at cycle {at}"
         );
         sim.mech = mechanism::by_name(name, &sim.core.cfg)

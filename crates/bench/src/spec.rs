@@ -144,13 +144,34 @@ impl RunSpec {
         s
     }
 
-    /// Full spec validation: the resolved config's structural checks plus
-    /// workload-level sanity — notably rejecting over-saturated injection
-    /// rates, which `SyntheticWorkload` would otherwise silently clamp to
-    /// one packet per node-cycle (a different experiment than requested).
+    /// Full spec validation: the mechanism name, the resolved config's
+    /// structural checks, the mechanism switches, plus workload-level
+    /// sanity — notably rejecting over-saturated injection rates, which
+    /// `SyntheticWorkload` would otherwise silently clamp to one packet
+    /// per node-cycle (a different experiment than requested).
     pub fn validate(&self) -> Result<(), ConfigError> {
+        if !flov_core::mechanism::NAMES.contains(&self.mechanism.as_str()) {
+            return Err(ConfigError::UnknownMechanism { name: self.mechanism.clone() });
+        }
         let resolved = self.resolved();
         resolved.cfg.validate()?;
+        if !self.mech_switches.is_empty() && matches!(self.workload, WorkloadSpec::Parsec { .. }) {
+            return Err(ConfigError::SwitchOnParsec);
+        }
+        let (mut from, mut after) = (self.mechanism.as_str(), 0);
+        for (at, to) in &self.mech_switches {
+            if *at < after {
+                return Err(ConfigError::UnorderedSwitches { at: *at, after });
+            }
+            if !loosens(from, to) {
+                return Err(ConfigError::IllegalSwitch {
+                    from: from.to_string(),
+                    to: to.clone(),
+                    at: *at,
+                });
+            }
+            (from, after) = (to, *at);
+        }
         let pkt_len = resolved.cfg.synth_packet_len;
         let rate_ok = |rate: f64| {
             if rate.is_finite() && (0.0..=pkt_len as f64).contains(&rate) {
@@ -179,7 +200,18 @@ impl RunSpec {
                 gated_ok(*gated_fraction)?;
                 rate_ok(*rate)
             }
-            WorkloadSpec::Parsec { .. } => Ok(()),
+            WorkloadSpec::Parsec { name, .. } => {
+                let cfg = &resolved.cfg;
+                if flov_workloads::benchmark(name).is_none() {
+                    Err(ConfigError::UnknownBenchmark { name: name.clone() })
+                } else if cfg.kx() != cfg.ky() || cfg.concentration() != 1 {
+                    Err(ConfigError::ParsecNeedsSquareGrid {
+                        topology: cfg.topology_spec().label(),
+                    })
+                } else {
+                    Ok(())
+                }
+            }
             WorkloadSpec::Trace { path, crc, .. } => {
                 crate::tracefmt::load_trace(path, *crc, resolved.cfg.cores()).map(drop)
             }
@@ -205,6 +237,12 @@ impl RunSpec {
             }
         }
     }
+}
+
+/// True if a mid-run switch from mechanism `from` to `to` loosens the
+/// protocol (see [`RunSpec::mech_switches`]).
+pub(crate) fn loosens(from: &str, to: &str) -> bool {
+    matches!((from, to), ("Baseline", "rFLOV" | "gFLOV") | ("rFLOV", "gFLOV"))
 }
 
 /// Fluent constructor for [`RunSpec`]; see [`RunSpec::builder`].

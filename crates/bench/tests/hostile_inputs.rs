@@ -1,22 +1,47 @@
-//! Bad `FLOV_*` environment values and out-of-range gated fractions are
-//! rejected up front: `flov` exits 2 with a message naming the variable
-//! or the value, like a bad flag, instead of panicking or silently running
-//! a clamped experiment.
+//! Bad `FLOV_*` environment values, out-of-range gated fractions and
+//! hostile spec files are rejected up front: `flov` exits 2 with a message
+//! naming the variable or the value, like a bad flag, instead of panicking
+//! or silently running a clamped experiment.
 
+use flov_bench::{RunSpec, WorkloadSpec};
+use flov_noc::types::Cycle;
+use flov_noc::TopologySpec;
 use std::process::{Command, Output};
 
 const FLOV_VARS: [&str; 4] = ["FLOV_KERNEL", "FLOV_THREADS", "FLOV_TILES", "FLOV_AUDIT"];
 
-/// `flov sim` on a tiny mesh with exactly `env` set among the `FLOV_*`
-/// switches (the caller's own, e.g. a parallel-kernel test job, are
-/// removed first).
-fn sim(env: &[(&str, &str)], extra: &[&str]) -> Output {
+/// `flov` with `args` and exactly `env` set among the `FLOV_*` switches
+/// (the caller's own, e.g. a parallel-kernel test job, are removed first).
+fn flov(args: &[&str], env: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_flov"));
-    cmd.args(["sim", "--k", "4", "--cycles", "100", "--no-cache"]).args(extra);
+    cmd.args(args);
     for var in FLOV_VARS {
         cmd.env_remove(var);
     }
     cmd.envs(env.iter().copied()).current_dir(std::env::temp_dir()).output().expect("run flov")
+}
+
+/// `flov sim` on a tiny mesh.
+fn sim(env: &[(&str, &str)], extra: &[&str]) -> Output {
+    flov(&[&["sim", "--k", "4", "--cycles", "100", "--no-cache"], extra].concat(), env)
+}
+
+/// `flov sweep --spec` on `spec`, written to a temp file.
+fn sweep(spec: &RunSpec, tag: usize) -> Output {
+    let name = format!("flov-hostile-spec-{}-{tag}.json", std::process::id());
+    let path = std::env::temp_dir().join(name);
+    std::fs::write(&path, serde_json::to_string(spec).expect("serialize spec")).expect("write");
+    let out = flov(&["sweep", "--spec", path.to_str().expect("utf-8 path"), "--no-cache"], &[]);
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+fn parsec(name: &str) -> WorkloadSpec {
+    WorkloadSpec::Parsec { name: name.into(), seed: 1 }
+}
+
+fn switches(list: &[(Cycle, &str)]) -> Vec<(Cycle, String)> {
+    list.iter().map(|&(at, name)| (at, name.to_string())).collect()
 }
 
 #[test]
@@ -45,5 +70,53 @@ fn out_of_range_gated_fractions_exit_2_naming_the_value() {
             stderr.contains(&format!("gated-core fraction {shown} ")),
             "--gated {value}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn hostile_specs_exit_2_naming_the_value() {
+    let base = RunSpec::builder().mechanism("Baseline").warmup(100).cycles(1_000).drain(1_000);
+    let base = base.build();
+    assert_eq!(base.validate(), Ok(()));
+    let with = |mutate: fn(&mut RunSpec)| {
+        let mut spec = base.clone();
+        mutate(&mut spec);
+        spec
+    };
+    let rows = [
+        (with(|s| s.mechanism = "Bogus".into()), "unknown mechanism \"Bogus\""),
+        (with(|s| s.workload = parsec("nope")), "unknown PARSEC benchmark \"nope\""),
+        (
+            with(|s| {
+                s.workload = parsec("swaptions");
+                s.cfg.topology = Some(TopologySpec::CMesh { k: 4, c: 4 });
+            }),
+            "cmesh4x4c4 is not one",
+        ),
+        (
+            with(|s| {
+                s.mechanism = "rFLOV".into();
+                s.mech_switches = switches(&[(800, "Baseline")]);
+            }),
+            "rFLOV -> \"Baseline\" at cycle 800",
+        ),
+        (with(|s| s.mech_switches = switches(&[(800, "Bogus")])), "Baseline -> \"Bogus\""),
+        (
+            with(|s| {
+                s.workload = parsec("swaptions");
+                s.mech_switches = switches(&[(100, "gFLOV")]);
+            }),
+            "closed-loop PARSEC",
+        ),
+        (
+            with(|s| s.mech_switches = switches(&[(800, "rFLOV"), (400, "gFLOV")])),
+            "switch at cycle 400 is listed after one at cycle 800",
+        ),
+    ];
+    for (tag, (spec, named)) in rows.iter().enumerate() {
+        let out = sweep(spec, tag);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "row {tag} ({named}): {stderr}");
+        assert!(stderr.contains(named), "row {tag}: stderr does not name {named}: {stderr}");
     }
 }

@@ -47,6 +47,11 @@ pub mod mechanism {
     /// The four mechanisms of the paper's evaluation, in presentation order.
     pub const ALL: [&str; 4] = ["Baseline", "RP", "rFLOV", "gFLOV"];
 
+    /// Every name [`by_name`] accepts, given the config requirements the
+    /// harness applies per mechanism (NoRD's ring, PowerPunch's VCs).
+    pub const NAMES: [&str; 7] =
+        ["Baseline", "RP", "RP-aggressive", "rFLOV", "gFLOV", "NoRD", "PowerPunch"];
+
     /// Build a mechanism by its paper name. `RP` is the adaptive variant
     /// used in the latency/power sweeps; use [`rp_aggressive`] for the
     /// workload-independent static-power comparison (paper Fig. 9).

@@ -1,7 +1,7 @@
 //! Simulation configuration (paper Table I).
 
 use crate::topology::TopologySpec;
-use crate::types::NodeId;
+use crate::types::{Cycle, NodeId};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 
@@ -65,6 +65,24 @@ pub enum ConfigError {
     /// unreadable, not a valid trace container, changed since the spec
     /// pinned its CRC, or naming a node the config does not have.
     BadTrace { path: String, why: String },
+    /// A mechanism name no constructor accepts.
+    UnknownMechanism { name: String },
+    /// A PARSEC-proxy benchmark that is not modeled.
+    UnknownBenchmark { name: String },
+    /// The PARSEC proxy places its memory controllers at the corners of a
+    /// square router grid with one core per router; other fabrics have no
+    /// placement.
+    ParsecNeedsSquareGrid { topology: String },
+    /// Mechanism switches on a closed-loop PARSEC run, which runs to
+    /// completion rather than through the switched cycle window.
+    SwitchOnParsec,
+    /// A mid-run mechanism switch that does not loosen the protocol (only
+    /// Baseline to rFLOV or gFLOV, and rFLOV to gFLOV, are legal), or
+    /// names no mechanism.
+    IllegalSwitch { from: String, to: String, at: Cycle },
+    /// A mechanism switch listed after one at a later cycle: the run would
+    /// skip it.
+    UnorderedSwitches { at: Cycle, after: Cycle },
 }
 
 impl fmt::Display for ConfigError {
@@ -124,6 +142,28 @@ impl fmt::Display for ConfigError {
                  (the share of cores power-gated)"
             ),
             ConfigError::BadTrace { path, why } => write!(f, "trace file {path:?}: {why}"),
+            ConfigError::UnknownMechanism { name } => write!(f, "unknown mechanism {name:?}"),
+            ConfigError::UnknownBenchmark { name } => {
+                write!(f, "unknown PARSEC benchmark {name:?}")
+            }
+            ConfigError::ParsecNeedsSquareGrid { topology } => write!(
+                f,
+                "the PARSEC proxy needs a square router grid with one core per router \
+                 (its memory controllers sit at the corners); {topology} is not one"
+            ),
+            ConfigError::SwitchOnParsec => {
+                write!(f, "mechanism switches do not apply to closed-loop PARSEC runs")
+            }
+            ConfigError::IllegalSwitch { from, to, at } => write!(
+                f,
+                "illegal mechanism switch {from} -> {to:?} at cycle {at} (only Baseline -> \
+                 rFLOV or gFLOV, and rFLOV -> gFLOV, loosen the protocol)"
+            ),
+            ConfigError::UnorderedSwitches { at, after } => write!(
+                f,
+                "mechanism switch at cycle {at} is listed after one at cycle {after}; \
+                 switches must be in ascending cycle order"
+            ),
         }
     }
 }
