@@ -23,9 +23,8 @@ use flov_bench::figures::{
 };
 use flov_bench::{ablations, studies, tracefmt, ResultCache, RunResult, RunSpec, WorkloadSpec};
 use flov_core::mechanism;
-use flov_noc::network::Simulation;
 use flov_noc::{render, TopologySpec};
-use flov_workloads::{GatingSchedule, Pattern, PatternSpace, SyntheticWorkload};
+use flov_workloads::Pattern;
 
 const USAGE: &str = "\
 flov — FLOV reproduction experiment runner
@@ -815,9 +814,7 @@ fn trace_replay(engine: &Engine, rest: &[String]) {
 /// output for scripting, and an optional steady-state mesh map.
 fn sim(engine: &Engine, rest: &[String]) {
     let a = parse_sim_args(rest);
-    let (pattern, rate, gated, seed) = (a.pattern, a.rate, a.gated, a.seed);
     let (json, map, parsec) = (a.json, a.map, a.parsec.clone());
-    let mech = a.mech.clone();
     let spec = build_sim_spec(&a);
     validate_or_die(&spec);
     apply_kernel_flags(&a);
@@ -866,20 +863,9 @@ fn sim(engine: &Engine, rest: &[String]) {
         }
     }
     if map {
-        // Re-run briefly to render the steady-state map (the engine run
-        // consumed its simulation).
-        let cfg = spec.cfg.clone();
-        let m = mechanism::by_name(&mech, &cfg).expect("mechanism");
-        let w = SyntheticWorkload::with_space(
-            PatternSpace { kx: cfg.kx(), ky: cfg.ky(), c: cfg.concentration() },
-            pattern,
-            rate,
-            cfg.synth_packet_len,
-            20_000,
-            GatingSchedule::static_fraction(cfg.cores(), gated, seed, &[]),
-            seed ^ 0xABCD,
-        );
-        let mut sim = Simulation::new(cfg, m, Box::new(w));
+        // Re-run the same spec briefly to render the steady-state map (the
+        // engine run consumed its simulation).
+        let mut sim = flov_bench::try_simulation(&spec).expect("validated spec");
         sim.run(20_000);
         println!(
             "\npower map (A=active, a=active router/gated core, d=draining, w=waking, .=asleep):"

@@ -172,6 +172,15 @@ pub fn try_run_kernel_audited(
     Ok(run_with_kernel_audited(&spec, mech, kernel))
 }
 
+/// Validate `spec` and build the simulation it describes — its mechanism
+/// and workload on its resolved config — before the first cycle. `flov
+/// sim --map` snapshots this, so the map shows the run the report
+/// describes.
+pub fn try_simulation(spec: &RunSpec) -> Result<Simulation, ConfigError> {
+    let (spec, mech) = resolve_mechanism(spec)?;
+    Ok(new_simulation(&spec, mech, None))
+}
+
 /// `spec` resolved and validated, with the mechanism it names.
 fn resolve_mechanism(
     spec: &RunSpec,
@@ -309,18 +318,28 @@ fn build_workload(spec: &RunSpec) -> Box<dyn Workload> {
     }
 }
 
+/// The simulation `spec` describes with `mech`, before the first cycle;
+/// `record` captures the workload's behaviour. Every spec-driven
+/// simulation is built here.
+fn new_simulation(
+    spec: &RunSpec,
+    mech: Box<dyn flov_noc::PowerMechanism>,
+    record: Option<Rc<RefCell<TraceData>>>,
+) -> Simulation {
+    let mut workload = build_workload(spec);
+    if let Some(log) = record {
+        workload = Box::new(RecordingWorkload::new(workload, log));
+    }
+    Simulation::new(spec.cfg.clone(), mech, workload)
+}
+
 fn run_audited_inner(
     spec: &RunSpec,
     mech: Box<dyn flov_noc::PowerMechanism>,
     kernel: KernelMode,
     record: Option<Rc<RefCell<TraceData>>>,
 ) -> AuditedRun {
-    let cfg = spec.cfg.clone();
-    let mut workload = build_workload(spec);
-    if let Some(log) = record {
-        workload = Box::new(RecordingWorkload::new(workload, log));
-    }
-    let mut sim = Simulation::new(cfg, mech, workload);
+    let mut sim = new_simulation(spec, mech, record);
     sim.core.kernel = kernel;
     sim.measure_from(spec.warmup);
     sim.core.stats.interval_width = spec.timeline_width;
