@@ -120,3 +120,11 @@ fn hostile_specs_exit_2_naming_the_value() {
         assert!(stderr.contains(named), "row {tag}: stderr does not name {named}: {stderr}");
     }
 }
+
+#[test]
+fn parsec_with_an_unknown_benchmark_exits_2_naming_it() {
+    let out = flov(&["parsec", "--bench", "nope", "--no-cache"], &[]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown PARSEC benchmark \"nope\""), "{stderr}");
+}
