@@ -12,9 +12,10 @@
 //!    no-progress watchdog) are checked structurally;
 //! 2. every sampled run executes under **all three** [`KernelMode`]s (the
 //!    parallel kernel at a spec-derived 2-D tile geometry between 1×2 and
-//!    3×3, clamped to the fabric) and the serialized [`RunResult`](crate::RunResult)s must
-//!    match byte-for-byte — the active-set, time-skip, and tile-sharding
-//!    optimizations are only correct if invisible;
+//!    3×3, clamped to the fabric) and the serialized
+//!    [`RunResult`](crate::RunResult)s must match byte-for-byte — the
+//!    active-set, time-skip, and tile-sharding optimizations are only
+//!    correct if invisible;
 //! 3. panics (from either kernel) are caught and reported as findings
 //!    instead of killing the campaign.
 //!

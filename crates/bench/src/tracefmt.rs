@@ -16,7 +16,8 @@
 //! Cycles are delta-encoded per section (first record is the absolute
 //! cycle), which keeps dense traces near one byte per record field. The
 //! CRC is the same Castagnoli polynomial as the result-cache container
-//! ([`crate::binfmt::crc32`]); [`WorkloadSpec::Trace`](crate::WorkloadSpec::Trace)'s `crc` field pins
+//! ([`crate::binfmt::crc32`]);
+//! [`WorkloadSpec::Trace`](crate::WorkloadSpec::Trace)'s `crc` field pins
 //! it into the cache key so a rewritten trace file can never alias a
 //! cached result. The kernel-version salt is advisory — replay across
 //! versions is legal (the trace is pure data) but the mismatch is
