@@ -77,6 +77,18 @@ fn specs() -> Vec<(String, RunSpec)> {
     out.push(("parsec/swaptions/gFLOV".into(), parsec));
     let mmpp = synthetic("rFLOV", 0.0).cycles(4_000).mmpp(vec![0.002, 0.15], 1_000).build();
     out.push(("mmpp/rFLOV".into(), mmpp));
+    // Bursty quiet phases pin each power FSM's time-skip horizon, and a
+    // gated set that changes mid-run pins its wakes and re-drains.
+    for mech in ["gFLOV", "NoRD", "PowerPunch"] {
+        let spec = synthetic(mech, 0.0).cycles(4_000).mmpp(vec![0.002, 0.15], 1_000).build();
+        out.push((format!("mmpp/{mech}"), spec));
+    }
+    for mech in ["rFLOV", "gFLOV", "NoRD", "PowerPunch"] {
+        let spec = synthetic(mech, 0.02).cycles(6_000).changes(vec![2_000, 4_000]).build();
+        out.push((format!("regate/{mech}"), spec));
+    }
+    let tornado = synthetic("PowerPunch", 0.08).pattern(Pattern::Tornado).build();
+    out.push(("tornado/PowerPunch/mid".into(), tornado));
     out
 }
 
