@@ -7,8 +7,10 @@
 //! neighbors reached by relayed handshake signals. Timing costs of the
 //! handshake — one cycle per signal hop, relaying across sleepers — are
 //! modeled by requiring conditions to hold for a handshake-latency window
-//! before a transition commits.
+//! before a transition commits. The FSM itself is [`PowerFsm`]; this module
+//! states the two protocols' rules as its [`Gate`].
 
+use crate::fsm::{Gate, PowerFsm, HANDSHAKE_RTT};
 use crate::routing::flov_route;
 use flov_noc::network::NetworkCore;
 use flov_noc::routing::RouteCtx;
@@ -33,53 +35,26 @@ pub struct FlovParams {
     /// Cycles of local-port silence before a gated-core router tries to
     /// drain (paper: "waits ... for a certain number of cycles").
     pub idle_threshold: u32,
-    /// Give up on a drain that cannot complete (e.g. a buffered packet
-    /// waiting on a sleeping destination) and return to Active.
-    pub drain_timeout: u32,
     /// Base handshake latency: the drain_done / wakeup signal exchange
     /// between immediate neighbors (one cycle out, one back).
     pub handshake_rtt: u32,
-    /// Column of always-on routers (`None` disables — ablation only; the
-    /// routing algorithm's East fallback assumes it exists).
-    pub aon_column: Option<u16>,
 }
 
 impl FlovParams {
     pub fn for_config(cfg: &flov_noc::NocConfig) -> FlovParams {
-        FlovParams {
-            idle_threshold: cfg.idle_threshold,
-            drain_timeout: 256,
-            handshake_rtt: 2,
-            aon_column: Some(cfg.kx() - 1),
-        }
+        FlovParams { idle_threshold: cfg.idle_threshold, handshake_rtt: HANDSHAKE_RTT }
     }
-}
-
-/// Per-router controller state.
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeCtl {
-    /// Cycle the current drain began.
-    drain_since: Cycle,
-    /// Consecutive cycles the transition conditions have held.
-    stable: u32,
-    /// Remaining power-ramp cycles during Wakeup.
-    ramp: u32,
-    /// Earliest cycle the next drain attempt may start (post-timeout
-    /// backoff: a timed-out drain was blocking someone — let them pass).
-    retry_after: Cycle,
 }
 
 /// The FLOV mechanism (rFLOV or gFLOV).
 pub struct Flov {
-    pub mode: FlovMode,
-    pub params: FlovParams,
-    ctl: Vec<NodeCtl>,
-    wake_buf: Vec<NodeId>,
+    rules: Rules,
+    fsm: PowerFsm,
 }
 
 impl Flov {
     pub fn new(mode: FlovMode, params: FlovParams, nodes: usize) -> Flov {
-        Flov { mode, params, ctl: vec![NodeCtl::default(); nodes], wake_buf: Vec::new() }
+        Flov { rules: Rules { mode, params }, fsm: PowerFsm::new(nodes, params.idle_threshold) }
     }
 
     /// rFLOV with parameters derived from the config.
@@ -91,31 +66,23 @@ impl Flov {
     pub fn generalized(cfg: &flov_noc::NocConfig) -> Flov {
         Flov::new(FlovMode::Generalized, FlovParams::for_config(cfg), cfg.nodes())
     }
+}
 
-    /// True if `node` sits in the always-on column.
-    fn is_aon(&self, core: &NetworkCore, node: NodeId) -> bool {
-        self.params.aon_column.is_some_and(|col| core.coord(node).x == col)
-    }
+/// The handshake protocol's gating rules.
+struct Rules {
+    mode: FlovMode,
+    params: FlovParams,
+}
 
-    /// Handshake-window length for `node`: base RTT plus (gFLOV) the extra
-    /// relay hops to the farthest logical neighbor.
-    fn handshake_window(&self, core: &NetworkCore, node: NodeId) -> u32 {
-        let mut w = self.params.handshake_rtt;
-        if self.mode == FlovMode::Generalized {
-            let mut extra = 0;
-            for d in Dir::ALL {
-                if let Some((_, hops)) = core.logical_neighbor(node, d) {
-                    extra = extra.max(hops);
-                }
-            }
-            w += extra;
-        }
-        w
-    }
+/// True if `node` sits in the always-on (AON) column, the grid's east edge
+/// (the routing algorithm's East fallback relies on it).
+fn is_aon(core: &NetworkCore, node: NodeId) -> bool {
+    core.coord(node).x == core.cfg.kx() - 1
+}
 
-    /// Is `node` allowed to *start* draining right now?
-    fn drain_permitted(&self, core: &NetworkCore, node: NodeId) -> bool {
-        if self.is_aon(core, node) {
+impl Gate for Rules {
+    fn may_drain(&self, core: &NetworkCore, node: NodeId) -> bool {
+        if is_aon(core, node) {
             return false;
         }
         match self.mode {
@@ -143,8 +110,7 @@ impl Flov {
         }
     }
 
-    /// Is `node` (asleep) allowed to start waking right now?
-    fn wakeup_permitted(&self, core: &NetworkCore, node: NodeId) -> bool {
+    fn may_wake(&self, core: &NetworkCore, node: NodeId) -> bool {
         match self.mode {
             FlovMode::Restricted => true,
             FlovMode::Generalized => {
@@ -158,96 +124,25 @@ impl Flov {
         }
     }
 
-    /// Start waking `node` if it is asleep and its wakeup is permitted.
-    fn try_begin_wakeup(&mut self, core: &mut NetworkCore, node: NodeId) {
-        if core.power(node) != PowerState::Sleep || !self.wakeup_permitted(core, node) {
-            return;
+    /// Base RTT plus (gFLOV) the extra relay hops to the farthest logical
+    /// neighbor.
+    fn window(&self, core: &NetworkCore, node: NodeId) -> u32 {
+        let mut w = self.params.handshake_rtt;
+        if self.mode == FlovMode::Generalized {
+            let mut extra = 0;
+            for d in Dir::ALL {
+                if let Some((_, hops)) = core.logical_neighbor(node, d) {
+                    extra = extra.max(hops);
+                }
+            }
+            w += extra;
         }
-        core.begin_wakeup(node);
-        core.activity.handshake_signals += self.signal_cost(core, node);
-        let c = &mut self.ctl[node as usize];
-        c.ramp = core.cfg.wakeup_latency;
-        c.stable = 0;
-    }
-
-    /// One cycle of router `n`'s power FSM (paper Fig. 2).
-    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
-        let now = core.cycle;
-        match core.power(n) {
-            PowerState::Active => {
-                let gated_core = !core.router_core_active(n);
-                let idle =
-                    core.routers[n as usize].local_idle(now) >= self.params.idle_threshold as u64;
-                if gated_core
-                    && idle
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                    && self.drain_permitted(core, n)
-                {
-                    core.begin_drain(n);
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    let c = &mut self.ctl[n as usize];
-                    c.drain_since = now;
-                    c.stable = 0;
-                }
-            }
-            PowerState::Draining => {
-                // Local traffic reappeared: the drain must abort.
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    core.abort_drain(n);
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    return;
-                }
-                let timed_out =
-                    now - self.ctl[n as usize].drain_since > self.params.drain_timeout as u64;
-                if timed_out {
-                    // E.g. a buffered packet waits on a sleeping
-                    // destination: give up, back off, retry later.
-                    core.abort_drain(n);
-                    self.ctl[n as usize].retry_after = now + 4 * self.params.drain_timeout as u64;
-                    core.activity.handshake_signals += self.signal_cost(core, n);
-                    return;
-                }
-                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_window(core, n) {
-                        core.enter_sleep(n);
-                        core.activity.handshake_signals += self.signal_cost(core, n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-            PowerState::Sleep => {
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    self.try_begin_wakeup(core, n);
-                }
-            }
-            PowerState::Wakeup => {
-                let c = &mut self.ctl[n as usize];
-                if c.ramp > 0 {
-                    c.ramp -= 1;
-                    return;
-                }
-                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_window(core, n) {
-                        core.complete_wakeup(n);
-                        core.activity.handshake_signals += self.signal_cost(core, n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-        }
+        w
     }
 
     /// HSC wire activations for one broadcast from `node` (one per physical
     /// neighbor, plus relay hops to logical neighbors under gFLOV).
-    fn signal_cost(&self, core: &NetworkCore, node: NodeId) -> u64 {
+    fn signals(&self, core: &NetworkCore, node: NodeId) -> u64 {
         let mut cost = 0u64;
         for d in Dir::ALL {
             if core.neighbor(node, d).is_none() {
@@ -266,7 +161,7 @@ impl Flov {
 
 impl PowerMechanism for Flov {
     fn name(&self) -> &'static str {
-        match self.mode {
+        match self.rules.mode {
             FlovMode::Restricted => "rFLOV",
             FlovMode::Generalized => "gFLOV",
         }
@@ -275,17 +170,8 @@ impl PowerMechanism for Flov {
     fn step(&mut self, core: &mut NetworkCore) {
         // Wakeup requests raised by blocked packets whose destination
         // router is asleep.
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        core.take_wakeup_requests(&mut wake);
-        for &n in wake.iter() {
-            self.try_begin_wakeup(core, n);
-        }
-        self.wake_buf = wake;
-        // The id-ordered scan realizes the paper's smaller-id-wins drain
-        // arbitration.
-        for n in 0..core.nodes() as NodeId {
-            self.step_node(core, n);
-        }
+        self.fsm.wake_requested(core, &self.rules);
+        self.fsm.step(core, &self.rules);
     }
 
     fn route(&self, _net: &dyn PowerView, ctx: &RouteCtx) -> Option<Port> {
@@ -293,51 +179,18 @@ impl PowerMechanism for Flov {
     }
 
     fn next_event(&self, core: &NetworkCore) -> Option<Cycle> {
-        let now = core.cycle;
-        let mut next: Option<Cycle> = None;
-        for n in 0..core.nodes() as NodeId {
-            match core.power(n) {
-                // Mid-handshake FSMs count stable/ramp cycles every step.
-                PowerState::Draining | PowerState::Wakeup => return Some(now),
-                PowerState::Active => {
-                    if core.router_core_active(n) || self.is_aon(core, n) {
-                        continue;
-                    }
-                    // A permission-blocked drain re-arms only through a
-                    // neighbor transition, and any Draining/Wakeup neighbor
-                    // already pinned the horizon to `now` above; Sleep
-                    // neighbors cannot change without their own event.
-                    if !self.drain_permitted(core, n) {
-                        continue;
-                    }
-                    let t = (core.routers[n as usize].last_local_activity
-                        + self.params.idle_threshold as u64)
-                        .max(self.ctl[n as usize].retry_after)
-                        .max(now);
-                    next = Some(next.map_or(t, |b| b.min(t)));
-                }
-                PowerState::Sleep => {
-                    // Wake triggers (core reactivation, NIC backlog) arrive
-                    // only via stepped events; a sleeper whose core is
-                    // already active is transient — resolve it now.
-                    if core.router_core_active(n) {
-                        return Some(now);
-                    }
-                }
-            }
-        }
-        next
+        self.fsm.next_event(core, &self.rules)
     }
 
     fn audit_state(&self, core: &NetworkCore, report: &mut dyn FnMut(String)) {
         for n in 0..core.nodes() as NodeId {
             let p = core.power(n);
-            // The always-on column never leaves Active (drain_permitted
-            // refuses AON routers, so anything else is a protocol breach).
-            if self.is_aon(core, n) && p != PowerState::Active {
+            // The always-on column never leaves Active (may_drain refuses
+            // AON routers, so anything else is a protocol breach).
+            if is_aon(core, n) && p != PowerState::Active {
                 report(format!("AON router {n} is {p:?}; column must stay Active"));
             }
-            match self.mode {
+            match self.rules.mode {
                 FlovMode::Restricted => {
                     // No two physically adjacent routers may be non-Active
                     // at the same time: drains start only with all-Active
@@ -360,8 +213,8 @@ impl PowerMechanism for Flov {
                 }
                 FlovMode::Generalized => {
                     // A Draining router may not have a Draining or Wakeup
-                    // logical neighbor: drain_permitted refuses to start
-                    // next to one, and wakeup_permitted defers wakeups
+                    // logical neighbor: may_drain refuses to start next
+                    // to one, and may_wake defers wakeups
                     // beside an in-progress drain.
                     if p != PowerState::Draining {
                         continue;

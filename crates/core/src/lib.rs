@@ -5,9 +5,13 @@
 //! * [`partition`] — the 8-way destination partitioning of Fig. 4(a);
 //! * [`routing`] — the partition-based dynamic routing algorithm (§V) for
 //!   regular VCs and the deadlock-free escape sub-network of Fig. 4(b);
+//! * [`fsm`] — the Active/Draining/Sleep/Wakeup router power FSM of Fig. 2,
+//!   shared by every distributed scheme, which states only its rules as a
+//!   [`fsm::Gate`];
 //! * [`flov`] — the distributed handshake protocols: restricted FLOV
-//!   (rFLOV, §IV-A) and generalized FLOV (gFLOV, §IV-B) driving the
-//!   Active/Draining/Sleep/Wakeup router FSM of Fig. 2;
+//!   (rFLOV, §IV-A) and generalized FLOV (gFLOV, §IV-B);
+//! * [`nord`] and [`punch`] — the prior distributed schemes of §II: NoRD's
+//!   bypass ring and Power Punch's wakeup punches;
 //! * [`rp`] — the Router Parking baseline (centralized Fabric Manager,
 //!   reconfiguration stalls, up*/down* tables) the paper compares against.
 //!
@@ -25,6 +29,7 @@
 //! ```
 
 pub mod flov;
+pub mod fsm;
 pub mod nord;
 pub mod partition;
 pub mod punch;

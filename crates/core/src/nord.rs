@@ -22,33 +22,17 @@
 //! * when the mesh cannot help (no route / nothing powered), the ring
 //!   alone delivers — NoRD's connectivity guarantee.
 
+use crate::fsm::{audit_adjacent_drains, neighbor_draining, Gate, PowerFsm};
 use crate::rp::updown;
 use flov_noc::network::NetworkCore;
 use flov_noc::routing::RouteCtx;
 use flov_noc::traits::{PowerMechanism, PowerView};
 use flov_noc::types::{Cycle, NodeId, Port, PowerState};
 
-/// Per-router controller state.
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeCtl {
-    drain_since: Cycle,
-    stable: u32,
-    ramp: u32,
-    /// Earliest cycle the next drain attempt may start (backoff after a
-    /// timed-out drain, so blocked traffic can clear).
-    retry_after: Cycle,
-}
-
 /// The NoRD mechanism. Requires `cfg.enable_ring` (and therefore a topology
 /// that admits a Hamiltonian cycle — see `NocConfig::validate`).
 pub struct Nord {
-    /// Idle threshold before draining.
-    pub idle_threshold: u32,
-    /// Drain give-up timeout.
-    pub drain_timeout: u32,
-    /// Handshake window (conditions must hold this long).
-    pub handshake_rtt: u32,
-    ctl: Vec<NodeCtl>,
+    fsm: PowerFsm,
     /// Ring predecessor map (for proxy computation).
     pred: Vec<NodeId>,
     /// up*/down* next hops over the powered subgraph.
@@ -71,10 +55,7 @@ impl Nord {
             pred[b as usize] = a as NodeId;
         }
         Nord {
-            idle_threshold: cfg.idle_threshold,
-            drain_timeout: 256,
-            handshake_rtt: 2,
-            ctl: vec![NodeCtl::default(); n],
+            fsm: PowerFsm::new(n, cfg.idle_threshold),
             pred,
             table: updown::build_table(cfg.kx(), cfg.ky(), &vec![true; n]),
             snapshot: vec![PowerState::Active; n],
@@ -112,89 +93,25 @@ impl Nord {
             self.table = updown::build_table(core.cfg.kx(), core.cfg.ky(), &on);
         }
     }
+}
 
-    /// One cycle of router `n`'s power FSM.
-    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
-        let now = core.cycle;
-        match core.power(n) {
-            PowerState::Active => {
-                let gated = !core.router_core_active(n);
-                let idle = core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64;
-                // No AON column and no sleep-adjacency limit — but two
-                // *physically adjacent* routers must not drain at the
-                // same time (each would block the other's egress and
-                // both drains would starve; the id-ordered scan
-                // arbitrates simultaneous attempts).
-                let neighbor_draining = flov_noc::types::Dir::ALL.iter().any(|&d| {
-                    core.neighbor(n, d).is_some_and(|m| core.power(m) == PowerState::Draining)
-                });
-                if gated
-                    && idle
-                    && !neighbor_draining
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                    && !core.ring_transfer_pending(n)
-                {
-                    core.begin_drain(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.drain_since = now;
-                    c.stable = 0;
-                }
-            }
-            PowerState::Draining => {
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    core.abort_drain(n);
-                    return;
-                }
-                if now - self.ctl[n as usize].drain_since > self.drain_timeout as u64 {
-                    core.abort_drain(n);
-                    // Back off: let the traffic this drain was blocking
-                    // clear before trying again.
-                    self.ctl[n as usize].retry_after = now + 4 * self.drain_timeout as u64;
-                    return;
-                }
-                let ready = core.routers[n as usize].is_drained()
-                    && core.fully_quiescent(n)
-                    && !core.ring_transfer_pending(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.enter_sleep(n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-            PowerState::Sleep => {
-                // Wake for the core (deliveries ride the ring) — or for
-                // ring-exit flits stranded in the transfer queue: the
-                // ring froze their mesh-entry node at ingress and this
-                // router gated before they arrived (see module docs).
-                if core.router_core_active(n) || core.ring_transfer_pending(n) {
-                    core.begin_wakeup(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.ramp = core.cfg.wakeup_latency;
-                    c.stable = 0;
-                }
-            }
-            PowerState::Wakeup => {
-                let c = &mut self.ctl[n as usize];
-                if c.ramp > 0 {
-                    c.ramp -= 1;
-                    return;
-                }
-                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.complete_wakeup(n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-        }
+/// NoRD's gating rules: no adjacency or AON limits, but a router with
+/// ring-exit flits stranded in its mesh-transfer queue neither drains nor
+/// sleeps, and wakes to flush them (see the module docs). Deliveries never
+/// need a wakeup — the ring reaches every NIC.
+struct NordGate;
+
+impl Gate for NordGate {
+    fn may_drain(&self, core: &NetworkCore, n: NodeId) -> bool {
+        !neighbor_draining(core, n) && !core.ring_transfer_pending(n)
+    }
+
+    fn may_sleep(&self, core: &NetworkCore, n: NodeId) -> bool {
+        !core.ring_transfer_pending(n)
+    }
+
+    fn wants_wake(&self, core: &NetworkCore, n: NodeId) -> bool {
+        core.router_core_active(n) || core.ring_transfer_pending(n)
     }
 }
 
@@ -206,13 +123,8 @@ impl PowerMechanism for Nord {
     fn step(&mut self, core: &mut NetworkCore) {
         // Defensive: drain any wakeup requests (routing never targets
         // sleeping routers under NoRD, so these should not occur).
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        core.take_wakeup_requests(&mut wake);
-        self.wake_buf = wake;
-        // The id-ordered scan realizes smaller-id-wins drain arbitration.
-        for n in 0..core.nodes() as NodeId {
-            self.step_node(core, n);
-        }
+        core.take_wakeup_requests(&mut self.wake_buf);
+        self.fsm.step(core, &NordGate);
         self.rebuild_if_changed(core);
     }
 
@@ -249,55 +161,14 @@ impl PowerMechanism for Nord {
     }
 
     fn next_event(&self, core: &NetworkCore) -> Option<Cycle> {
-        let now = core.cycle;
-        let mut next: Option<Cycle> = None;
-        for n in 0..core.nodes() as NodeId {
-            match core.power(n) {
-                // Mid-handshake FSMs count stable/ramp cycles every step.
-                PowerState::Draining | PowerState::Wakeup => return Some(now),
-                PowerState::Active => {
-                    if core.router_core_active(n) {
-                        continue;
-                    }
-                    // The neighbor-draining blocker is covered: a Draining
-                    // neighbor pinned the horizon to `now` above.
-                    let t = (core.routers[n as usize].last_local_activity
-                        + self.idle_threshold as u64)
-                        .max(self.ctl[n as usize].retry_after)
-                        .max(now);
-                    next = Some(next.map_or(t, |b| b.min(t)));
-                }
-                PowerState::Sleep => {
-                    // Wakes when its core reactivates (a stepped workload
-                    // event; an already-active core is transient) or when
-                    // stranded ring transfers demand a flush — transfers
-                    // only land while the ring is live, which also keeps
-                    // the fabric non-quiescent, but pin the horizon anyway.
-                    if core.router_core_active(n) || core.ring_transfer_pending(n) {
-                        return Some(now);
-                    }
-                }
-            }
-        }
-        next
+        // Stranded ring transfers land only while the ring is live, which
+        // keeps the fabric non-quiescent; only the power FSM self-schedules.
+        self.fsm.next_event(core, &NordGate)
     }
 
     fn audit_state(&self, core: &NetworkCore, report: &mut dyn FnMut(String)) {
+        audit_adjacent_drains(core, "NoRD", report);
         for n in 0..core.nodes() as NodeId {
-            // No adjacency/AON constraints, but two physically adjacent
-            // routers must never drain at once (each would starve the
-            // other); the id-ordered scan guarantees this. Edges once.
-            if core.power(n) == PowerState::Draining {
-                for d in flov_noc::types::Dir::ALL {
-                    if let Some(m) = core.neighbor(n, d) {
-                        if m > n && core.power(m) == PowerState::Draining {
-                            report(format!(
-                                "NoRD arbitration: adjacent routers {n} and {m} both Draining"
-                            ));
-                        }
-                    }
-                }
-            }
             // The up*/down* table is rebuilt at the end of every step, so
             // between steps its power snapshot mirrors the fabric.
             if self.snapshot[n as usize] != core.power(n) {

@@ -23,6 +23,7 @@
 //! routers (gating-event energy + powered residency), where FLOV's latches
 //! let them stay asleep.
 
+use crate::fsm::{audit_adjacent_drains, neighbor_draining, Gate, PowerFsm, DRAIN_TIMEOUT};
 use flov_noc::network::NetworkCore;
 use flov_noc::routing::{yx_route, RouteCtx};
 use flov_noc::traits::{PowerMechanism, PowerView};
@@ -39,31 +40,15 @@ pub fn punch_config(base: &flov_noc::NocConfig) -> flov_noc::NocConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeCtl {
-    drain_since: Cycle,
-    stable: u32,
-    ramp: u32,
-    /// Cycles to stay awake after the last punch (lets the punched packet
-    /// actually pass before the idle detector re-drains).
-    punch_hold_until: Cycle,
-    /// Earliest cycle the next drain attempt may start (post-timeout backoff).
-    retry_after: Cycle,
-}
+/// Cycles a punched router stays awake after its punch, so the punched
+/// packet can actually pass before the idle detector re-drains it.
+const PUNCH_HOLD: u64 = 48;
 
 /// The Power Punch mechanism.
 pub struct PowerPunch {
-    pub idle_threshold: u32,
-    pub drain_timeout: u32,
-    pub handshake_rtt: u32,
-    /// Keep a punched router awake this long after its punch.
-    pub punch_hold: u32,
-    ctl: Vec<NodeCtl>,
+    fsm: PowerFsm,
     /// Packets whose paths have already been punched.
     punched: std::collections::HashSet<PacketId>,
-    /// Punch signals sent (energy/overhead accounting).
-    pub punches_sent: u64,
-    wake_buf: Vec<NodeId>,
     /// Persistent scratch for the punch/re-punch scans (kept across cycles
     /// so the steady-state control step never allocates).
     to_punch: Vec<(NodeId, NodeId)>,
@@ -74,14 +59,8 @@ impl PowerPunch {
     pub fn new(cfg: &flov_noc::NocConfig) -> PowerPunch {
         assert_eq!(cfg.escape_vcs, 0, "Power Punch requires escape_vcs = 0 (see punch_config)");
         PowerPunch {
-            idle_threshold: cfg.idle_threshold,
-            drain_timeout: 256,
-            handshake_rtt: 2,
-            punch_hold: 48,
-            ctl: vec![NodeCtl::default(); cfg.nodes()],
+            fsm: PowerFsm::new(cfg.nodes(), cfg.idle_threshold),
             punched: std::collections::HashSet::new(),
-            punches_sent: 0,
-            wake_buf: Vec::new(),
             to_punch: Vec::new(),
             to_repunch: Vec::new(),
         }
@@ -95,22 +74,16 @@ impl PowerPunch {
         let dstc = Coord { x: dst % kx, y: dst / kx };
         loop {
             let n = at.y * kx + at.x;
-            let now = core.cycle;
-            self.ctl[n as usize].punch_hold_until = now + self.punch_hold as u64;
+            self.fsm.hold(n, core.cycle + PUNCH_HOLD);
             match core.power(n) {
                 PowerState::Sleep => {
-                    core.begin_wakeup(n);
+                    self.fsm.wake(core, n, &PunchGate);
                     core.activity.handshake_signals += 1;
-                    self.punches_sent += 1;
-                    let c = &mut self.ctl[n as usize];
-                    c.ramp = core.cfg.wakeup_latency;
-                    c.stable = 0;
                 }
                 PowerState::Draining => {
                     // A punch overrides a drain in progress.
                     core.abort_drain(n);
                     core.activity.handshake_signals += 1;
-                    self.punches_sent += 1;
                 }
                 _ => {}
             }
@@ -119,83 +92,16 @@ impl PowerPunch {
             at = flov_noc::topology::grid_step(at, d, kx, ky).expect("yx stays in the grid");
         }
     }
+}
 
-    /// One cycle of router `n`'s power FSM.
-    fn step_node(&mut self, core: &mut NetworkCore, n: NodeId) {
-        let now = core.cycle;
-        // Power FSM (NoRD-style: no adjacency constraints, but punched
-        // routers hold awake for a while).
-        match core.power(n) {
-            PowerState::Active => {
-                let gated = !core.router_core_active(n);
-                let idle = core.routers[n as usize].local_idle(now) >= self.idle_threshold as u64;
-                let held = now < self.ctl[n as usize].punch_hold_until;
-                // Adjacent simultaneous drains starve each other (each
-                // blocks the other's egress): forbid them, id order
-                // arbitrating simultaneous attempts.
-                let neighbor_draining = flov_noc::types::Dir::ALL.iter().any(|&d| {
-                    core.neighbor(n, d).is_some_and(|m| core.power(m) == PowerState::Draining)
-                });
-                if gated
-                    && idle
-                    && !held
-                    && !neighbor_draining
-                    && now >= self.ctl[n as usize].retry_after
-                    && !core.nic_pending(n)
-                {
-                    core.begin_drain(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.drain_since = now;
-                    c.stable = 0;
-                }
-            }
-            PowerState::Draining => {
-                let held = now < self.ctl[n as usize].punch_hold_until;
-                if core.router_core_active(n) || core.nic_pending(n) || held {
-                    core.abort_drain(n);
-                    return;
-                }
-                if now - self.ctl[n as usize].drain_since > self.drain_timeout as u64 {
-                    core.abort_drain(n);
-                    self.ctl[n as usize].retry_after = now + 4 * self.drain_timeout as u64;
-                    return;
-                }
-                let ready = core.routers[n as usize].is_drained() && core.fully_quiescent(n);
-                let c = &mut self.ctl[n as usize];
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.enter_sleep(n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-            PowerState::Sleep => {
-                if core.router_core_active(n) || core.nic_pending(n) {
-                    core.begin_wakeup(n);
-                    let c = &mut self.ctl[n as usize];
-                    c.ramp = core.cfg.wakeup_latency;
-                    c.stable = 0;
-                }
-            }
-            PowerState::Wakeup => {
-                let c = &mut self.ctl[n as usize];
-                if c.ramp > 0 {
-                    c.ramp -= 1;
-                    return;
-                }
-                let ready = core.routers[n as usize].latches_empty() && core.fully_quiescent(n);
-                if ready {
-                    c.stable += 1;
-                    if c.stable >= self.handshake_rtt {
-                        core.complete_wakeup(n);
-                    }
-                } else {
-                    c.stable = 0;
-                }
-            }
-        }
+/// Power Punch's gating rule: routers gate freely (wake-on-demand provides
+/// connectivity), but physically adjacent routers never drain at once.
+/// Punched routers are held awake through [`PowerFsm::hold`].
+struct PunchGate;
+
+impl Gate for PunchGate {
+    fn may_drain(&self, core: &NetworkCore, n: NodeId) -> bool {
+        !neighbor_draining(core, n)
     }
 }
 
@@ -207,17 +113,7 @@ impl PowerMechanism for PowerPunch {
     fn step(&mut self, core: &mut NetworkCore) {
         let now = core.cycle;
         // Fallback wakeups (should be rare: punches precede packets).
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        core.take_wakeup_requests(&mut wake);
-        for &n in wake.iter() {
-            if core.power(n) == PowerState::Sleep {
-                core.begin_wakeup(n);
-                let c = &mut self.ctl[n as usize];
-                c.ramp = core.cfg.wakeup_latency;
-                c.stable = 0;
-            }
-        }
-        self.wake_buf = wake;
+        self.fsm.wake_requested(core, &PunchGate);
         // Punch the paths of newly queued packets.
         let mut to_punch = std::mem::take(&mut self.to_punch);
         for node in 0..core.nodes() {
@@ -236,14 +132,14 @@ impl PowerMechanism for PowerPunch {
         to_punch.clear();
         self.to_punch = to_punch;
         // Re-punch stalled packets. A punch holds routers awake only for
-        // `punch_hold` cycles, so a packet delayed in the mesh (VC
+        // `PUNCH_HOLD` cycles, so a packet delayed in the mesh (VC
         // backpressure, congestion behind another wakeup ramp) can face a
         // next hop that re-drained after its original punch expired — and
         // `route()` then waits for a wakeup that is never coming. Any head
         // flit parked at a buffer front for a full drain-timeout window
         // gets its remaining YX path re-punched from where it stands, once
         // per window.
-        let repunch_after = self.drain_timeout as u64;
+        let repunch_after = DRAIN_TIMEOUT;
         let mut to_repunch = std::mem::take(&mut self.to_repunch);
         for n in 0..core.nodes() {
             let r = &core.routers[n];
@@ -267,10 +163,7 @@ impl PowerMechanism for PowerPunch {
         }
         to_repunch.clear();
         self.to_repunch = to_repunch;
-        // The id-ordered scan realizes smaller-id-wins drain arbitration.
-        for n in 0..core.nodes() as NodeId {
-            self.step_node(core, n);
-        }
+        self.fsm.step(core, &PunchGate);
         // Bound the punched-set memory (ids of long-delivered packets).
         if self.punched.len() > 100_000 {
             self.punched.clear();
@@ -291,33 +184,9 @@ impl PowerMechanism for PowerPunch {
     }
 
     fn next_event(&self, core: &NetworkCore) -> Option<Cycle> {
-        let now = core.cycle;
-        // The punch scan reads NIC queues, which quiescence leaves empty;
-        // only the power FSM self-schedules.
-        let mut next: Option<Cycle> = None;
-        for n in 0..core.nodes() as NodeId {
-            match core.power(n) {
-                PowerState::Draining | PowerState::Wakeup => return Some(now),
-                PowerState::Active => {
-                    if core.router_core_active(n) {
-                        continue;
-                    }
-                    let c = &self.ctl[n as usize];
-                    let t = (core.routers[n as usize].last_local_activity
-                        + self.idle_threshold as u64)
-                        .max(c.retry_after)
-                        .max(c.punch_hold_until)
-                        .max(now);
-                    next = Some(next.map_or(t, |b| b.min(t)));
-                }
-                PowerState::Sleep => {
-                    if core.router_core_active(n) {
-                        return Some(now);
-                    }
-                }
-            }
-        }
-        next
+        // The punch scans read NIC queues and router buffers, which
+        // quiescence leaves empty; only the power FSM self-schedules.
+        self.fsm.next_event(core, &PunchGate)
     }
 
     fn audit_state(&self, core: &NetworkCore, report: &mut dyn FnMut(String)) {
@@ -336,20 +205,8 @@ impl PowerMechanism for PowerPunch {
             if core.power(n).is_flov() && !core.routers[n as usize].latches_empty() {
                 report(format!("PowerPunch router {n} is gated but holds latched flits"));
             }
-            // Same adjacent-drain arbitration as NoRD. Edges once.
-            if core.power(n) == PowerState::Draining {
-                for d in flov_noc::types::Dir::ALL {
-                    if let Some(m) = core.neighbor(n, d) {
-                        if m > n && core.power(m) == PowerState::Draining {
-                            report(format!(
-                                "PowerPunch arbitration: adjacent routers {n} and {m} both \
-                                 Draining"
-                            ));
-                        }
-                    }
-                }
-            }
         }
+        audit_adjacent_drains(core, "PowerPunch", report);
     }
 }
 
@@ -428,7 +285,7 @@ mod tests {
         let lat = sim.core.stats.avg_latency();
         assert!(lat < 55.0, "punch failed to hide wakeup latency: {lat}");
         // And routers really were gated between packets (400-cycle gaps >
-        // punch_hold + idle threshold).
+        // PUNCH_HOLD + idle threshold).
         let gated: u64 = sim.core.residency().iter().map(|r| r.gated).sum();
         assert!(gated > 0);
     }

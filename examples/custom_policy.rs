@@ -2,37 +2,38 @@
 //!
 //! `CheckerFlov` gates a router only on "black" checkerboard cells (so no
 //! two sleepers are ever adjacent — a structural version of rFLOV's
-//! restriction that needs no drain arbitration at all), drives the router
-//! power FSM through the `NetworkCore` transition methods, and reuses the
-//! partition-based FLOV routing. The example races it against rFLOV.
+//! restriction that needs no drain arbitration at all). It states that rule
+//! as a `Gate`, lets the shared `PowerFsm` drive the router power FSM, and
+//! reuses the partition-based FLOV routing. The example races it against
+//! rFLOV.
 //!
 //! Run with: `cargo run --release --example custom_policy`
 
+use flov_core::fsm::{Gate, PowerFsm};
 use flov_core::routing::flov_route;
 use flov_core::Flov;
 use flov_noc::network::{NetworkCore, Simulation};
 use flov_noc::routing::RouteCtx;
 use flov_noc::traits::{PowerMechanism, PowerView};
-use flov_noc::types::{NodeId, Port, PowerState};
+use flov_noc::types::{Cycle, NodeId, Port, PowerState};
 use flov_noc::NocConfig;
 use flov_workloads::{GatingSchedule, Pattern, SyntheticWorkload};
 
-/// A minimal distributed gating policy: sleep only on checkerboard cells,
-/// never in the always-on column.
-struct CheckerFlov {
-    wakeup_ramp: Vec<u32>,
-    wake_buf: Vec<NodeId>,
-}
+/// The gating rule: sleep only on checkerboard cells, never in the
+/// always-on column.
+struct Checkerboard;
 
-impl CheckerFlov {
-    fn new(nodes: usize) -> CheckerFlov {
-        CheckerFlov { wakeup_ramp: vec![0; nodes], wake_buf: Vec::new() }
-    }
-
-    fn eligible(core: &NetworkCore, n: NodeId) -> bool {
+impl Gate for Checkerboard {
+    fn may_drain(&self, core: &NetworkCore, n: NodeId) -> bool {
         let c = core.coord(n);
         (c.x + c.y).is_multiple_of(2) && c.x + 1 != core.cfg.k // black cells, not AON
     }
+}
+
+/// A minimal distributed gating policy: the shared FSM under the
+/// checkerboard rule.
+struct CheckerFlov {
+    fsm: PowerFsm,
 }
 
 impl PowerMechanism for CheckerFlov {
@@ -42,54 +43,16 @@ impl PowerMechanism for CheckerFlov {
 
     fn step(&mut self, core: &mut NetworkCore) {
         // Wake sleeping routers that block a delivery.
-        let mut wake = std::mem::take(&mut self.wake_buf);
-        core.take_wakeup_requests(&mut wake);
-        for &n in &wake {
-            if core.power(n) == PowerState::Sleep {
-                core.begin_wakeup(n);
-                self.wakeup_ramp[n as usize] = core.cfg.wakeup_latency;
-            }
-        }
-        self.wake_buf = wake;
-        for n in 0..core.nodes() as NodeId {
-            match core.power(n) {
-                PowerState::Active => {
-                    let idle = core.routers[n as usize].local_idle(core.cycle) >= 16;
-                    if !core.core_active[n as usize]
-                        && idle
-                        && !core.nic_pending(n)
-                        && Self::eligible(core, n)
-                    {
-                        core.begin_drain(n);
-                    }
-                }
-                PowerState::Draining => {
-                    if core.core_active[n as usize] || core.nic_pending(n) {
-                        core.abort_drain(n);
-                    } else if core.routers[n as usize].is_drained() && core.fully_quiescent(n) {
-                        core.enter_sleep(n);
-                    }
-                }
-                PowerState::Sleep => {
-                    if core.core_active[n as usize] || core.nic_pending(n) {
-                        core.begin_wakeup(n);
-                        self.wakeup_ramp[n as usize] = core.cfg.wakeup_latency;
-                    }
-                }
-                PowerState::Wakeup => {
-                    let ramp = &mut self.wakeup_ramp[n as usize];
-                    if *ramp > 0 {
-                        *ramp -= 1;
-                    } else if core.routers[n as usize].latches_empty() && core.fully_quiescent(n) {
-                        core.complete_wakeup(n);
-                    }
-                }
-            }
-        }
+        self.fsm.wake_requested(core, &Checkerboard);
+        self.fsm.step(core, &Checkerboard);
     }
 
     fn route(&self, _net: &dyn PowerView, ctx: &RouteCtx) -> Option<Port> {
         flov_route(ctx)
+    }
+
+    fn next_event(&self, core: &NetworkCore) -> Option<Cycle> {
+        self.fsm.next_event(core, &Checkerboard)
     }
 }
 
@@ -116,7 +79,8 @@ fn race(name: &str, mech: Box<dyn PowerMechanism>) -> (f64, usize) {
 
 fn main() {
     let cfg = NocConfig::paper_table1();
-    let (lat_c, sleep_c) = race("CheckerFLOV", Box::new(CheckerFlov::new(cfg.nodes())));
+    let checker = CheckerFlov { fsm: PowerFsm::new(cfg.nodes(), cfg.idle_threshold) };
+    let (lat_c, sleep_c) = race("CheckerFLOV", Box::new(checker));
     let (lat_r, sleep_r) = race("rFLOV", Box::new(Flov::restricted(&cfg)));
     println!("custom CheckerFLOV: avg latency {lat_c:.2} cycles, {sleep_c} routers asleep at steady state");
     println!("paper rFLOV:        avg latency {lat_r:.2} cycles, {sleep_r} routers asleep at steady state");
