@@ -573,6 +573,11 @@ fn main() {
             usage();
         }
     }
+    let failed = flov_bench::runs_with_violations();
+    if failed > 0 {
+        eprintln!("error: {failed} simulated run(s) reported audit violations (see above)");
+        std::process::exit(1);
+    }
 }
 
 /// Workload/run-shape flags shared by `sim` and `trace record`.
@@ -741,9 +746,7 @@ fn trace_record(rest: &[String]) {
         eprintln!("error: invalid configuration for {}: {e}", spec.mechanism);
         std::process::exit(2);
     });
-    for v in &audited.violations {
-        eprintln!("[flov] audit violation ({}): {v}", spec.mechanism);
-    }
+    let result = flov_bench::report_violations(&spec.mechanism, audited);
     let spec_json = serde_json::to_string(&spec).expect("spec serializes");
     let bytes = tracefmt::encode_trace(flov_bench::KERNEL_VERSION, &spec_json, &data);
     let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("crc trailer"));
@@ -760,7 +763,7 @@ fn trace_record(rest: &[String]) {
         bytes.len()
     );
     if a.json {
-        println!("{}", serde_json::to_string_pretty(&audited.result).expect("result serializes"));
+        println!("{}", serde_json::to_string_pretty(&result).expect("result serializes"));
     } else {
         println!("recorded {} run -> {out} (crc {crc:08x})", spec.mechanism);
     }

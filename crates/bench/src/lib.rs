@@ -48,6 +48,7 @@ use flov_workloads::{
 };
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Kernel selected by the `FLOV_KERNEL` environment variable (`active` |
 /// `reference` | `parallel`); defaults to the active-set kernel. For
@@ -148,9 +149,32 @@ pub fn run(spec: &RunSpec) -> RunResult {
 }
 
 /// [`run`] with an explicit kernel mode (the equivalence suite and
-/// `bench-kernel` compare the two modes directly).
+/// `bench-kernel` compare the two modes directly). Auditor violations (if
+/// auditing is enabled) are reported through [`report_violations`].
 pub fn run_kernel(spec: &RunSpec, kernel: KernelMode) -> RunResult {
-    run_kernel_audited(spec, kernel).result
+    report_violations(&spec.mechanism, run_kernel_audited(spec, kernel))
+}
+
+/// Runs whose auditor reported a violation through [`report_violations`],
+/// process-wide.
+static RUNS_WITH_VIOLATIONS: AtomicUsize = AtomicUsize::new(0);
+
+/// Print `audited`'s violations on stderr, count the run if it had any
+/// (see [`runs_with_violations`]), and return its result.
+pub fn report_violations(mechanism: &str, audited: AuditedRun) -> RunResult {
+    for v in &audited.violations {
+        eprintln!("[flov] audit violation ({mechanism}): {v}");
+    }
+    if !audited.violations.is_empty() {
+        RUNS_WITH_VIOLATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+    audited.result
+}
+
+/// How many runs in this process reported an auditor violation. `flov`
+/// exits 1 after its output when this is nonzero.
+pub fn runs_with_violations() -> usize {
+    RUNS_WITH_VIOLATIONS.load(Ordering::Relaxed)
 }
 
 /// [`run_kernel`], keeping the auditor's findings instead of just warning
@@ -214,18 +238,14 @@ pub fn run_with(spec: &RunSpec, mech: Box<dyn flov_noc::PowerMechanism>) -> RunR
 }
 
 /// [`run_with`] with an explicit kernel mode. Auditor violations (if
-/// auditing is enabled) are reported on stderr; use
+/// auditing is enabled) are reported through [`report_violations`]; use
 /// [`run_with_kernel_audited`] to consume them programmatically.
 pub fn run_with_kernel(
     spec: &RunSpec,
     mech: Box<dyn flov_noc::PowerMechanism>,
     kernel: KernelMode,
 ) -> RunResult {
-    let audited = run_with_kernel_audited(spec, mech, kernel);
-    for v in &audited.violations {
-        eprintln!("[flov] audit violation ({}): {v}", spec.mechanism);
-    }
-    audited.result
+    report_violations(&spec.mechanism, run_with_kernel_audited(spec, mech, kernel))
 }
 
 /// [`run_with_kernel`], returning the auditor's findings alongside the

@@ -37,11 +37,12 @@
 //!    within `stall_horizon` cycles: a delivery-path event
 //!    (`last_progress`), any churn in the escape sub-network (the
 //!    deadlock-recovery lane, tracked by an occupancy digest), or any
-//!    churn at the NIC source queues (enqueues and serialization
-//!    progress count as movement — a mechanism legitimately holding
-//!    traffic at the source, like RP's Phase-I stall, is not a stalled
-//!    network). This is the release-mode, non-panicking form of the
-//!    step watchdog.
+//!    change at a NIC's injection frontier (a new head packet or
+//!    serialization progress counts as movement — a mechanism legitimately
+//!    holding traffic at the source, like RP's Phase-I stall, is not a
+//!    stalled network; packets enqueued behind a stuck head are not
+//!    movement). This is the release-mode, non-panicking form of the step
+//!    watchdog.
 //!
 //! The auditor is read-only: attaching it never changes simulation
 //! results, so differential (two-kernel) runs stay bit-identical with
@@ -342,9 +343,11 @@ impl Auditor {
 
     /// Digest of the escape sub-network's occupancy: per escape VC, the
     /// buffer length and front flit identity, plus per-channel in-flight
-    /// escape counts, plus per-NIC source-queue occupancy (queue length,
-    /// head packet identity/age, serialization progress). Any change means
-    /// the deadlock-recovery lane — or the injection frontier — moved.
+    /// escape counts, plus per-NIC injection frontier (head packet
+    /// identity/age, serialization progress). Any change means the
+    /// deadlock-recovery lane — or the injection frontier — moved. Queue
+    /// length is deliberately left out: an open-loop workload keeps
+    /// enqueueing behind a stuck head, which is not movement.
     /// With no escape VCs configured (PowerPunch), every VC participates,
     /// so the digest degrades to "any buffered flit moved".
     ///
@@ -354,7 +357,8 @@ impl Auditor {
     /// whose fabric never carried a flit has `last_progress == 0` — the
     /// stall clock would then measure from cycle 0 and report a
     /// no-progress violation seconds after the first packet was enqueued.
-    /// Counting enqueues/serialization advances as movement bounds the
+    /// Counting a new head (the first enqueue into an empty queue, or a
+    /// departure) and serialization advances as movement bounds the
     /// no-progress clock to *actual* frozen-network time.
     fn escape_occupancy_digest(core: &NetworkCore) -> u64 {
         let mut h: u64 = 0xcbf29ce484222325;
@@ -404,7 +408,6 @@ impl Auditor {
                 }
                 mix(0x4e49_4351 ^ i as u64); // "NICQ" domain tag
                 mix(vn as u64);
-                mix(q.len() as u64);
                 if let Some(p) = q.front() {
                     mix(p.id);
                     mix(p.birth);
@@ -516,7 +519,7 @@ impl Auditor {
                     core.cycle,
                     AuditKind::NoProgress,
                     format!(
-                        "no delivery-path progress and no escape-VC or NIC-queue movement for {} \
+                        "no delivery-path progress and no escape-VC or NIC-head movement for {} \
                          cycles with {} packet(s) in flight ({} flits resident); stuck at [{}]; \
                          power states: {:?}",
                         core.cycle - progressed,
