@@ -89,7 +89,8 @@ pub struct RunSpec {
     /// state starts fresh). Only legal "loosening" switches are accepted
     /// — Baseline→{rFLOV,gFLOV} and rFLOV→gFLOV — since a stricter
     /// protocol's invariants do not hold over a looser one's fabric.
-    /// Synthetic workloads only. Empty = never switch.
+    /// Open-loop workloads only, and only before `cycles`. Empty = never
+    /// switch.
     pub mech_switches: Vec<(Cycle, String)>,
 }
 
@@ -155,13 +156,22 @@ impl RunSpec {
         }
         let resolved = self.resolved();
         resolved.cfg.validate()?;
-        if !self.mech_switches.is_empty() && matches!(self.workload, WorkloadSpec::Parsec { .. }) {
-            return Err(ConfigError::SwitchOnParsec);
-        }
+        // Switches are checked before a trace file is loaded.
+        let closed_loop = match &self.workload {
+            WorkloadSpec::Parsec { .. } => Some("PARSEC run"),
+            WorkloadSpec::Trace { closed_loop: true, .. } => Some("trace replay"),
+            _ => None,
+        };
         let (mut from, mut after) = (self.mechanism.as_str(), 0);
         for (at, to) in &self.mech_switches {
+            if let Some(workload) = closed_loop {
+                return Err(ConfigError::SwitchOnClosedLoop { at: *at, workload });
+            }
             if *at < after {
                 return Err(ConfigError::UnorderedSwitches { at: *at, after });
+            }
+            if *at >= self.cycles {
+                return Err(ConfigError::SwitchAfterEnd { at: *at, end: self.cycles });
             }
             if !loosens(from, to) {
                 return Err(ConfigError::IllegalSwitch {

@@ -73,9 +73,13 @@ pub enum ConfigError {
     /// square router grid with one core per router; other fabrics have no
     /// placement.
     ParsecNeedsSquareGrid { topology: String },
-    /// Mechanism switches on a closed-loop PARSEC run, which runs to
-    /// completion rather than through the switched cycle window.
-    SwitchOnParsec,
+    /// A mechanism switch on a closed-loop run (PARSEC, or a trace replay
+    /// of one), which runs to completion rather than through the switched
+    /// cycle window.
+    SwitchOnClosedLoop { at: Cycle, workload: &'static str },
+    /// A mechanism switch at or after the end of the measured window: the
+    /// run stops there and the drain applies no switches.
+    SwitchAfterEnd { at: Cycle, end: Cycle },
     /// A mid-run mechanism switch that does not loosen the protocol (only
     /// Baseline to rFLOV or gFLOV, and rFLOV to gFLOV, are legal), or
     /// names no mechanism.
@@ -151,9 +155,16 @@ impl fmt::Display for ConfigError {
                 "the PARSEC proxy needs a square router grid with one core per router \
                  (its memory controllers sit at the corners); {topology} is not one"
             ),
-            ConfigError::SwitchOnParsec => {
-                write!(f, "mechanism switches do not apply to closed-loop PARSEC runs")
-            }
+            ConfigError::SwitchOnClosedLoop { at, workload } => write!(
+                f,
+                "mechanism switch at cycle {at} does not apply to a closed-loop {workload}, \
+                 which runs to completion rather than through the switched cycle window"
+            ),
+            ConfigError::SwitchAfterEnd { at, end } => write!(
+                f,
+                "mechanism switch at cycle {at} would never apply: the measured window ends \
+                 at cycle {end}"
+            ),
             ConfigError::IllegalSwitch { from, to, at } => write!(
                 f,
                 "illegal mechanism switch {from} -> {to:?} at cycle {at} (only Baseline -> \
