@@ -52,17 +52,22 @@ pub fn ablate_escape_timeout(engine: &Engine, cycles: u64) -> Table {
 
 /// Idle-detection threshold: how long a router waits for local silence
 /// before draining. Lower = more sleep residency but more gating churn.
-pub fn ablate_idle_threshold(_engine: &Engine, cycles: u64) -> Table {
+pub fn ablate_idle_threshold(engine: &Engine, cycles: u64) -> Table {
     let mut t = Table::new(
         "ablation: idle-detect threshold before draining (gFLOV)",
         &["threshold [cy]", "avg lat", "gating events", "static [mW]", "total [mW]"],
     );
-    for thr in [4u32, 16, 64, 256] {
-        let mut spec = base_spec(cycles);
-        spec.cfg.idle_threshold = thr;
-        spec.warmup = 0; // count the gating churn
-        let mech = Box::new(Flov::generalized(&spec.cfg));
-        let r = run_with(&spec, mech);
+    let thresholds = [4u32, 16, 64, 256];
+    let specs: Vec<RunSpec> = thresholds
+        .iter()
+        .map(|&thr| {
+            let mut spec = base_spec(cycles);
+            spec.cfg.idle_threshold = thr;
+            spec.warmup = 0; // count the gating churn
+            spec
+        })
+        .collect();
+    for (thr, r) in thresholds.iter().zip(engine.run_batch(&specs)) {
         t.row(vec![
             thr.to_string(),
             f2(r.avg_latency),
@@ -212,6 +217,14 @@ mod tests {
     fn escape_timeout_ablation_has_rows() {
         let t = ablate_escape_timeout(&Engine::without_cache(), 6_000);
         assert_eq!(t.rows.len(), 4);
+    }
+
+    #[test]
+    fn idle_threshold_ablation_runs_through_the_engine() {
+        let engine = Engine::without_cache();
+        let t = ablate_idle_threshold(&engine, 6_000);
+        assert_eq!(t.rows.len(), 4);
+        assert_eq!(engine.stats().simulated, 4);
     }
 
     #[test]
