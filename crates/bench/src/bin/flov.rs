@@ -11,7 +11,7 @@
 //! Usage: `cargo run --release -p flov-bench --bin flov -- <subcommand>`
 //!
 //! Global flags (valid after any subcommand):
-//!   --quick        reduced-scale sweep (benches/smoke)
+//!   --quick        reduced-scale sweep (smoke runs)
 //!   --cache-dir D  cache location (default $FLOV_CACHE_DIR or results/cache)
 //!   --no-cache     always simulate; touch no files
 //!   --quiet        suppress stderr progress + engine summary

@@ -141,7 +141,7 @@ impl Engine {
     }
 
     /// Engine that always simulates and never touches the filesystem;
-    /// silent. Used by tests, benches, and `--no-cache`.
+    /// silent. Used by tests, [`crate::run_all`] and `--no-cache`.
     pub fn without_cache() -> Engine {
         Engine {
             cache: None,
