@@ -12,14 +12,13 @@
 //! mechanism / exchange-replay), also divided by the row's flit-hops, so
 //! serial-fraction regressions show up in the perf trajectory in the unit
 //! perfbench reports. The report is written to `BENCH_kernel.json`.
+//!
+//! Every lane is a [`RunSpec`] built into its simulation by
+//! [`crate::try_simulation`], as every `flov` run is.
 
-use crate::KernelMode;
-use flov_core::mechanism;
+use crate::{KernelMode, RunSpec, RunSpecBuilder};
 use flov_noc::network::{PhaseNanos, Simulation};
-use flov_noc::{NocConfig, TopologySpec};
-use flov_workloads::{
-    Dwell, GatingSchedule, ModulatedWorkload, Pattern, PatternSpace, SyntheticWorkload,
-};
+use flov_noc::TopologySpec;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -171,52 +170,29 @@ pub struct BenchReport {
     pub parallel: Vec<ParallelRow>,
 }
 
-fn make_sim(
+/// The run a lane times: uniform random traffic at seed 42 on the Table I
+/// mesh, or on `topology` when the lane sets one, `warmup + cycles` cycles
+/// long. The spec's warmup only has to leave a measurement window:
+/// [`measure_sim`] runs the warmup itself.
+fn lane_spec(
     topology: Option<TopologySpec>,
     mech_name: &str,
     rate: f64,
     gated_fraction: f64,
-    total_cycles: u64,
-) -> Simulation {
-    // Table I defaults (8x8) unless a lane overrides the topology.
-    let mut cfg = NocConfig { topology, ..NocConfig::default() };
-    if mech_name == "NoRD" {
-        cfg.enable_ring = true;
+    warmup: u64,
+    cycles: u64,
+) -> RunSpecBuilder {
+    let spec = RunSpec::builder()
+        .mechanism(mech_name)
+        .rate(rate)
+        .gated_fraction(gated_fraction)
+        .seed(42)
+        .warmup(warmup)
+        .cycles(warmup + cycles);
+    match topology {
+        Some(t) => spec.topology(t),
+        None => spec,
     }
-    let space = PatternSpace { kx: cfg.kx(), ky: cfg.ky(), c: cfg.concentration() };
-    let gating = GatingSchedule::static_fraction(cfg.cores(), gated_fraction, 42, &[]);
-    let workload = SyntheticWorkload::with_space(
-        space,
-        Pattern::UniformRandom,
-        rate,
-        cfg.synth_packet_len,
-        total_cycles,
-        gating,
-        42 ^ 0xABCD,
-    );
-    let mech = mechanism::by_name(mech_name, &cfg)
-        .unwrap_or_else(|| panic!("unknown mechanism {mech_name:?}"));
-    Simulation::new(cfg, mech, Box::new(workload))
-}
-
-/// An 8×8 mesh under the bursty MMPP schedule ([`BURSTY_RATES`]).
-fn make_bursty_sim(mech_name: &str, total_cycles: u64) -> Simulation {
-    let cfg = NocConfig::default();
-    let space = PatternSpace { kx: cfg.kx(), ky: cfg.ky(), c: cfg.concentration() };
-    let gating = GatingSchedule::static_fraction(cfg.cores(), 0.5, 42, &[]);
-    let workload = ModulatedWorkload::new(
-        space,
-        Pattern::UniformRandom,
-        BURSTY_RATES.to_vec(),
-        Dwell::Geometric { mean: BURSTY_MEAN_DWELL },
-        cfg.synth_packet_len,
-        total_cycles,
-        gating,
-        42 ^ 0xABCD,
-    );
-    let mech = mechanism::by_name(mech_name, &cfg)
-        .unwrap_or_else(|| panic!("unknown mechanism {mech_name:?}"));
-    Simulation::new(cfg, mech, Box::new(workload))
 }
 
 /// Time `cycles` simulated cycles after `warmup`; returns the row plus a
@@ -231,7 +207,8 @@ fn measure_one(
     cycles: u64,
 ) -> (BenchRow, String) {
     let (load, rate, gated_fraction) = load;
-    let sim = make_sim(topology, mech_name, rate, gated_fraction, warmup + cycles);
+    let spec = lane_spec(topology, mech_name, rate, gated_fraction, warmup, cycles).build();
+    let sim = crate::try_simulation(&spec).expect("bench-kernel lanes are valid specs");
     measure_sim(lane, mech_name, load, kernel, warmup, cycles, sim)
 }
 
@@ -354,8 +331,12 @@ pub fn run_bench(
     // phase-switch horizon bounds each jump but must not kill skipping.
     for mech in BURSTY_MECHANISMS {
         let cycles = base;
+        // The MMPP schedule replaces the uniform rate.
+        let spec = lane_spec(None, mech, 0.0, 0.5, warmup, cycles)
+            .mmpp(BURSTY_RATES.to_vec(), BURSTY_MEAN_DWELL)
+            .build();
         let bursty = |kernel| {
-            let sim = make_bursty_sim(mech, warmup + cycles);
+            let sim = crate::try_simulation(&spec).expect("bench-kernel lanes are valid specs");
             measure_sim("mesh8x8", mech, "bursty", kernel, warmup, cycles, sim)
         };
         let (act, act_digest) = bursty(KernelMode::ActiveSet);
