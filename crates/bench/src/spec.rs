@@ -149,7 +149,8 @@ impl RunSpec {
     /// structural checks, the mechanism switches, plus workload-level
     /// sanity — notably rejecting over-saturated injection rates, which
     /// `SyntheticWorkload` would otherwise silently clamp to one packet
-    /// per node-cycle (a different experiment than requested).
+    /// per node-cycle (a different experiment than requested) — and last
+    /// a non-empty measurement window (`warmup < cycles`).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !flov_core::mechanism::NAMES.contains(&self.mechanism.as_str()) {
             return Err(ConfigError::UnknownMechanism { name: self.mechanism.clone() });
@@ -245,7 +246,11 @@ impl RunSpec {
                 }
                 Ok(())
             }
+        }?;
+        if self.warmup >= self.cycles {
+            return Err(ConfigError::EmptyWindow { warmup: self.warmup, cycles: self.cycles });
         }
+        Ok(())
     }
 }
 
@@ -625,6 +630,16 @@ mod tests {
         ] {
             assert!(matches!(s.validate(), Err(ConfigError::InvalidGatedFraction { .. })));
         }
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_window_last() {
+        let s = RunSpec::builder().warmup(1_000).cycles(1_000).build();
+        assert_eq!(s.validate(), Err(ConfigError::EmptyWindow { warmup: 1_000, cycles: 1_000 }));
+        assert_eq!(RunSpec::builder().warmup(999).cycles(1_000).build().validate(), Ok(()));
+        // Every other diagnostic keeps precedence.
+        let s = RunSpec::builder().rate(5.0).warmup(3_000).cycles(1_000).build();
+        assert!(matches!(s.validate(), Err(ConfigError::OversaturatedRate { .. })));
     }
 
     #[test]

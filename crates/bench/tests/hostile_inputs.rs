@@ -1,9 +1,9 @@
 //! Bad `FLOV_*` environment values, out-of-range gated fractions and
 //! hostile spec files are rejected up front: `flov` exits 2 with a message
-//! naming the variable or the value, like a bad flag, instead of panicking
-//! or silently running a clamped experiment. A run whose invariant auditor
-//! finds a violation makes `flov` exit 1 instead of printing a silent
-//! wrong answer.
+//! naming the variable or the value, like a bad flag, instead of panicking,
+//! silently running a clamped experiment or measuring an empty window. A
+//! run whose invariant auditor finds a violation makes `flov` exit 1
+//! instead of printing a silent wrong answer.
 
 use flov_bench::{RunSpec, WorkloadSpec};
 use flov_noc::types::Cycle;
@@ -23,9 +23,10 @@ fn flov(args: &[&str], env: &[(&str, &str)]) -> Output {
     cmd.envs(env.iter().copied()).current_dir(std::env::temp_dir()).output().expect("run flov")
 }
 
-/// `flov sim` on a tiny mesh.
+/// `flov sim` on a tiny mesh, measuring from cycle 0.
 fn sim(env: &[(&str, &str)], extra: &[&str]) -> Output {
-    flov(&[&["sim", "--k", "4", "--cycles", "100", "--no-cache"], extra].concat(), env)
+    let args = ["sim", "--k", "4", "--warmup", "0", "--cycles", "100", "--no-cache"];
+    flov(&[&args[..], extra].concat(), env)
 }
 
 /// `flov sweep --spec` on `spec`, written to a temp file.
@@ -131,6 +132,7 @@ fn hostile_specs_exit_2_naming_the_value() {
             }),
             "switch at cycle 500 does not apply to a closed-loop trace replay",
         ),
+        (with(|s| s.warmup = 1_000), "warmup 1000 leaves no measurement window"),
     ];
     for (tag, (spec, named)) in rows.iter().enumerate() {
         let out = sweep(spec, tag);

@@ -87,6 +87,9 @@ pub enum ConfigError {
     /// A mechanism switch listed after one at a later cycle: the run would
     /// skip it.
     UnorderedSwitches { at: Cycle, after: Cycle },
+    /// A warmup that reaches the end of the run: no cycle is left to
+    /// measure, so every number would read zero.
+    EmptyWindow { warmup: Cycle, cycles: Cycle },
 }
 
 impl fmt::Display for ConfigError {
@@ -174,6 +177,11 @@ impl fmt::Display for ConfigError {
                 f,
                 "mechanism switch at cycle {at} is listed after one at cycle {after}; \
                  switches must be in ascending cycle order"
+            ),
+            ConfigError::EmptyWindow { warmup, cycles } => write!(
+                f,
+                "warmup {warmup} leaves no measurement window: the run ends at cycle \
+                 {cycles}, so the warmup must be shorter than the run"
             ),
         }
     }
