@@ -193,7 +193,7 @@ pub fn try_run_kernel_audited(
     kernel: KernelMode,
 ) -> Result<AuditedRun, ConfigError> {
     let (spec, mech) = resolve_mechanism(spec)?;
-    Ok(run_with_kernel_audited(&spec, mech, kernel))
+    Ok(run_audited_inner(&spec, mech, kernel, None))
 }
 
 /// Validate `spec` and build the simulation it describes — its mechanism
@@ -233,29 +233,11 @@ pub fn record_trace(
 
 /// Execute one simulation with an explicitly constructed mechanism (used by
 /// the ablation studies, which tweak mechanism-internal parameters).
+/// Auditor violations (if auditing is enabled) are reported through
+/// [`report_violations`].
 pub fn run_with(spec: &RunSpec, mech: Box<dyn flov_noc::PowerMechanism>) -> RunResult {
-    run_with_kernel(spec, mech, kernel_from_env().unwrap_or_else(|e| panic!("{e}")))
-}
-
-/// [`run_with`] with an explicit kernel mode. Auditor violations (if
-/// auditing is enabled) are reported through [`report_violations`]; use
-/// [`run_with_kernel_audited`] to consume them programmatically.
-pub fn run_with_kernel(
-    spec: &RunSpec,
-    mech: Box<dyn flov_noc::PowerMechanism>,
-    kernel: KernelMode,
-) -> RunResult {
-    report_violations(&spec.mechanism, run_with_kernel_audited(spec, mech, kernel))
-}
-
-/// [`run_with_kernel`], returning the auditor's findings alongside the
-/// result.
-pub fn run_with_kernel_audited(
-    spec: &RunSpec,
-    mech: Box<dyn flov_noc::PowerMechanism>,
-    kernel: KernelMode,
-) -> AuditedRun {
-    run_audited_inner(spec, mech, kernel, None)
+    let kernel = kernel_from_env().unwrap_or_else(|e| panic!("{e}"));
+    report_violations(&spec.mechanism, run_audited_inner(spec, mech, kernel, None))
 }
 
 /// Construct the workload a spec describes (the single source of truth for
