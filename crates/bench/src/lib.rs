@@ -58,22 +58,30 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// grid. All kernels produce bit-identical results (enforced by the
 /// equivalence suite), so this is a debugging/benchmarking switch, not an
 /// experiment parameter — it never enters the result cache key. A bad
-/// value is an `Err` naming the variable.
+/// value, or `FLOV_TILES` under a sequential kernel, is an `Err` naming
+/// the variable.
 pub fn kernel_from_env() -> Result<KernelMode, String> {
-    match std::env::var("FLOV_KERNEL").ok().as_deref() {
-        None | Some("") | Some("active") | Some("active-set") => Ok(KernelMode::ActiveSet),
-        Some("reference") | Some("ref") => Ok(KernelMode::Reference),
+    let grid = tiles_from_env()?;
+    let mode = match std::env::var("FLOV_KERNEL").ok().as_deref() {
+        None | Some("") | Some("active") | Some("active-set") => KernelMode::ActiveSet,
+        Some("reference") | Some("ref") => KernelMode::Reference,
         Some("parallel") | Some("par") => {
-            if let Some((r, c)) = tiles_from_env()? {
-                let tiles = r as usize * c as usize;
-                return Ok(KernelMode::Parallel { tiles, grid: Some((r, c)) });
-            }
-            Ok(KernelMode::Parallel { tiles: threads_from_env()?.unwrap_or(4), grid: None })
+            let tiles = match grid {
+                Some((r, c)) => r as usize * c as usize,
+                None => threads_from_env()?.unwrap_or(4),
+            };
+            KernelMode::Parallel { tiles, grid }
         }
         Some(other) => {
-            Err(format!("unknown FLOV_KERNEL value {other:?} (use active|reference|parallel)"))
+            return Err(format!(
+                "unknown FLOV_KERNEL value {other:?} (use active|reference|parallel)"
+            ))
         }
+    };
+    if grid.is_some() && !matches!(mode, KernelMode::Parallel { .. }) {
+        return Err("FLOV_TILES needs FLOV_KERNEL=parallel".to_string());
     }
+    Ok(mode)
 }
 
 /// The `FLOV_THREADS` core budget: `Ok(None)` when unset or empty, else a
