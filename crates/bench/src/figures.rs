@@ -51,15 +51,6 @@ impl SynthScale {
             seed: 0xF10F,
         }
     }
-
-    /// Pick scale from CLI args (`--quick` anywhere selects the miniature).
-    pub fn from_args() -> SynthScale {
-        if std::env::args().any(|a| a == "--quick") {
-            SynthScale::quick()
-        } else {
-            SynthScale::paper()
-        }
-    }
 }
 
 fn synth_spec(
