@@ -58,8 +58,9 @@ pub mod mechanism {
         ["Baseline", "RP", "RP-aggressive", "rFLOV", "gFLOV", "NoRD", "PowerPunch"];
 
     /// Build a mechanism by its paper name. `RP` is the adaptive variant
-    /// used in the latency/power sweeps; use [`rp_aggressive`] for the
-    /// workload-independent static-power comparison (paper Fig. 9).
+    /// used in the latency/power sweeps; `RP-aggressive` is the
+    /// workload-independent one of the static-power comparison (paper
+    /// Fig. 9).
     pub fn by_name(name: &str, cfg: &NocConfig) -> Option<Box<dyn PowerMechanism>> {
         Some(match name {
             "Baseline" => Box::new(AlwaysOnYx),
@@ -78,10 +79,5 @@ pub mod mechanism {
             "PowerPunch" if cfg.escape_vcs == 0 => Box::new(PowerPunch::new(cfg)),
             _ => return None,
         })
-    }
-
-    /// Aggressive Router Parking (Fig. 9 configuration).
-    pub fn rp_aggressive(cfg: &NocConfig) -> Box<dyn PowerMechanism> {
-        Box::new(RouterParking::aggressive(cfg))
     }
 }

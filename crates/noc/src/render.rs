@@ -1,6 +1,6 @@
-//! Diagnostics rendering: ASCII views of the mesh power states, buffer
-//! occupancy, and link-utilization hotspots. Used by examples, tests and
-//! interactive debugging — not by the hot loop.
+//! Diagnostics rendering: ASCII views of the mesh power states and
+//! link-utilization hotspots. Used by examples, tests and interactive
+//! debugging — not by the hot loop.
 
 use crate::network::NetworkCore;
 use crate::types::{Coord, Dir, NodeId, PowerState};
@@ -36,27 +36,6 @@ pub fn power_map(core: &NetworkCore) -> String {
                 g = 'a'; // powered router, all attached cores gated
             }
             let _ = write!(out, " {g}");
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Render buffered-flit counts per router (single hex-ish digit, capped).
-pub fn occupancy_map(core: &NetworkCore) -> String {
-    let (kx, ky) = (core.k(), core.ky());
-    let mut out = String::new();
-    for y in (0..ky).rev() {
-        let _ = write!(out, "y={y:<2} ");
-        for x in 0..kx {
-            let n = Coord::new(x, y).id(kx);
-            let occ = core.routers[n as usize].buffered_flits();
-            let c = match occ {
-                0 => '.',
-                1..=9 => char::from_digit(occ, 10).unwrap(),
-                _ => '+',
-            };
-            let _ = write!(out, " {c}");
         }
         out.push('\n');
     }
@@ -150,16 +129,6 @@ mod tests {
         let map = power_map(&sim.core);
         assert_eq!(map.matches('d').count(), 1);
         assert_eq!(map.matches('a').count(), 1);
-    }
-
-    #[test]
-    fn occupancy_map_is_empty_after_drain() {
-        let sim = sim_after_traffic();
-        let map = occupancy_map(&sim.core);
-        // Every cell renders '.', i.e. zero buffered flits (the row labels
-        // are the only digits).
-        assert_eq!(map.matches('.').count(), 16);
-        assert!(!map.contains('+'));
     }
 
     #[test]

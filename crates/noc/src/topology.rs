@@ -120,12 +120,6 @@ impl TopologySpec {
         Coord::of(node, self.kx())
     }
 
-    /// Node id of `coord`.
-    #[inline]
-    pub fn id_of(&self, coord: Coord) -> NodeId {
-        coord.id(self.kx())
-    }
-
     /// Physical (link-level, wrap-aware) neighbor through port `p`: the
     /// peer node and the peer's port this link enters. Links are
     /// reciprocal (`neighbor(m, q) == Some((n, p))` whenever
