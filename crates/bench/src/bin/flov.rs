@@ -11,13 +11,14 @@
 //! Usage: `cargo run --release -p flov-bench --bin flov -- <subcommand>`
 //!
 //! Global flags (valid anywhere after the subcommand):
-//!   --quick        reduced-scale sweep (smoke runs)
 //!   --cache-dir D  cache location (default $FLOV_CACHE_DIR or results/cache)
 //!   --no-cache     always simulate; touch no files
 //!   --quiet        suppress stderr progress + engine summary
 //!
-//! Any other flag the subcommand does not read, a flag without its value
-//! or a stray word exits 2 naming it, before anything runs.
+//! The figure and study subcommands, `parsec`, `bench-kernel` and
+//! `bench-engine` also read `--quick` (a reduced-scale sweep for smoke
+//! runs). Any other flag the subcommand does not read, a flag without its
+//! value or a stray word exits 2 naming it, before anything runs.
 
 use flov_bench::engine::Engine;
 use flov_bench::figures::{
@@ -99,14 +100,16 @@ tools:
               rewrites JSON entries older builds wrote as sharded binary,
               hash-preserving; gc evicts oldest-first by last use)
 
-global flags: [--quick] [--cache-dir DIR] [--no-cache] [--quiet]
+global flags: [--cache-dir DIR] [--no-cache] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
               plain per-5% progress lines instead of redraws)
+reduced scale: [--quick] on fig6..fig10, ablations, nord, related,
+              scaling, parsec, bench-kernel and bench-engine
 any other flag a subcommand does not read exits 2, as does a stray word
 ";
 
 /// The flags every subcommand reads.
-const GLOBAL_FLAGS: &str = "--quick --quiet --no-cache --cache-dir=";
+const GLOBAL_FLAGS: &str = "--quiet --no-cache --cache-dir=";
 
 /// The workload and run-shape flags `sim` and `trace record` share.
 macro_rules! run_flags {
@@ -120,25 +123,25 @@ macro_rules! run_flags {
 /// subcommand or `trace`/`cache` verb. A trailing `=` marks a flag that
 /// takes a value.
 const FLAGS: [(&str, &str); 25] = [
-    ("fig6", ""),
-    ("fig7", ""),
-    ("fig8ab", ""),
-    ("fig8cd", ""),
-    ("fig9", ""),
-    ("fig10", ""),
+    ("fig6", "--quick"),
+    ("fig7", "--quick"),
+    ("fig8ab", "--quick"),
+    ("fig8cd", "--quick"),
+    ("fig9", "--quick"),
+    ("fig10", "--quick"),
     ("table1", ""),
     ("overhead", ""),
-    ("ablations", ""),
-    ("nord", ""),
-    ("related", ""),
-    ("scaling", ""),
-    ("parsec", "--bench= --mech= --seed="),
+    ("ablations", "--quick"),
+    ("nord", "--quick"),
+    ("related", "--quick"),
+    ("scaling", "--quick"),
+    ("parsec", "--quick --bench= --mech= --seed="),
     ("sim", concat!(run_flags!(), " --map")),
     ("trace record", concat!(run_flags!(), " --out=")),
     ("trace replay", "--in= --json --closed-loop"),
     ("sweep", "--spec="),
-    ("bench-kernel", "--min-cps= --min-skip= --min-parallel-speedup= --out="),
-    ("bench-engine", "--runs= --min-warm-probe-rate= --out="),
+    ("bench-kernel", "--quick --min-cps= --min-skip= --min-parallel-speedup= --out="),
+    ("bench-engine", "--quick --runs= --min-warm-probe-rate= --out="),
     ("fuzz", "--runs= --max-cycles= --seed= --out= --replay="),
     ("cache stats", ""),
     ("cache clear", ""),
@@ -819,6 +822,5 @@ fn sim(engine: &Engine, a: &Args) {
         println!("link utilization: max {max}, mean {mean:.1}, gini {gini:.3}");
         println!("east-link heatmap (0-9 relative):");
         print!("{}", render::eastlink_heatmap(&sim.core));
-        sim.drain(100_000);
     }
 }

@@ -77,6 +77,8 @@ fn unknown_and_unread_flags_exit_2_naming_them() {
         (sim(&[], &["--dwell", "10"]), "--dwell"),
         (sim(&[], &["--mmpp", "0.1,0.2", "--rate", "0.2"]), "--rate"),
         (flov(&["bench-kernel", "--quick", "--min-cp", "5000"], &[]), "--min-cp"),
+        (sim(&[], &["--quick"]), "--quick"),
+        (flov(&["table1", "--quick"], &[]), "--quick"),
     ] {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
@@ -168,6 +170,8 @@ fn hostile_specs_exit_2_naming_the_value() {
             "switch at cycle 500 does not apply to a closed-loop trace replay",
         ),
         (with(|s| s.warmup = 1_000), "warmup 1000 leaves no measurement window"),
+        (with(|s| s.cfg.buf_depth = 65_536), "buffer depth 65536 "),
+        (with(|s| s.cfg.buf_depth = 65_542), "buffer depth 65542 "),
     ];
     for (tag, (spec, named)) in rows.iter().enumerate() {
         let out = sweep(spec, tag);

@@ -11,6 +11,10 @@ use std::fmt;
 /// `0..cores as NodeId`.
 pub const MAX_NODES: usize = NodeId::MAX as usize;
 
+/// Deepest input VC buffer: each VC is a ring with 8-bit indices over
+/// its slots of the router's flit plane.
+pub const MAX_BUF_DEPTH: usize = u8::MAX as usize;
+
 /// A structured configuration rejection from [`NocConfig::validate`].
 ///
 /// The CLI surfaces these as diagnostics instead of panics; library users
@@ -32,8 +36,8 @@ pub enum ConfigError {
     /// More routers or cores than 16-bit node ids can name (see
     /// [`MAX_NODES`]).
     TooManyNodes { routers: usize, cores: usize },
-    /// Zero-depth input buffers.
-    ZeroBufDepth,
+    /// Input buffer depth outside `1..=`[`MAX_BUF_DEPTH`] flits.
+    BufDepthOutOfRange { depth: usize },
     /// Zero-stage router pipeline.
     ZeroPipelineStages,
     /// Zero-cycle links.
@@ -114,7 +118,9 @@ impl fmt::Display for ConfigError {
                 "16-bit node ids allow at most {MAX_NODES} routers and {MAX_NODES} cores \
                  (got {routers} routers, {cores} cores)"
             ),
-            ConfigError::ZeroBufDepth => write!(f, "buffers must hold at least one flit"),
+            ConfigError::BufDepthOutOfRange { depth } => {
+                write!(f, "buffer depth {depth} is outside 1..={MAX_BUF_DEPTH} flits")
+            }
             ConfigError::ZeroPipelineStages => write!(f, "router needs at least one stage"),
             ConfigError::ZeroLinkLatency => write!(f, "links take at least one cycle"),
             ConfigError::ZeroPacketLen => write!(f, "packets have at least one flit"),
@@ -435,8 +441,8 @@ impl NocConfig {
         if self.total_vcs() > 64 {
             return Err(ConfigError::TooManyVcs { total: self.total_vcs() });
         }
-        if self.buf_depth < 1 {
-            return Err(ConfigError::ZeroBufDepth);
+        if !(1..=MAX_BUF_DEPTH).contains(&self.buf_depth) {
+            return Err(ConfigError::BufDepthOutOfRange { depth: self.buf_depth });
         }
         if self.pipeline_stages < 1 {
             return Err(ConfigError::ZeroPipelineStages);
@@ -588,6 +594,18 @@ mod tests {
     fn validate_bounds_vc_bitmasks() {
         let c = NocConfig { vnets: 13, regular_vcs: 4, escape_vcs: 1, ..NocConfig::default() };
         assert_eq!(c.validate(), Err(ConfigError::TooManyVcs { total: 65 }));
+    }
+
+    #[test]
+    fn validate_bounds_buffer_depth() {
+        let at = |buf_depth| NocConfig { buf_depth, ..NocConfig::default() }.validate();
+        for depth in [0, 256, 65_536, 65_542] {
+            assert_eq!(at(depth), Err(ConfigError::BufDepthOutOfRange { depth }));
+        }
+        // Table I's 6, the ablation's 2..=8 and the limit itself are legal.
+        for depth in [1, 2, 6, 8, MAX_BUF_DEPTH] {
+            assert_eq!(at(depth), Ok(()));
+        }
     }
 
     #[test]
