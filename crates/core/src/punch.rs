@@ -151,7 +151,7 @@ impl PowerMechanism for PowerPunch {
                 if invc.alloc.is_some() {
                     continue;
                 }
-                let Some(f) = invc.buf.front() else { continue };
+                let Some(f) = r.front(s) else { continue };
                 let waited = now.saturating_sub(invc.head_since);
                 if waited >= repunch_after && waited.is_multiple_of(repunch_after) {
                     to_repunch.push((n as NodeId, f.dst));

@@ -1,85 +1,5 @@
-//! Input VC buffers and credit counters.
-
-use crate::flit::Flit;
-use std::collections::VecDeque;
-
-/// A fixed-capacity FIFO of flits backing one virtual channel.
-///
-/// Capacity is enforced: pushing into a full buffer is a simulator bug (the
-/// credit protocol must prevent it) and panics in debug and release alike,
-/// because silent overflow would invalidate every result downstream.
-#[derive(Clone, Debug)]
-pub struct VcBuffer {
-    slots: VecDeque<Flit>,
-    cap: usize,
-}
-
-impl VcBuffer {
-    pub fn new(cap: usize) -> VcBuffer {
-        assert!(cap >= 1);
-        VcBuffer { slots: VecDeque::with_capacity(cap), cap }
-    }
-
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.slots.len() == self.cap
-    }
-
-    #[inline]
-    pub fn free(&self) -> usize {
-        self.cap - self.slots.len()
-    }
-
-    /// Append a flit. Panics on overflow: credits must have prevented this.
-    #[inline]
-    pub fn push(&mut self, f: Flit) {
-        assert!(
-            self.slots.len() < self.cap,
-            "VC buffer overflow: credit protocol violated (packet {}, flit {})",
-            f.packet,
-            f.flit_idx
-        );
-        self.slots.push_back(f);
-    }
-
-    /// Front flit, if any.
-    #[inline]
-    pub fn front(&self) -> Option<&Flit> {
-        self.slots.front()
-    }
-
-    /// Mutable front flit, if any.
-    #[inline]
-    pub fn front_mut(&mut self) -> Option<&mut Flit> {
-        self.slots.front_mut()
-    }
-
-    /// Remove and return the front flit.
-    #[inline]
-    pub fn pop(&mut self) -> Option<Flit> {
-        self.slots.pop_front()
-    }
-
-    /// Iterate over buffered flits front-to-back.
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        self.slots.iter()
-    }
-}
+//! Credit counters. The input VC buffers they count are rings over the
+//! router's flit plane (`crate::router::Router`).
 
 /// Credit counter an upstream router keeps for one downstream VC.
 ///
@@ -144,60 +64,6 @@ impl CreditCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::FlitKind;
-    use crate::types::Cycle;
-
-    fn flit(i: u16) -> Flit {
-        Flit {
-            packet: 1,
-            kind: FlitKind::of(i, 8),
-            src: 0,
-            dst: 1,
-            vnet: 0,
-            vc: 0,
-            escape: false,
-            flit_idx: i,
-            pkt_len: 8,
-            birth: 0 as Cycle,
-            inject: 0,
-            hops_router: 0,
-            hops_flov: 0,
-            hops_link: 0,
-            payload: Flit::expected_payload(1, i),
-        }
-    }
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut b = VcBuffer::new(6);
-        for i in 0..6 {
-            b.push(flit(i));
-        }
-        assert!(b.is_full());
-        for i in 0..6 {
-            assert_eq!(b.pop().unwrap().flit_idx, i);
-        }
-        assert!(b.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "overflow")]
-    fn overflow_panics() {
-        let mut b = VcBuffer::new(2);
-        b.push(flit(0));
-        b.push(flit(1));
-        b.push(flit(2));
-    }
-
-    #[test]
-    fn free_tracks_occupancy() {
-        let mut b = VcBuffer::new(4);
-        assert_eq!(b.free(), 4);
-        b.push(flit(0));
-        assert_eq!(b.free(), 3);
-        b.pop();
-        assert_eq!(b.free(), 4);
-    }
 
     #[test]
     fn credit_lifecycle() {

@@ -32,7 +32,8 @@
 //!    [`PowerMechanism::audit_state`] (rFLOV adjacency, gFLOV handshake
 //!    pairs, RP's two-state discipline, ...), plus every powered router's
 //!    occupancy and allocation mirrors (`port_occupancy`, `vc_busy`,
-//!    `alloc_mask`, `out_owned`) against its per-VC state.
+//!    `alloc_mask`, `sa_ready`, `out_owned`) and the route inputs each VC
+//!    caches from its front head flit, against its per-VC state.
 //! 6. **No progress** — with packets in flight, *something* must move
 //!    within `stall_horizon` cycles: a delivery-path event
 //!    (`last_progress`), any churn in the escape sub-network (the
@@ -290,10 +291,13 @@ impl Auditor {
         self.check_router_mirrors(core);
     }
 
-    /// Every powered router's occupancy and allocation mirrors must match
+    /// Every powered router's occupancy and allocation mirrors, and the
+    /// route inputs each VC caches from its front head flit, must match
     /// the per-VC state they summarize: the allocators read only the
-    /// mirrors, so a missed update would silently change results.
+    /// mirrors and caches, so a missed update would silently change
+    /// results.
     fn check_router_mirrors(&mut self, core: &NetworkCore) {
+        let per = core.cfg.vcs_per_vnet();
         for (i, r) in core.routers.iter().enumerate() {
             if !r.power.is_powered() {
                 continue;
@@ -304,7 +308,16 @@ impl Auditor {
                 let mask = |bit: &dyn Fn(usize) -> bool| {
                     (0..v).filter(|&j| bit(j)).fold(0u64, |m, j| m | 1 << j)
                 };
-                let occupancy: usize = vcs.iter().map(|vc| vc.buf.len()).sum();
+                // A grant can bid in SA when it ejects, or its downstream
+                // VC has a credit.
+                let ready = |j: usize| {
+                    vcs[j].alloc.is_some_and(|(op, ovc)| {
+                        let op = op as usize;
+                        op == Port::Local.index()
+                            || r.out_credits[op * v + j - j % per + ovc as usize].has_credit()
+                    })
+                };
+                let occupancy: usize = vcs.iter().map(|vc| vc.len()).sum();
                 if r.port_occupancy[p] as usize != occupancy {
                     let have = r.port_occupancy[p];
                     self.push(
@@ -317,8 +330,9 @@ impl Auditor {
                     );
                 }
                 let mirrors = [
-                    ("vc_busy", r.vc_busy[p], mask(&|j| !vcs[j].buf.is_empty())),
+                    ("vc_busy", r.vc_busy[p], mask(&|j| !vcs[j].is_empty())),
                     ("alloc_mask", r.alloc_mask[p], mask(&|j| vcs[j].alloc.is_some())),
+                    ("sa_ready", r.sa_ready[p], mask(&ready)),
                     (
                         "out_owned",
                         r.out_owned[p],
@@ -333,6 +347,22 @@ impl Auditor {
                             format!(
                                 "router {i} port {p}: {name} {have:#x} but per-VC state gives \
                                  {want:#x}"
+                            ),
+                        );
+                    }
+                }
+                for (j, vc) in vcs.iter().enumerate() {
+                    let Some(f) = r.front(p * v + j).filter(|f| f.kind.is_head()) else {
+                        continue;
+                    };
+                    let (have, want) = ((vc.dst, vc.vnet, vc.escape), (f.dst, f.vnet, f.escape));
+                    if have != want {
+                        self.push(
+                            core.cycle,
+                            AuditKind::StateLegality,
+                            format!(
+                                "router {i} port {p} vc {j}: cached head route (dst, vnet, \
+                                 escape) {have:?} but the front head flit has {want:?}"
                             ),
                         );
                     }
@@ -373,17 +403,12 @@ impl Auditor {
                 if !track_all && !core.cfg.is_escape_vc(vc_in_vnet) {
                     continue;
                 }
-                let buf = &r.inputs[slot].buf;
-                if buf.is_empty() {
-                    continue;
-                }
+                let Some(f) = r.front(slot) else { continue };
                 mix(i as u64);
                 mix(slot as u64);
-                mix(buf.len() as u64);
-                if let Some(f) = buf.iter().next() {
-                    mix(f.packet);
-                    mix(f.flit_idx as u64);
-                }
+                mix(r.inputs[slot].len() as u64);
+                mix(f.packet);
+                mix(f.flit_idx as u64);
             }
         }
         for (e, ch) in core.channels.iter().enumerate() {
@@ -448,7 +473,7 @@ impl Auditor {
                 };
                 for (i, r) in core.routers.iter().enumerate() {
                     for slot in 0..r.total_vcs() * crate::types::NUM_PORTS {
-                        if let Some(f) = r.inputs[slot].buf.iter().next() {
+                        if let Some(f) = r.front(slot) {
                             note(format!(
                                 "router {i} slot {slot}: packet {} flit {} -> node {} \
                                  (escape: {})",

@@ -208,7 +208,7 @@ impl NetworkCore {
         let in_port = crate::types::Port::from_dir(d.opposite());
         let owner_r = &self.routers[owner as usize];
         let slot = owner_r.slot(in_port.index(), self.cfg.vc_index(vnet, vc));
-        let free = owner_r.inputs[slot].buf.free();
+        let free = owner_r.free_slots(slot);
         // Walk the reverse path owner -> upstream counting in-flight flits,
         // latched flits, and in-flight credits for this VC.
         let mut claimed = 0usize;

@@ -211,7 +211,7 @@ fn deliver_credit<F: Fabric>(fab: &mut F, target: NodeId, travel: Dir, c: Credit
             c.vc,
             chain::logical_neighbor(fab.tables(), fab.view(), target, travel.opposite()),
         );
-        fab.router(target as usize).out_credits[slot].refund();
+        fab.router(target as usize).refund_credit(slot);
         // A refund can unblock SA at `target`. Defensive: the flit waiting
         // on this credit is buffered at `target`, so the router is already
         // in the work set — re-mark anyway per the marking invariant.

@@ -265,8 +265,6 @@ pub struct NetworkCore {
     /// Scheduling strategy for the hot phase loops; see [`KernelMode`].
     pub kernel: KernelMode,
     sched: SchedSets,
-    /// Scratch: occupied VA slots in rotated scan order (see `va_stage`).
-    va_order: Vec<u16>,
     /// Parallel-kernel state (tile plan, worker pool, per-tile buffers),
     /// created lazily on the first [`KernelMode::Parallel`] phase.
     par: Option<Box<par::ParState>>,
@@ -348,7 +346,6 @@ impl NetworkCore {
             gen_buf: Vec::new(),
             kernel: KernelMode::default(),
             sched: SchedSets::new(n),
-            va_order: Vec::new(),
             par: None,
             phase_nanos: None,
             cycle: 0,
@@ -689,7 +686,7 @@ impl NetworkCore {
                     let flat = self.cfg.vc_index(front.vnet as usize, vc as usize);
                     let r = &mut self.routers[node as usize];
                     let slot = r.slot(crate::types::Port::Local.index(), flat);
-                    if r.inputs[slot].buf.free() > 0 {
+                    if r.free_slots(slot) > 0 {
                         let mut f = self.ring_transfer[node as usize].pop_front().unwrap();
                         f.vc = vc;
                         r.push_flit(crate::types::Port::Local.index(), slot, f, now);
@@ -829,8 +826,6 @@ trait Fabric {
     fn nic(&mut self, n: usize) -> &mut Nic;
     fn link_util(&mut self, e: usize) -> &mut u64;
     fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)>;
-    /// VA scratch: occupied slots in rotated scan order.
-    fn va_order(&mut self) -> &mut Vec<u16>;
 
     // Effects on state shared across the fabric.
     fn act(&mut self) -> &mut ActivityCounters;
@@ -911,11 +906,6 @@ impl Fabric for Seq<'_> {
     #[inline]
     fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)> {
         &mut self.0.ring_stage[n]
-    }
-
-    #[inline]
-    fn va_order(&mut self) -> &mut Vec<u16> {
-        &mut self.0.va_order
     }
 
     #[inline]

@@ -34,9 +34,9 @@
 //! the `inject_task` and `pipeline_task` of the `pipeline` module — through
 //! the [`Fabric`] seam. Where the sequential `Seq` applies every effect to
 //! the core at once, a tile's [`Lane`] reaches only the elements its tile
-//! owns (router, NIC, channels, ejection channel, link counter, ring stage,
-//! VA scratch), reads power from the phase-start snapshot, and buffers
-//! every other effect into its [`Delta`]. This module therefore holds no
+//! owns (router, NIC, channels, ejection channel, link counter, ring
+//! stage), reads power from the phase-start snapshot, and buffers every
+//! other effect into its [`Delta`]. This module therefore holds no
 //! datapath code of its own: only the partition, the pool and the replay.
 //!
 //! # Boundary exchange
@@ -428,7 +428,6 @@ unsafe impl Sync for Shared<'_> {}
 struct Lane<'a> {
     sh: &'a Shared<'a>,
     d: &'a mut Delta,
-    va_order: &'a mut Vec<u16>,
 }
 
 // The element accessors below share one safety argument: each asserts its
@@ -509,11 +508,6 @@ impl<'a> Fabric for Lane<'a> {
         assert!(n < self.sh.nodes);
         // SAFETY: an in-bounds, tile-owned element (see above).
         unsafe { &mut *self.sh.ring_stage.add(n) }
-    }
-
-    #[inline]
-    fn va_order(&mut self) -> &mut Vec<u16> {
-        self.va_order
     }
 
     #[inline]
@@ -775,14 +769,12 @@ struct JobCtx<'a> {
     /// the *receiving* router.
     chan_tasks: &'a [u32],
     deltas: *mut Delta,
-    va_orders: *mut Vec<u16>,
 }
 
 unsafe fn run_tile(ctx: *const (), tile: usize) {
     let j = &*(ctx as *const JobCtx);
     let d = &mut *j.deltas.add(tile);
-    let va_order = &mut *j.va_orders.add(tile);
-    let lane = &mut Lane { sh: &j.sh, d, va_order };
+    let lane = &mut Lane { sh: &j.sh, d };
     let owned = |n: u32| j.plan.tile_of(n) == tile;
     match j.kind {
         PhaseKind::Latch => {
@@ -831,7 +823,6 @@ pub(super) struct ParState {
     powers: Vec<PowerState>,
     tasks: Vec<u32>,
     chan_tasks: Vec<u32>,
-    va_orders: Vec<Vec<u16>>,
     /// Persistent scratch for the ordered replay merges.
     cursors: Vec<usize>,
 }
@@ -857,7 +848,6 @@ impl ParState {
             powers: Vec::new(),
             tasks: Vec::new(),
             chan_tasks: Vec::new(),
-            va_orders: (0..t).map(|_| Vec::new()).collect(),
             cursors: Vec::new(),
             plan,
         }
@@ -914,7 +904,6 @@ fn run_phase(
 ) {
     {
         let deltas = st.deltas.as_mut_ptr();
-        let va_orders = st.va_orders.as_mut_ptr();
         let ctx = JobCtx {
             sh: make_shared(core, mech, &st.powers),
             kind,
@@ -922,7 +911,6 @@ fn run_phase(
             tasks: &st.tasks,
             chan_tasks: &st.chan_tasks,
             deltas,
-            va_orders,
         };
         let tiles = st.plan.tiles();
         st.pool.run(Job { ctx: &ctx as *const JobCtx as *const (), run: run_tile, tiles });

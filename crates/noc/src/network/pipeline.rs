@@ -103,7 +103,7 @@ fn inject_node<F: Fabric>(fab: &mut F, mech: &dyn PowerMechanism, node: NodeId) 
                 let vc = (now as usize + j) % reg;
                 let flat = fab.cfg().vc_index(vn, vc);
                 let r = fab.router(n);
-                if r.inputs[r.slot(Port::Local.index(), flat)].buf.free() > 0 {
+                if r.free_slots(r.slot(Port::Local.index(), flat)) > 0 {
                     chosen = Some(vc);
                     break;
                 }
@@ -118,7 +118,7 @@ fn inject_node<F: Fabric>(fab: &mut F, mech: &dyn PowerMechanism, node: NodeId) 
         let flat = fab.cfg().vc_index(vn, st.vc as usize);
         let r = fab.router(n);
         let slot = r.slot(Port::Local.index(), flat);
-        if r.inputs[slot].buf.free() == 0 {
+        if r.free_slots(slot) == 0 {
             continue;
         }
         let mut f = st.pkt.flit(st.next, now);
@@ -189,86 +189,88 @@ fn va_stage<F: Fabric>(fab: &mut F, mech: &dyn PowerMechanism, node: NodeId) {
     let now = fab.now();
     let n = node as usize;
     let total_vcs = fab.cfg().total_vcs();
-    let mut order = std::mem::take(fab.va_order());
-    fab.router(n).va_order(now, &mut order);
-    for &s in &order {
-        let s = s as usize;
-        let port = s / total_vcs;
-        let (dst, vnet, mut escape, head_since);
-        {
-            let invc = &fab.router(n).inputs[s];
-            let f = invc.buf.front().expect("VA candidate with an empty buffer");
-            debug_assert!(f.kind.is_head(), "non-head flit at front without an allocation");
-            head_since = invc.head_since;
-            if now < head_since + 1 {
-                continue; // still in the RC stage
+    for (port, mut cand) in fab.router(n).va_scan(now) {
+        while cand != 0 {
+            let s = port * total_vcs + cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            let (dst, vnet, mut escape, head_since);
+            {
+                let r = fab.router(n);
+                debug_assert!(
+                    r.front(s).is_some_and(|f| f.kind.is_head()),
+                    "non-head flit at front without an allocation"
+                );
+                let invc = &r.inputs[s];
+                head_since = invc.head_since;
+                if now < head_since + 1 {
+                    continue; // still in the RC stage
+                }
+                dst = invc.dst;
+                vnet = invc.vnet as usize;
+                escape = invc.escape;
             }
-            dst = f.dst;
-            vnet = f.vnet as usize;
-            escape = f.escape;
-        }
-        let cfg = fab.cfg();
-        let escape_vcs = cfg.escape_vcs;
-        // Duato timeout recovery: divert long-blocked packets to the escape
-        // sub-network.
-        if !escape && escape_vcs > 0 && now - head_since > cfg.escape_timeout as u64 {
-            escape = true;
-            fab.escape_diversion();
-            fab.router(n).inputs[s].buf.front_mut().unwrap().escape = true;
-        }
-        let in_port = Port::from_index(port);
-        let ctx = build_route_ctx(fab, node, in_port, dst, escape);
-        let mut routed = mech.route(fab.view(), &ctx);
-        if routed.is_none() && !escape && escape_vcs > 0 {
-            // The regular routing function has no viable output at all
-            // (e.g. FLOV's U-turn trap with both turn candidates gated):
-            // divert to the escape sub-network immediately — it guarantees
-            // a path — instead of burning the whole deadlock timeout.
-            escape = true;
-            fab.escape_diversion();
-            fab.router(n).inputs[s].buf.front_mut().unwrap().escape = true;
-            routed = mech.route(fab.view(), &RouteCtx { escape: true, ..ctx });
-        }
-        let Some(out) = routed else { continue };
-        debug_assert!(
-            escape || out == Port::Local || out != in_port,
-            "mechanism routed a non-escape U-turn at router {node}"
-        );
-        let cfg = fab.cfg();
-        let (first, count) = if escape {
-            let e = cfg.escape_vc().expect("escape flit but no escape VC configured");
-            (e, 1)
-        } else {
-            (0, cfg.regular_vcs)
-        };
-        if out == Port::Local {
+            let cfg = fab.cfg();
+            let escape_vcs = cfg.escape_vcs;
+            // Duato timeout recovery: divert long-blocked packets to the escape
+            // sub-network.
+            if !escape && escape_vcs > 0 && now - head_since > cfg.escape_timeout as u64 {
+                escape = true;
+                fab.escape_diversion();
+                fab.router(n).divert_to_escape(s);
+            }
+            let in_port = Port::from_index(port);
+            let ctx = build_route_ctx(fab, node, in_port, dst, escape);
+            let mut routed = mech.route(fab.view(), &ctx);
+            if routed.is_none() && !escape && escape_vcs > 0 {
+                // The regular routing function has no viable output at all
+                // (e.g. FLOV's U-turn trap with both turn candidates gated):
+                // divert to the escape sub-network immediately — it guarantees
+                // a path — instead of burning the whole deadlock timeout.
+                escape = true;
+                fab.escape_diversion();
+                fab.router(n).divert_to_escape(s);
+                routed = mech.route(fab.view(), &RouteCtx { escape: true, ..ctx });
+            }
+            let Some(out) = routed else { continue };
             debug_assert!(
-                dst == node || fab.has_ring(),
-                "local ejection routed for a non-local flit without a ring"
+                escape || out == Port::Local || out != in_port,
+                "mechanism routed a non-escape U-turn at router {node}"
             );
-            // Ejection may use any VC of the vnet (the NIC always drains).
-            let all = cfg.vcs_per_vnet();
-            try_grant(fab, node, s, Port::Local.index(), vnet, 0, all);
-            continue;
+            let cfg = fab.cfg();
+            let (first, count) = if escape {
+                let e = cfg.escape_vc().expect("escape flit but no escape VC configured");
+                (e, 1)
+            } else {
+                (0, cfg.regular_vcs)
+            };
+            if out == Port::Local {
+                debug_assert!(
+                    dst == node || fab.has_ring(),
+                    "local ejection routed for a non-local flit without a ring"
+                );
+                // Ejection may use any VC of the vnet (the NIC always drains).
+                let all = cfg.vcs_per_vnet();
+                try_grant(fab, node, s, Port::Local.index(), vnet, 0, all);
+                continue;
+            }
+            let d = out.dir().unwrap();
+            debug_assert!(
+                fab.tables().neighbor(node, d).is_some(),
+                "mechanism routed off the mesh at {node}"
+            );
+            let walk = chain::chain_walk(fab.tables(), fab.view(), node, d, dst);
+            if let Some(sleeper) = walk.dst_on_chain {
+                // Destination router is power-gated: hold the packet and ask the
+                // mechanism to wake it.
+                fab.wakeup(node, sleeper);
+                continue;
+            }
+            if walk.blocked || walk.powered.is_none() {
+                continue; // retry next cycle; handshakes resolve this
+            }
+            try_grant(fab, node, s, out.index(), vnet, first, count);
         }
-        let d = out.dir().unwrap();
-        debug_assert!(
-            fab.tables().neighbor(node, d).is_some(),
-            "mechanism routed off the mesh at {node}"
-        );
-        let walk = chain::chain_walk(fab.tables(), fab.view(), node, d, dst);
-        if let Some(sleeper) = walk.dst_on_chain {
-            // Destination router is power-gated: hold the packet and ask the
-            // mechanism to wake it.
-            fab.wakeup(node, sleeper);
-            continue;
-        }
-        if walk.blocked || walk.powered.is_none() {
-            continue; // retry next cycle; handshakes resolve this
-        }
-        try_grant(fab, node, s, out.index(), vnet, first, count);
     }
-    *fab.va_order() = order;
 }
 
 /// Claim a free downstream VC among `[first, first + count)` of `vnet` on

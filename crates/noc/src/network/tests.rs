@@ -465,11 +465,14 @@ fn auditor_flags_mechanism_state_violation() {
 
 #[test]
 fn auditor_flags_a_drifted_router_mirror() {
-    // Stop mid-flight so router 1 holds granted wormholes, then flip one
-    // bit of each mirror in turn behind the router methods' back.
+    // Stop mid-flight so router 1 holds granted wormholes and heads waiting
+    // for VA (the streams from 0 and 5 merge there), then flip one bit of
+    // each mirror, or one cached head route, in turn behind the router
+    // methods' back.
     let mut events = Vec::new();
     for _ in 0..6 {
         events.push((0u64, PacketRequest { src: 0, dst: 3, vnet: 0, len: 4 }));
+        events.push((0u64, PacketRequest { src: 5, dst: 3, vnet: 0, len: 4 }));
     }
     let w = ScriptedWorkload::new(events);
     let mut sim = Simulation::new(small_cfg(), Box::new(AlwaysOnYx), Box::new(w));
@@ -482,11 +485,18 @@ fn auditor_flags_a_drifted_router_mirror() {
     assert_eq!(mirror_violations(&sim), 0, "mirrors drifted on a healthy run");
     let r = &sim.core.routers[1];
     assert!(r.alloc_mask.iter().any(|&m| m != 0), "no granted wormhole in router 1");
-    let flips: [fn(&mut crate::router::Router); 4] = [
+    let flips: [fn(&mut crate::router::Router); 6] = [
         |r| r.vc_busy[Port::North.index()] ^= 1 << 5,
         |r| r.alloc_mask[Port::North.index()] ^= 1 << 5,
+        |r| r.sa_ready[Port::North.index()] ^= 1 << 5,
         |r| r.out_owned[Port::North.index()] ^= 1 << 5,
         |r| r.port_occupancy[Port::North.index()] += 1,
+        |r| {
+            let s = (0..r.inputs.len())
+                .find(|&s| r.front(s).is_some_and(|f| f.kind.is_head()))
+                .expect("a head flit at some VC front in router 1");
+            r.inputs[s].dst ^= 1;
+        },
     ];
     for flip in flips {
         let saved = sim.core.routers[1].clone();

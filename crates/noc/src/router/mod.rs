@@ -4,13 +4,13 @@
 //! The pipeline phases (route compute, chain walks, link sends) live in
 //! the network kernels; this module owns the per-router state, its
 //! invariants, and the router-local allocation steps every kernel calls:
-//! the VA candidate order, VC claims, switch allocation and departure.
+//! the VA candidate scan, VC claims, switch allocation and departure.
 
 pub mod arbiter;
 
-use crate::buffer::{CreditCounter, VcBuffer};
-use crate::config::NocConfig;
-use crate::flit::Flit;
+use crate::buffer::CreditCounter;
+use crate::config::{NocConfig, MAX_BUF_DEPTH};
+use crate::flit::{Flit, FlitKind};
 use crate::types::{Coord, Cycle, Dir, NodeId, Port, PowerState, NUM_PORTS};
 use arbiter::RoundRobin;
 
@@ -24,29 +24,81 @@ pub enum VcOwner {
     Owned { in_port: u8, in_vc: u16 },
 }
 
-/// One input virtual channel: buffer plus wormhole/pipeline state.
+/// The flit that fills flit-plane slots no VC holds.
+const NO_FLIT: Flit = Flit {
+    packet: 0,
+    kind: FlitKind::Single,
+    src: 0,
+    dst: 0,
+    vnet: 0,
+    vc: 0,
+    escape: false,
+    flit_idx: 0,
+    pkt_len: 0,
+    birth: 0,
+    inject: 0,
+    hops_router: 0,
+    hops_flov: 0,
+    hops_link: 0,
+    payload: 0,
+};
+
+/// One input virtual channel: a FIFO ring over its `buf_depth` slots of
+/// the router's flit plane, plus wormhole/pipeline state.
 #[derive(Clone, Debug)]
 pub struct InVc {
-    pub buf: VcBuffer,
+    /// Ring offset of the front flit within this VC's slots.
+    first: u8,
+    /// Flits buffered.
+    len: u8,
     /// Output port + downstream VC granted by VC allocation; present while a
     /// wormhole is in flight through this input VC. Mirrored in
-    /// `Router::alloc_mask`, so only `Router` methods write it.
+    /// `Router::alloc_mask` and `Router::sa_ready`, so only `Router`
+    /// methods write it.
     pub alloc: Option<(u8, u8)>,
     /// Cycle the current front *head* flit became front (route compute
     /// starts then; VA is legal from `head_since + 1`). Also drives the
     /// escape-timeout diversion.
     pub head_since: Cycle,
+    /// Route inputs of the front head flit, copied from it when it became
+    /// front (with `head_since`), so VA reads no flit. Stale while a body
+    /// or tail flit is in front.
+    pub(crate) dst: NodeId,
+    pub(crate) vnet: u8,
+    pub(crate) escape: bool,
 }
 
 impl InVc {
-    fn new(depth: usize) -> InVc {
-        InVc { buf: VcBuffer::new(depth), alloc: None, head_since: 0 }
+    fn new() -> InVc {
+        InVc { first: 0, len: 0, alloc: None, head_since: 0, dst: 0, vnet: 0, escape: false }
+    }
+
+    /// Flits buffered.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// True if no flit is buffered.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// True if this VC is completely quiescent.
     #[inline]
     pub fn is_idle(&self) -> bool {
-        self.buf.is_empty() && self.alloc.is_none()
+        self.is_empty() && self.alloc.is_none()
+    }
+
+    /// Head flit `f` became the front at `now`: start its RC clock and
+    /// copy its route inputs.
+    #[inline]
+    fn head_became_front(&mut self, f: &Flit, now: Cycle) {
+        self.head_since = now;
+        self.dst = f.dst;
+        self.vnet = f.vnet;
+        self.escape = f.escape;
     }
 }
 
@@ -58,8 +110,17 @@ pub struct Router {
     pub power: PowerState,
     /// Input VCs, flattened `[port][vnet * vcs + vc]`.
     pub inputs: Vec<InVc>,
+    /// The flit plane: input VC slot `s` buffers its flits in the ring
+    /// `flits[s·depth .. (s+1)·depth]`. Written only by
+    /// [`Router::push_flit`] and [`Router::pop_flit`] (and the escape
+    /// diversion of a front head).
+    flits: Vec<Flit>,
+    /// Slots per input VC (`NocConfig::buf_depth`).
+    depth: usize,
     /// Credit counters toward the *logical* downstream per output port,
     /// flattened like `inputs`. Local (ejection) port entries are unused.
+    /// Mirrored in `sa_ready`: a refund goes through `refund_credit`, and
+    /// counters are re-seeded only while their output VC is `Free`.
     pub out_credits: Vec<CreditCounter>,
     /// Downstream VC ownership per output port, flattened like `inputs`.
     /// Mirrored in `out_owned`, so only `Router` methods write it.
@@ -88,6 +149,12 @@ pub struct Router {
     /// `Some`). Written only by [`Router::claim_vc`] and
     /// [`Router::depart`], together with `alloc`.
     pub(crate) alloc_mask: [u64; NUM_PORTS],
+    /// SA-ready mirror, a subset of `alloc_mask`: bit `v` of
+    /// `sa_ready[p]` is set exactly when input VC `(p, v)` holds a grant
+    /// to the local port, or to a downstream VC with a credit. Written
+    /// only by [`Router::claim_vc`], [`Router::depart`] and
+    /// [`Router::refund_credit`].
+    pub(crate) sa_ready: [u64; NUM_PORTS],
     /// Ownership mirror: bit `v` of `out_owned[p]` is set exactly when
     /// `out_vc_state[p·V + v]` is `Owned`. Written only by
     /// [`Router::claim_vc`], [`Router::depart`] and
@@ -110,13 +177,17 @@ impl Router {
         let (flov_x, flov_y) = spec.flov_capability(coord);
         let total_vcs = cfg.total_vcs();
         assert!(total_vcs <= 64, "per-port VC bitmasks hold at most 64 VCs");
+        let depth = cfg.buf_depth;
+        assert!((1..=MAX_BUF_DEPTH).contains(&depth), "8-bit VC rings hold 1 to 255 flits");
         let n = NUM_PORTS * total_vcs;
         Router {
             id,
             coord,
             power: PowerState::Active,
-            inputs: (0..n).map(|_| InVc::new(cfg.buf_depth)).collect(),
-            out_credits: (0..n).map(|_| CreditCounter::new_full(cfg.buf_depth)).collect(),
+            inputs: vec![InVc::new(); n],
+            flits: vec![NO_FLIT; n * depth],
+            depth,
+            out_credits: vec![CreditCounter::new_full(depth); n],
             out_vc_state: vec![VcOwner::Free; n],
             latches: [None; 4],
             flov_x,
@@ -126,6 +197,7 @@ impl Router {
             port_occupancy: [0; NUM_PORTS],
             vc_busy: [0; NUM_PORTS],
             alloc_mask: [0; NUM_PORTS],
+            sa_ready: [0; NUM_PORTS],
             out_owned: [0; NUM_PORTS],
             last_local_activity: 0,
             total_vcs,
@@ -173,19 +245,46 @@ impl Router {
         self.port_occupancy.iter().sum()
     }
 
+    /// Front flit of input VC slot `s`, if any.
+    #[inline]
+    pub fn front(&self, s: usize) -> Option<&Flit> {
+        let vc = &self.inputs[s];
+        (vc.len > 0).then(|| &self.flits[s * self.depth + vc.first as usize])
+    }
+
+    /// Free buffer slots of input VC slot `s`.
+    #[inline]
+    pub fn free_slots(&self, s: usize) -> usize {
+        self.depth - self.inputs[s].len()
+    }
+
     /// Buffer a flit into input VC slot `s` of `port`, maintaining the
     /// occupancy fast paths (`port_occupancy`, `vc_busy`) and starting the
-    /// RC clock when a head flit reaches the buffer front.
+    /// RC clock when a head flit reaches the buffer front. Panics on
+    /// overflow: credits must have prevented it, and a silent overflow
+    /// would invalidate every result downstream.
     #[inline]
     pub fn push_flit(&mut self, port: usize, s: usize, f: Flit, now: Cycle) {
-        let was_empty = self.inputs[s].buf.is_empty();
-        self.inputs[s].buf.push(f);
-        if was_empty {
+        let vc = &mut self.inputs[s];
+        let len = vc.len as usize;
+        assert!(
+            len < self.depth,
+            "VC buffer overflow: credit protocol violated (packet {}, flit {})",
+            f.packet,
+            f.flit_idx
+        );
+        let mut at = vc.first as usize + len;
+        if at >= self.depth {
+            at -= self.depth;
+        }
+        self.flits[s * self.depth + at] = f;
+        if len == 0 {
             self.vc_busy[port] |= 1 << (s - port * self.total_vcs);
             if f.kind.is_head() {
-                self.inputs[s].head_since = now;
+                vc.head_became_front(&f, now);
             }
         }
+        vc.len += 1;
         self.port_occupancy[port] += 1;
     }
 
@@ -193,38 +292,54 @@ impl Router {
     /// occupancy fast paths. Panics if the buffer is empty.
     #[inline]
     pub fn pop_flit(&mut self, port: usize, s: usize) -> Flit {
-        let f = self.inputs[s].buf.pop().expect("pop from an empty input VC");
+        let vc = &mut self.inputs[s];
+        assert!(vc.len > 0, "pop from an empty input VC");
+        let f = self.flits[s * self.depth + vc.first as usize];
+        vc.first += 1;
+        if vc.first as usize == self.depth {
+            vc.first = 0;
+        }
+        vc.len -= 1;
         self.port_occupancy[port] -= 1;
-        if self.inputs[s].buf.is_empty() {
+        if vc.len == 0 {
             self.vc_busy[port] &= !(1 << (s - port * self.total_vcs));
         }
         f
     }
 
-    /// VA candidates: the occupied input VCs that hold no VC grant, as
-    /// flat slots in the rotated order that starts at slot `now·7 mod
-    /// slots`. Equivalent to scanning every slot circularly from that
-    /// origin: an empty VC has no head to route, VA skips an allocated
-    /// one, and VA changes only the grant of the slot it is visiting.
-    pub(crate) fn va_order(&self, now: Cycle, order: &mut Vec<u16>) {
+    /// Divert the front head of input slot `s` into the escape
+    /// sub-network: mark the flit and its route copy.
+    pub(crate) fn divert_to_escape(&mut self, s: usize) {
+        let vc = &mut self.inputs[s];
+        assert!(vc.len > 0, "escape diversion of an empty input VC");
+        self.flits[s * self.depth + vc.first as usize].escape = true;
+        vc.escape = true;
+    }
+
+    /// VA candidates: per port, the occupied input VCs that hold no VC
+    /// grant, in the rotated scan order that starts at flat slot `now·7
+    /// mod slots` — the origin's port (VCs from the origin up), the other
+    /// ports in turn, then the origin's port again (VCs below the origin).
+    /// Equivalent to scanning every slot circularly from that origin: an
+    /// empty VC has no head to route, VA skips an allocated one, and VA
+    /// changes only the grant of the slot it is visiting.
+    pub(crate) fn va_scan(&self, now: Cycle) -> [(usize, u64); NUM_PORTS + 1] {
         let total_vcs = self.total_vcs;
         let start = (now as usize).wrapping_mul(7) % (NUM_PORTS * total_vcs);
         let (sp, sv) = (start / total_vcs, start % total_vcs);
         let low = (1u64 << sv) - 1; // VCs before the rotated origin
         let cand = |p: usize| self.vc_busy[p] & !self.alloc_mask[p];
-        order.clear();
-        push_slots(order, sp, cand(sp) & !low, total_vcs);
-        for off in 1..NUM_PORTS {
-            let p = (sp + off) % NUM_PORTS;
-            push_slots(order, p, cand(p), total_vcs);
-        }
-        push_slots(order, sp, cand(sp) & low, total_vcs);
+        std::array::from_fn(|off| match off {
+            0 => (sp, cand(sp) & !low),
+            NUM_PORTS => (sp, cand(sp) & low),
+            _ => ((sp + off) % NUM_PORTS, cand((sp + off) % NUM_PORTS)),
+        })
     }
 
     /// Try to claim a free downstream VC for the head of input slot `s`:
     /// among VCs `[first, first + count)` of `vnet` on output `op`, the
     /// first free one at or after `first + now mod count`, wrapping. On
-    /// success, records the grant on both sides and in both mirrors.
+    /// success, records the grant on both sides and in the mirrors.
     pub(crate) fn claim_vc(
         &mut self,
         now: Cycle,
@@ -242,55 +357,42 @@ impl Router {
         let from = free & (u64::MAX << (now as usize % count));
         let j = if from != 0 { from } else { free }.trailing_zeros() as usize;
         let in_port = s / self.total_vcs;
-        self.out_vc_state[op * self.total_vcs + base + j] =
-            VcOwner::Owned { in_port: in_port as u8, in_vc: s as u16 };
+        let oslot = op * self.total_vcs + base + j;
+        self.out_vc_state[oslot] = VcOwner::Owned { in_port: in_port as u8, in_vc: s as u16 };
         self.out_owned[op] |= 1 << (base + j);
         self.inputs[s].alloc = Some((op as u8, (first + j) as u8));
-        self.alloc_mask[in_port] |= 1 << (s - in_port * self.total_vcs);
+        let bit = 1 << (s - in_port * self.total_vcs);
+        self.alloc_mask[in_port] |= bit;
+        if op == Port::Local.index() || self.out_credits[oslot].has_credit() {
+            self.sa_ready[in_port] |= bit;
+        }
         true
     }
 
-    /// Separable switch allocation. A VC bids when it holds a VC grant
-    /// (so it is occupied and past route compute) and, off the local
-    /// port, its downstream VC has a credit. Stage 1 picks one bidder per
-    /// input port and stage 2 one input port per output port, both
-    /// round-robin. Returns the winner of each output port as `(input
-    /// port, input slot, downstream vc)`.
+    /// Separable switch allocation. A VC bids when it is occupied and
+    /// SA-ready (it holds a VC grant, so it is past route compute, and off
+    /// the local port its downstream VC has a credit). Stage 1 picks one
+    /// bidder per input port and stage 2 one input port per output port,
+    /// both round-robin. Returns the winner of each output port as
+    /// `(input port, input slot, downstream vc)`.
     pub(crate) fn switch_allocate(
         &mut self,
         now: Cycle,
     ) -> [Option<(usize, usize, u8)>; NUM_PORTS] {
         let total_vcs = self.total_vcs;
-        let local = Port::Local.index();
         let mut cand = [(0usize, 0u8); NUM_PORTS];
         let mut req = [0u64; NUM_PORTS]; // per output port: bidding input ports
         #[allow(clippy::needless_range_loop)] // index mirrors the hardware port id
         for p in 0..NUM_PORTS {
-            let mut mask = 0u64;
-            let mut bids = self.vc_busy[p] & self.alloc_mask[p];
-            while bids != 0 {
-                let v = bids.trailing_zeros() as usize;
-                bids &= bids - 1;
-                let invc = &self.inputs[p * total_vcs + v];
-                let (op, ovc) = invc.alloc.expect("alloc_mask bit set without a VC grant");
+            if let Some(v) = self.sa_in[p].grant_mask(self.vc_busy[p] & self.sa_ready[p]) {
+                let s = p * total_vcs + v;
+                let (op, ovc) = self.inputs[s].alloc.expect("sa_ready bit set without a VC grant");
                 // VA grants only from `head_since + 1`, and `head_since`
                 // moves only after the tail has released the grant.
-                debug_assert!(invc
-                    .buf
-                    .front()
-                    .is_some_and(|f| !f.kind.is_head() || now > invc.head_since));
-                let op = op as usize;
-                if op != local {
-                    let flat = v - v % self.vcs_per_vnet + ovc as usize;
-                    if !self.out_credits[op * total_vcs + flat].has_credit() {
-                        continue;
-                    }
-                }
-                mask |= 1 << v;
-            }
-            if let Some(v) = self.sa_in[p].grant_mask(mask) {
-                let (op, ovc) = self.inputs[p * total_vcs + v].alloc.expect("bidder holds a grant");
-                cand[p] = (p * total_vcs + v, ovc);
+                debug_assert!(self
+                    .front(s)
+                    .is_some_and(|f| !f.kind.is_head() || now > self.inputs[s].head_since));
+                cand[p] = (s, ovc);
                 req[op as usize] |= 1 << p;
             }
         }
@@ -306,7 +408,7 @@ impl Router {
     /// Switch traversal, router side: pop the front flit of input slot
     /// `s` (bound for output `op`, downstream VC `ovc`), consume its
     /// downstream credit off the local port, and on a tail release the
-    /// wormhole on both sides and in both mirrors. A head that reaches
+    /// wormhole on both sides and in the mirrors. A head that reaches
     /// the front starts its route-compute clock. Returns the flit as
     /// buffered.
     pub(crate) fn depart(
@@ -324,6 +426,9 @@ impl Router {
         let oslot = op * self.total_vcs + flat;
         if op != Port::Local.index() {
             self.out_credits[oslot].consume();
+            if !self.out_credits[oslot].has_credit() {
+                self.sa_ready[in_port] &= !(1 << v);
+            }
         }
         let is_tail = f.kind.is_tail();
         if is_tail {
@@ -331,12 +436,30 @@ impl Router {
             self.out_owned[op] &= !(1 << flat);
             self.inputs[s].alloc = None;
             self.alloc_mask[in_port] &= !(1 << v);
+            self.sa_ready[in_port] &= !(1 << v);
         }
-        if self.inputs[s].buf.front().is_some_and(|nf| nf.kind.is_head()) {
-            debug_assert!(is_tail, "head flit queued behind an open wormhole");
-            self.inputs[s].head_since = now;
+        let vc = &mut self.inputs[s];
+        if vc.len > 0 {
+            let nf = &self.flits[s * self.depth + vc.first as usize];
+            if nf.kind.is_head() {
+                debug_assert!(is_tail, "head flit queued behind an open wormhole");
+                vc.head_became_front(nf, now);
+            }
         }
         f
+    }
+
+    /// Return one credit to output VC slot `oslot`. A refund that takes
+    /// the counter from 0 to 1 makes the VC's owner, if any, SA-ready.
+    pub(crate) fn refund_credit(&mut self, oslot: usize) {
+        let c = &mut self.out_credits[oslot];
+        c.refund();
+        if c.available() == 1 {
+            if let VcOwner::Owned { in_port, in_vc } = self.out_vc_state[oslot] {
+                let p = in_port as usize;
+                self.sa_ready[p] |= 1 << (in_vc as usize - p * self.total_vcs);
+            }
+        }
     }
 
     /// Mark downstream VC slot `oslot` free (power-transition reset).
@@ -355,16 +478,6 @@ impl Router {
     #[inline]
     pub fn local_idle(&self, now: Cycle) -> Cycle {
         now.saturating_sub(self.last_local_activity)
-    }
-}
-
-/// Append the flat slots of port `p`'s VCs set in `mask`, in ascending VC
-/// order.
-#[inline]
-fn push_slots(order: &mut Vec<u16>, p: usize, mut mask: u64, total_vcs: usize) {
-    while mask != 0 {
-        order.push((p * total_vcs + mask.trailing_zeros() as usize) as u16);
-        mask &= mask - 1;
     }
 }
 
@@ -444,6 +557,18 @@ mod tests {
         r.pop_flit(port, s);
         assert_eq!(r.port_occupancy[port], 0);
         assert_eq!(r.vc_busy[port], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn push_past_the_buffer_depth_panics() {
+        let c = NocConfig { buf_depth: 2, ..cfg() };
+        let mut r = Router::new(&c, 5);
+        let p = crate::packet::Packet { id: 1, src: 0, dst: 5, vnet: 0, len: 3, birth: 0 };
+        let s = r.slot(1, 0);
+        for i in 0..3 {
+            r.push_flit(1, s, p.flit(i, 0), 0);
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property tests for the kernel data structures through the public API:
-//! channel ordering, buffer FIFO discipline, PRNG statistics, flit
+//! channel ordering, input VC FIFO discipline, PRNG statistics, flit
 //! integrity coding, and latency-breakdown arithmetic.
 
-use flov_noc::buffer::VcBuffer;
+use flov_noc::config::NocConfig;
 use flov_noc::flit::{Flit, FlitKind};
 use flov_noc::link::{Channel, CreditMsg};
 use flov_noc::packet::{DeliveredPacket, Packet};
 use flov_noc::rng::Rng;
+use flov_noc::router::Router;
 use proptest::prelude::*;
 
 fn flit(packet: u64, idx: u16, len: u16) -> Flit {
@@ -66,25 +67,49 @@ proptest! {
         prop_assert!(ch.is_idle());
     }
 
-    /// VcBuffer is an exact FIFO and its occupancy arithmetic never drifts.
+    /// Each input VC of a router is an exact FIFO ring over its slots of
+    /// the flit plane: random pushes and pops on three VCs of one port
+    /// (depth 6, so the rings wrap) come out in order per VC, never touch
+    /// another VC, and keep the occupancy mirrors equal to the model.
     #[test]
-    fn buffer_fifo_discipline(ops in prop::collection::vec(any::<bool>(), 1..200)) {
-        let mut buf = VcBuffer::new(6);
-        let mut model: std::collections::VecDeque<u16> = Default::default();
-        let mut next = 0u16;
-        for push in ops {
+    fn buffer_fifo_discipline(
+        ops in prop::collection::vec((0usize..3, any::<bool>()), 1..300),
+    ) {
+        let cfg = NocConfig::default();
+        prop_assert_eq!(cfg.buf_depth, 6);
+        let mut r = Router::new(&cfg, 9);
+        let port = 2;
+        let mut model: [std::collections::VecDeque<u16>; 3] = Default::default();
+        let mut next = [0u16; 3];
+        for (vc, push) in ops {
+            let s = r.slot(port, vc);
             if push {
-                if !buf.is_full() {
-                    buf.push(flit(7, 0, 1));
-                    model.push_back(next);
-                    next += 1;
+                if model[vc].len() < cfg.buf_depth {
+                    r.push_flit(port, s, flit(vc as u64, next[vc], u16::MAX), 0);
+                    model[vc].push_back(next[vc]);
+                    next[vc] += 1;
                 }
-            } else if let Some(_f) = buf.pop() {
-                model.pop_front();
+            } else if let Some(want) = model[vc].pop_front() {
+                let f = r.pop_flit(port, s);
+                prop_assert_eq!((f.packet, f.flit_idx), (vc as u64, want));
             }
-            prop_assert_eq!(buf.len(), model.len());
-            prop_assert_eq!(buf.free(), 6 - model.len());
-            prop_assert_eq!(buf.is_empty(), model.is_empty());
+            for (j, m) in model.iter().enumerate() {
+                let s = r.slot(port, j);
+                prop_assert_eq!(r.inputs[s].len(), m.len());
+                prop_assert_eq!(r.free_slots(s), cfg.buf_depth - m.len());
+                prop_assert_eq!(
+                    r.front(s).map(|f| (f.packet, f.flit_idx)),
+                    m.front().map(|&i| (j as u64, i))
+                );
+            }
+            let busy = model
+                .iter()
+                .enumerate()
+                .fold(0u64, |b, (j, m)| b | u64::from(!m.is_empty()) << j);
+            prop_assert_eq!(r.vc_busy[port], busy);
+            let buffered: usize = model.iter().map(|m| m.len()).sum();
+            prop_assert_eq!(r.port_occupancy[port] as usize, buffered);
+            prop_assert_eq!(r.buffered_flits(), r.port_occupancy[port]);
         }
     }
 
