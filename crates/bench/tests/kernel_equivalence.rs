@@ -197,7 +197,7 @@ fn parallel_kernel_matches_active_set_on_the_full_matrix() {
 
 /// Parallel bit-identity on the non-mesh fabrics: the torus wraparound
 /// datapath and the concentrated mesh must shard cleanly too (cross-tile
-/// wrap channels are just more boundary channels).
+/// wrap links are just more boundary links).
 #[test]
 fn parallel_kernel_matches_active_set_on_other_topologies() {
     let topologies =

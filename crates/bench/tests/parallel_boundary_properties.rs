@@ -13,7 +13,7 @@
 //! Two properties per random spec:
 //!
 //! * **Flit order** — the sharded end state is bit-identical to the
-//!   oracle's. Channel delivery is a stable sort by arrival cycle, so any
+//!   oracle's. Wheel delivery is a stable sort by arrival cycle, so any
 //!   cross-seam reordering perturbs per-packet latencies, the timeline,
 //!   or the delivery digest.
 //! * **Credit conservation** — the invariant auditor sweeps the sharded

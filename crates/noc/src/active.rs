@@ -2,7 +2,7 @@
 //!
 //! The kernel keeps one [`ActiveSet`] per schedulable resource class
 //! (routers with latched flits, routers with buffered flits, NICs with
-//! backlog, channels with in-flight traffic). Producers *mark* an index
+//! backlog). Producers *mark* an index
 //! whenever they hand that resource work; the consuming phase iterates the
 //! marked indices in ascending order — the same relative order as the full
 //! scan it replaces, which is what keeps the two kernels bit-identical —

@@ -15,6 +15,10 @@ pub const MAX_NODES: usize = NodeId::MAX as usize;
 /// its slots of the router's flit plane.
 pub const MAX_BUF_DEPTH: usize = u8::MAX as usize;
 
+/// Longest link latency, in cycles: the arrival wheel of in-flight
+/// traffic ([`crate::link::Wheel`]) is sized from the latency.
+pub const MAX_LINK_LATENCY: u32 = 64;
+
 /// A structured configuration rejection from [`NocConfig::validate`].
 ///
 /// The CLI surfaces these as diagnostics instead of panics; library users
@@ -40,8 +44,9 @@ pub enum ConfigError {
     BufDepthOutOfRange { depth: usize },
     /// Zero-stage router pipeline.
     ZeroPipelineStages,
-    /// Zero-cycle links.
-    ZeroLinkLatency,
+    /// Link latency outside `1..=`[`MAX_LINK_LATENCY`] cycles (the arrival
+    /// wheel is sized from it).
+    LinkLatencyOutOfRange { latency: u32 },
     /// Zero-flit packets.
     ZeroPacketLen,
     /// Zero escape timeout.
@@ -122,7 +127,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "buffer depth {depth} is outside 1..={MAX_BUF_DEPTH} flits")
             }
             ConfigError::ZeroPipelineStages => write!(f, "router needs at least one stage"),
-            ConfigError::ZeroLinkLatency => write!(f, "links take at least one cycle"),
+            ConfigError::LinkLatencyOutOfRange { latency } => {
+                write!(f, "link latency {latency} is outside 1..={MAX_LINK_LATENCY} cycles")
+            }
             ConfigError::ZeroPacketLen => write!(f, "packets have at least one flit"),
             ConfigError::ZeroEscapeTimeout => write!(f, "escape timeout must be positive"),
             ConfigError::RingUnsupported { topology } => write!(
@@ -217,7 +224,7 @@ pub struct NocConfig {
     pub buf_depth: usize,
     /// Router pipeline depth in cycles (RC / VA+SA / ST).
     pub pipeline_stages: u32,
-    /// Link traversal latency, cycles.
+    /// Link traversal latency, cycles (`1..=`[`MAX_LINK_LATENCY`]).
     pub link_latency: u32,
     /// Cycles a power-gated router needs to ramp power back up.
     pub wakeup_latency: u32,
@@ -447,8 +454,8 @@ impl NocConfig {
         if self.pipeline_stages < 1 {
             return Err(ConfigError::ZeroPipelineStages);
         }
-        if self.link_latency < 1 {
-            return Err(ConfigError::ZeroLinkLatency);
+        if !(1..=MAX_LINK_LATENCY).contains(&self.link_latency) {
+            return Err(ConfigError::LinkLatencyOutOfRange { latency: self.link_latency });
         }
         if self.synth_packet_len < 1 {
             return Err(ConfigError::ZeroPacketLen);
@@ -606,6 +613,20 @@ mod tests {
         for depth in [1, 2, 6, 8, MAX_BUF_DEPTH] {
             assert_eq!(at(depth), Ok(()));
         }
+    }
+
+    #[test]
+    fn validate_bounds_link_latency() {
+        let at = |link_latency| NocConfig { link_latency, ..NocConfig::default() }.validate();
+        for latency in [0, MAX_LINK_LATENCY + 1, 1_000, u32::MAX] {
+            assert_eq!(at(latency), Err(ConfigError::LinkLatencyOutOfRange { latency }));
+        }
+        // Table I's one-cycle links and the limit itself are legal.
+        for latency in [1, 2, MAX_LINK_LATENCY] {
+            assert_eq!(at(latency), Ok(()));
+        }
+        let msg = at(0).unwrap_err().to_string();
+        assert_eq!(msg, format!("link latency 0 is outside 1..={MAX_LINK_LATENCY} cycles"));
     }
 
     #[test]

@@ -33,7 +33,8 @@
 //!    pairs, RP's two-state discipline, ...), plus every powered router's
 //!    occupancy and allocation mirrors (`port_occupancy`, `vc_busy`,
 //!    `alloc_mask`, `sa_ready`, `out_owned`) and the route inputs each VC
-//!    caches from its front head flit, against its per-VC state.
+//!    caches from its front head flit, against its per-VC state, and the
+//!    wheel's per-link in-flight flit counts against a scan of its slots.
 //! 6. **No progress** — with packets in flight, *something* must move
 //!    within `stall_horizon` cycles: a delivery-path event
 //!    (`last_progress`), any churn in the escape sub-network (the
@@ -289,6 +290,28 @@ impl Auditor {
             self.push(core.cycle, AuditKind::StateLegality, msg);
         }
         self.check_router_mirrors(core);
+        self.check_wire_counts(core);
+    }
+
+    /// The wheel's per-link flit counts, which quiescence checks read in
+    /// place of a scan, must equal a scan of its slots.
+    fn check_wire_counts(&mut self, core: &NetworkCore) {
+        let counts = core.wheel.wire_flits();
+        let mut scan = vec![0u32; counts.len()];
+        for slot in core.wheel.iter_slots() {
+            for &(e, _) in &slot.flits {
+                scan[e as usize] += 1;
+            }
+        }
+        for (e, (&have, &want)) in counts.iter().zip(&scan).enumerate() {
+            if have != want {
+                self.push(
+                    core.cycle,
+                    AuditKind::StateLegality,
+                    format!("link {e}: in-flight count {have} but the wheel holds {want} flits"),
+                );
+            }
+        }
     }
 
     /// Every powered router's occupancy and allocation mirrors, and the
@@ -372,8 +395,8 @@ impl Auditor {
     }
 
     /// Digest of the escape sub-network's occupancy: per escape VC, the
-    /// buffer length and front flit identity, plus per-channel in-flight
-    /// escape counts, plus per-NIC injection frontier (head packet
+    /// buffer length and front flit identity, plus per-link in-flight
+    /// escape counts from the wheel, plus per-NIC injection frontier (head packet
     /// identity/age, serialization progress). Any change means the
     /// deadlock-recovery lane — or the injection frontier — moved. Queue
     /// length is deliberately left out: an open-loop workload keeps
@@ -411,20 +434,21 @@ impl Auditor {
                 mix(f.flit_idx as u64);
             }
         }
-        for (e, ch) in core.channels.iter().enumerate() {
-            for vnet in 0..core.cfg.vnets {
-                let esc = if track_all { 0 } else { core.cfg.regular_vcs };
-                let hi = if track_all { per } else { core.cfg.regular_vcs + 1 };
-                for vc in esc..hi {
-                    let n = ch.flits_in_flight_for(vnet as u8, vc as u8);
-                    if n > 0 {
-                        mix(e as u64);
-                        mix(vnet as u64);
-                        mix(vc as u64);
-                        mix(n as u64);
-                    }
-                }
-            }
+        // In-flight escape flits per (link, vnet, vc), in that order.
+        let mut wire: Vec<(u32, u8, u8)> = core
+            .wheel
+            .iter_slots()
+            .flat_map(|s| s.flits.iter())
+            .filter(|(_, f)| track_all || core.cfg.is_escape_vc(f.vc as usize))
+            .map(|&(e, f)| (e, f.vnet, f.vc))
+            .collect();
+        wire.sort_unstable();
+        for run in wire.chunk_by(|a, b| a == b) {
+            let (e, vnet, vc) = run[0];
+            mix(e as u64);
+            mix(vnet as u64);
+            mix(vc as u64);
+            mix(run.len() as u64);
         }
         for (i, nic) in core.nics.iter().enumerate() {
             for (vn, q) in nic.queues.iter().enumerate() {
@@ -490,13 +514,11 @@ impl Auditor {
                         }
                     }
                 }
-                for (c, ch) in core.channels.iter().enumerate() {
-                    for f in ch.iter_in_flight() {
-                        note(format!(
-                            "channel {c} wire: packet {} flit {} -> node {}",
-                            f.packet, f.flit_idx, f.dst
-                        ));
-                    }
+                for &(e, f) in core.wheel.iter_slots().flat_map(|s| s.flits.iter()) {
+                    note(format!(
+                        "link {e} wire: packet {} flit {} -> node {}",
+                        f.packet, f.flit_idx, f.dst
+                    ));
                 }
                 for (i, q) in core.ring_transfer.iter().enumerate() {
                     if let Some(f) = q.front() {

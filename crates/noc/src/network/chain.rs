@@ -152,7 +152,7 @@ impl NetworkCore {
         loop {
             let Some(next) = self.neighbor(cur, from) else { return true };
             // Wire next -> cur.
-            if self.channel(next, toward).flits_in_flight() > 0 {
+            if self.wheel.flits_on(self.edge(next, toward)) > 0 {
                 return false;
             }
             if self.power(next).is_powered() {
@@ -216,10 +216,10 @@ impl NetworkCore {
         loop {
             let prev =
                 self.neighbor(cur, d.opposite()).expect("audit path must stay inside the mesh");
-            // Channel prev -> cur carries flits downstream.
-            claimed += self.channel(prev, d).flits_in_flight_for(vnet as u8, vc as u8);
-            // Channel cur -> prev carries credits upstream.
-            claimed += self.channel(cur, d.opposite()).credits_in_flight_for(vnet as u8, vc as u8);
+            // Link prev -> cur carries flits downstream.
+            claimed += self.wheel.flits_for(self.edge(prev, d), vnet as u8, vc as u8);
+            // Link cur -> prev carries credits upstream.
+            claimed += self.wheel.credits_for(self.edge(cur, d.opposite()), vnet as u8, vc as u8);
             if prev == upstream {
                 break;
             }
@@ -333,8 +333,11 @@ mod tests {
     fn audit_credits_subtracts_in_flight_credits() {
         let mut c = core();
         let e = id(1, 0) as usize * 4 + Dir::West.index();
-        c.channels[e].send_credit(5, crate::link::CreditMsg { vnet: 0, vc: 0 });
-        c.channels[e].send_credit(6, crate::link::CreditMsg { vnet: 0, vc: 1 });
+        c.wheel.send_credit(e, 1, crate::link::CreditMsg { vnet: 0, vc: 0 });
+        c.wheel.send_credit(e, 3, crate::link::CreditMsg { vnet: 0, vc: 1 });
+        // A credit for the same VC on another link is not this chain's.
+        let other = id(2, 0) as usize * 4 + Dir::West.index();
+        c.wheel.send_credit(other, 3, crate::link::CreditMsg { vnet: 0, vc: 0 });
         let free = c.audit_credits(id(0, 0), id(1, 0), Dir::East, 0, 0);
         assert_eq!(free, c.cfg.buf_depth - 1);
     }
@@ -353,8 +356,10 @@ mod tests {
             len: 1,
             birth: 0,
         };
-        c.channels[e].send_flit(3, p.flit(0, 0));
+        c.wheel.send_flit(e, 3, p.flit(0, 0));
         let free = c.audit_credits(id(0, 0), id(2, 0), Dir::East, 0, 0);
         assert_eq!(free, c.cfg.buf_depth - 1);
+        // The flit on the wire also keeps the sleeper's inbound side busy.
+        assert!(!c.inbound_quiescent(id(1, 0), Dir::West));
     }
 }

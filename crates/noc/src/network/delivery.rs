@@ -1,13 +1,13 @@
 //! The link-side phase bodies, each written once against [`Fabric`]: FLOV
-//! latch forwarding (phase 2), flit and credit delivery with the credit
-//! relay across sleeping routers, and ejection with NoRD ring ingress
-//! (phase 3). The reference scan and the active-set loop run them through
-//! [`Seq`]; the parallel kernel runs the same `*_task` functions on its
-//! tiles.
+//! latch forwarding (phase 2), and the delivery of one wheel slot — flits,
+//! credits with the credit relay across sleeping routers, ejections with
+//! NoRD ring ingress (phase 3). The reference scan and the active-set loop
+//! run them through [`Seq`]; the parallel kernel runs the same
+//! `latch_task` and `deliver_slot` on its tiles.
 
-use super::{chain, Fabric, KernelMode, NetworkCore, Seq, SetId};
+use super::{chain, Fabric, KernelMode, NetworkCore, NodeTables, Seq, SetId};
 use crate::flit::Flit;
-use crate::link::CreditMsg;
+use crate::link::{CreditMsg, Slot};
 use crate::traits::PowerView;
 use crate::types::{Dir, NodeId, Port};
 
@@ -62,70 +62,56 @@ fn latch_router<F: Fabric>(fab: &mut F, i: usize) {
         fab.act().link_flits += 1;
         let e = i * 4 + d.index();
         *fab.link_util(e) += 1;
-        fab.chan(e).send_flit(now + link_lat, f);
-        fab.mark(SetId::Chan, e);
+        fab.send_flit(e, now + link_lat, f);
         fab.router(i).latches[d.index()] = None;
         fab.progress();
     }
 }
 
-/// Phase 3: deliver arrived flits and credits.
+/// Phase 3: deliver this cycle's slot of the wheel. Every kernel takes the
+/// same slot; the parallel one splits its entries by receiving router.
 pub(super) fn delivery_phase(core: &mut NetworkCore) {
-    match core.kernel {
-        KernelMode::Reference => {
-            for e in 0..core.channels.len() {
-                let node = (e / 4) as NodeId;
-                let d = Dir::from_index(e % 4);
-                let Some(target) = core.neighbor(node, d) else {
-                    debug_assert!(core.channels[e].is_idle(), "traffic on an edge channel");
-                    continue;
-                };
-                deliver_channel(&mut Seq(core), e, d, target);
-            }
-            for n in 0..core.eject.len() {
-                deliver_eject(&mut Seq(core), n);
-            }
-        }
-        KernelMode::ActiveSet => {
-            core.for_each_marked(SetId::Chan, |fab, e| chan_task(fab, e as usize));
-            core.for_each_marked(SetId::Eject, |fab, n| eject_task(fab, n as usize));
-        }
-        KernelMode::Parallel { tiles, grid } => super::par::delivery_phase(core, tiles, grid),
+    if let KernelMode::Parallel { tiles, grid } = core.kernel {
+        return super::par::delivery_phase(core, tiles, grid);
     }
+    let now = core.cycle;
+    let slot = core.wheel.take(now);
+    deliver_slot(&mut Seq(core), &slot, |_| true);
+    core.wheel.retire(now, slot);
 }
 
-/// Active-set delivery task for inter-router channel `e`, including the
-/// lazy removal.
-pub(super) fn chan_task<F: Fabric>(fab: &mut F, e: usize) {
-    match fab.chan(e).earliest_arrival() {
-        None => {
-            fab.unmark(SetId::Chan, e);
-            return;
-        }
-        // Everything in flight is still on the wire.
-        Some(a) if a > fab.now() => return,
-        Some(_) => {}
-    }
-    let node = (e / 4) as NodeId;
-    let d = Dir::from_index(e % 4);
-    // Edge channels are never sent on, hence never marked.
-    let target = fab.tables().neighbor(node, d).expect("active channel on a mesh edge");
-    deliver_channel(fab, e, d, target);
-    if fab.chan(e).is_idle() {
-        fab.unmark(SetId::Chan, e);
-    }
+/// The router link `e` feeds and the direction its traffic travels.
+#[inline]
+fn receiver(t: &NodeTables, e: u32) -> (NodeId, Dir) {
+    let d = Dir::from_index(e as usize % 4);
+    // Links off the mesh edge are never sent on.
+    (t.neighbor((e / 4) as NodeId, d).expect("traffic on a mesh-edge link"), d)
 }
 
-/// Deliver everything that has arrived on inter-router channel `e`.
-fn deliver_channel<F: Fabric>(fab: &mut F, e: usize, d: Dir, target: NodeId) {
-    let now = fab.now();
-    while let Some(flit) = fab.chan(e).recv_flit(now) {
-        deliver_flit(fab, target, d, flit);
+/// Deliver the entries of `slot` whose receiving router (or ejecting node)
+/// passes `owned`: its flits, then its credits, then its ejections, each
+/// in send order. Entries on different links commute (each link feeds one
+/// input port, latch or credit counter), and the ejections of one slot
+/// come from one pipeline phase, so they ascend by node.
+pub(super) fn deliver_slot<F: Fabric>(fab: &mut F, slot: &Slot, owned: impl Fn(NodeId) -> bool) {
+    for &(e, f) in &slot.flits {
+        let (target, d) = receiver(fab.tables(), e);
+        if owned(target) {
+            deliver_flit(fab, target, d, f);
+        }
     }
-    // Credits: travel in direction `d`; at a powered router they refund the
+    // Credits travel in direction `d`; at a powered router they refund the
     // output facing back along `opposite(d)`.
-    while let Some(c) = fab.chan(e).recv_credit(now) {
-        deliver_credit(fab, target, d, c);
+    for &(e, c) in &slot.credits {
+        let (target, d) = receiver(fab.tables(), e);
+        if owned(target) {
+            deliver_credit(fab, target, d, c);
+        }
+    }
+    for &(n, f) in &slot.ejects {
+        if owned(n) {
+            deliver_eject(fab, n, f);
+        }
     }
 }
 
@@ -189,8 +175,7 @@ fn deliver_credit<F: Fabric>(fab: &mut F, target: NodeId, travel: Dir, c: Credit
             fab.act().credit_msgs += 1;
             fab.act().credit_relays += 1;
             let e = target as usize * 4 + travel.index();
-            fab.relay_credit(e, now + 1, c);
-            fab.mark(SetId::Chan, e);
+            fab.send_credit(e, now + 1, c);
         }
         // At a mesh edge (or on a fully-gated torus wrap cycle) the credit
         // has no consumer left; drop it.
@@ -219,40 +204,25 @@ fn deliver_credit<F: Fabric>(fab: &mut F, target: NodeId, travel: Dir, c: Credit
     }
 }
 
-/// Active-set ejection task for node `n`, including the lazy removal.
-pub(super) fn eject_task<F: Fabric>(fab: &mut F, n: usize) {
-    if fab.eject(n).is_idle() {
-        fab.unmark(SetId::Eject, n);
+/// Deliver one flit that reached the ejection port of node `n`.
+fn deliver_eject<F: Fabric>(fab: &mut F, n: NodeId, flit: Flit) {
+    if flit.dst != n {
+        // Mesh-to-ring transfer at a proxy node: the routing function
+        // ejected the flit here so it can ride the bypass ring the rest of
+        // the way (NoRD only).
+        assert!(
+            fab.has_ring(),
+            "flit misdelivered: dst {} ejected at {n} without a ring",
+            flit.dst
+        );
+        ring_ingress(fab, n, flit, flit.dst);
         return;
     }
-    deliver_eject(fab, n);
-    if fab.eject(n).is_idle() {
-        fab.unmark(SetId::Eject, n);
-    }
+    eject_local(fab, n, flit);
 }
 
-/// Deliver everything that has arrived on ejection channel `n`.
-fn deliver_eject<F: Fabric>(fab: &mut F, n: usize) {
-    let now = fab.now();
-    while let Some(flit) = fab.eject(n).recv_flit(now) {
-        if flit.dst != n as NodeId {
-            // Mesh-to-ring transfer at a proxy node: the routing function
-            // ejected the flit here so it can ride the bypass ring the rest
-            // of the way (NoRD only).
-            assert!(
-                fab.has_ring(),
-                "flit misdelivered: dst {} ejected at {n} without a ring",
-                flit.dst
-            );
-            ring_ingress(fab, n as NodeId, flit, flit.dst);
-            continue;
-        }
-        eject_local(fab, n as NodeId, flit);
-    }
-}
-
-/// Hand `flit` to the NIC of its destination `n` (from the ejection channel
-/// or the bypass ring), completing its packet on the tail.
+/// Hand `flit` to the NIC of its destination `n` (from the ejection path or
+/// the bypass ring), completing its packet on the tail.
 pub(super) fn eject_local<F: Fabric>(fab: &mut F, n: NodeId, flit: Flit) {
     let now = fab.now();
     fab.act().flits_delivered += 1;
@@ -268,7 +238,7 @@ pub(super) fn eject_local<F: Fabric>(fab: &mut F, n: NodeId, flit: Flit) {
 /// the (ring-unused) `vc` field. Flits are staged per packet and released
 /// to the ring station only once the tail arrives, so packets stay
 /// contiguous (flits of different packets interleave on the ejection
-/// channel).
+/// path).
 pub(super) fn ring_ingress<F: Fabric>(fab: &mut F, node: NodeId, mut flit: Flit, exit: NodeId) {
     debug_assert!(exit != node);
     flit.vc = exit as u8;

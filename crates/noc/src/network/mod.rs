@@ -1,24 +1,28 @@
-//! The simulation kernel: owns routers, channels and NICs, and advances the
-//! network one cycle at a time with a fixed, deterministic phase order:
+//! The simulation kernel: owns routers, the arrival wheel of in-flight
+//! traffic and NICs, and advances the network one cycle at a time with a
+//! fixed, deterministic phase order:
 //!
 //! 1. workload update (core activity + packet generation),
 //! 2. FLOV latch forwarding in power-gated routers,
-//! 3. link delivery (flits, credits, ejection),
+//! 3. link delivery (this cycle's slot of the wheel: flits, credits,
+//!    ejections),
 //! 4. mechanism control step (handshakes, power transitions),
 //! 5. NIC injection,
 //! 6. router pipelines (VA, then SA/ST) for powered routers,
 //! 7. accounting (watchdog; residency accumulates lazily at transitions).
 //!
-//! Three interchangeable scheduling strategies drive phases 2, 3, 5 and 6
-//! (see [`KernelMode`]): the *reference* kernel scans every router, slot
-//! and channel each cycle, the default *active-set* kernel visits only
-//! resources with work, tracked incrementally, and the *parallel* kernel
-//! partitions the active sets over tiles. All three run the same phase
-//! bodies (the `delivery` and `pipeline` modules), written once against
-//! the `Fabric` seam, and produce bit-identical results; the invariant
-//! that makes skipping safe is that every state change which can give a
-//! resource work re-marks it (see the marking notes below and `DESIGN.md`
-//! § "Kernel scheduling").
+//! Three interchangeable scheduling strategies drive phases 2, 5 and 6
+//! (see [`KernelMode`]): the *reference* kernel scans every router and NIC
+//! each cycle, the default *active-set* kernel visits only resources with
+//! work, tracked incrementally, and the *parallel* kernel partitions the
+//! active sets over tiles. Phase 3 needs no schedule: every kernel
+//! delivers exactly the wheel slot of the current cycle (the parallel
+//! kernel splits its entries by receiving router). All three run the same
+//! phase bodies (the `delivery` and `pipeline` modules), written once
+//! against the `Fabric` seam, and produce bit-identical results; the
+//! invariant that makes skipping safe is that every state change which can
+//! give a resource work re-marks it (see the marking notes below and
+//! `DESIGN.md` § "Kernel scheduling").
 
 pub mod audit;
 mod chain;
@@ -36,7 +40,7 @@ use crate::active::ActiveSet;
 use crate::activity::{ActivityCounters, Residency};
 use crate::config::{ConfigError, NocConfig};
 use crate::flit::Flit;
-use crate::link::{Channel, CreditMsg};
+use crate::link::{CreditMsg, Wheel};
 use crate::nic::Nic;
 use crate::packet::{DeliveredPacket, Packet};
 use crate::ring::{BypassRing, RingDelivery};
@@ -54,7 +58,7 @@ use crate::types::{Coord, Cycle, Dir, NodeId, PacketId, PowerState};
 /// the active sets are maintained unconditionally and cleaned lazily.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Visit only routers, channels and NICs with work, tracked
+    /// Visit only routers and NICs with work, tracked
     /// incrementally; per-cycle cost scales with activity. Additionally
     /// jumps the clock over fully quiescent windows (the time-domain skip;
     /// see [`NetworkCore::quiescent`] and the next-event horizons on
@@ -62,8 +66,9 @@ pub enum KernelMode {
     /// so total run cost scales with how many cycles are *busy*.
     #[default]
     ActiveSet,
-    /// Full scan of every router, slot and channel each cycle, never
-    /// skipping — the original kernel, kept as the equivalence oracle.
+    /// Full scan of every router and NIC each cycle, never skipping — the
+    /// original kernel, kept as the equivalence oracle for the router,
+    /// NIC and latch scans and for the time-domain skip.
     Reference,
     /// The sharded in-run parallel kernel: [`KernelMode::ActiveSet`]
     /// scheduling (including the time-domain skip), with phases 2, 3, 5
@@ -112,10 +117,6 @@ struct SchedSets {
     work: ActiveSet,
     /// Nodes whose NIC has queued or mid-serialization traffic.
     inject: ActiveSet,
-    /// Inter-router channels with in-flight flits or credits.
-    chan: ActiveSet,
-    /// Ejection channels with in-flight flits.
-    eject: ActiveSet,
     /// Scratch index buffer reused by phase iterations.
     scratch: Vec<u32>,
 }
@@ -126,8 +127,6 @@ enum SetId {
     Latch,
     Work,
     Inject,
-    Chan,
-    Eject,
 }
 
 impl SchedSets {
@@ -136,8 +135,6 @@ impl SchedSets {
             latch: ActiveSet::new(nodes),
             work: ActiveSet::new(nodes),
             inject: ActiveSet::new(nodes),
-            chan: ActiveSet::new(nodes * 4),
-            eject: ActiveSet::new(nodes),
             scratch: Vec::new(),
         }
     }
@@ -147,8 +144,6 @@ impl SchedSets {
             SetId::Latch => &mut self.latch,
             SetId::Work => &mut self.work,
             SetId::Inject => &mut self.inject,
-            SetId::Chan => &mut self.chan,
-            SetId::Eject => &mut self.eject,
         }
     }
 }
@@ -205,12 +200,11 @@ pub struct NetworkCore {
     tables: NodeTables,
     pub cycle: Cycle,
     pub routers: Vec<Router>,
-    /// Directed inter-router channels, indexed `node * 4 + dir`; the channel
-    /// leads *out of* `node` in direction `dir`. Edge slots exist but stay
-    /// unused.
-    channels: Vec<Channel>,
-    /// Ejection channels, router -> NIC, one per node.
-    eject: Vec<Channel>,
+    /// Every flit and credit on a wire and every flit on its way to a NIC,
+    /// by arrival cycle. Links are indexed `node * 4 + dir`: the link
+    /// leads *out of* `node` in direction `dir` (edge links are never sent
+    /// on).
+    wheel: Wheel,
     pub nics: Vec<Nic>,
     /// OS-visible core power state, driven by the workload. Indexed by
     /// *core* id (`cfg.cores()` entries): on a concentrated mesh several
@@ -244,7 +238,7 @@ pub struct NetworkCore {
     /// or [`KernelMode::Parallel`], and never part of results — skipped
     /// cycles are provable no-ops).
     pub cycles_skipped: u64,
-    /// Flit count per directed channel (`node * 4 + dir`), for hotspot
+    /// Flit count per directed link (`node * 4 + dir`), for hotspot
     /// analysis (the paper attributes RP's contention to routing hotspots).
     pub link_util: Vec<u64>,
     /// NoRD bypass ring, when `cfg.enable_ring` is set.
@@ -256,7 +250,7 @@ pub struct NetworkCore {
     /// in-flight transfer (the reserved transfer VC keeps it contiguous).
     transfer_open: Vec<Option<crate::types::PacketId>>,
     /// Per-packet staging of mesh-to-ring transfers: flits of different
-    /// packets interleave on the ejection channel, but the ring station
+    /// packets interleave on the ejection path, but the ring station
     /// must receive whole packets contiguously (its wormhole lock would
     /// otherwise deadlock). Flits collect here until the tail arrives.
     ring_stage: Vec<Vec<(crate::types::PacketId, Vec<Flit>)>>,
@@ -314,8 +308,7 @@ impl NetworkCore {
         let measure_from = 0;
         Ok(NetworkCore {
             routers: (0..n).map(|i| Router::new(&cfg, i as NodeId)).collect(),
-            channels: (0..n * 4).map(|_| Channel::new()).collect(),
-            eject: (0..n).map(|_| Channel::new()).collect(),
+            wheel: Wheel::new(n * 4, n, cfg.link_latency),
             nics: (0..n).map(|_| Nic::new(cfg.vnets)).collect(),
             core_active: vec![true; cores],
             wake_flag: vec![false; n],
@@ -371,8 +364,9 @@ impl NetworkCore {
     //   latch of a gated router.
     // * `inject` (NIC backlog): packet submission; entries persist across
     //   gated periods until the backlog drains.
-    // * `chan`/`eject` (in-flight traffic): every `send_flit`/`send_credit`
-    //   on the corresponding channel.
+    //
+    // In-flight traffic needs no mark: the wheel delivers each cycle's
+    // arrivals in that cycle.
     //
     // The phase bodies mark through `Fabric::mark`; the helpers below serve
     // packet submission, ring transfers and power transitions.
@@ -450,22 +444,15 @@ impl NetworkCore {
         self.tables.grid_neighbor(node, d)
     }
 
-    /// Index of the outgoing channel of `node` in direction `d`.
+    /// Index of the outgoing link of `node` in direction `d`.
     #[inline]
     fn edge(&self, node: NodeId, d: Dir) -> usize {
         node as usize * 4 + d.index()
     }
 
-    /// The outgoing channel of `node` in direction `d` (must exist).
-    #[inline]
-    pub fn channel(&self, node: NodeId, d: Dir) -> &Channel {
-        &self.channels[self.edge(node, d)]
-    }
-
-    #[inline]
-    pub(crate) fn channel_mut(&mut self, node: NodeId, d: Dir) -> &mut Channel {
-        let e = self.edge(node, d);
-        &mut self.channels[e]
+    /// The in-flight traffic, by arrival cycle (read-only).
+    pub fn wheel(&self) -> &Wheel {
+        &self.wheel
     }
 
     /// Power state of `node`.
@@ -542,8 +529,8 @@ impl NetworkCore {
         Some(id)
     }
 
-    /// Total flits buffered in routers, latches, channels and partial
-    /// serializations — zero means the network fabric is empty.
+    /// Total flits buffered in routers, latches, wires, ejection paths and
+    /// the ring — zero means the network fabric is empty.
     pub fn flits_in_network(&self) -> u64 {
         let buffered: u64 = self.routers.iter().map(|r| r.buffered_flits() as u64).sum();
         let latched: u64 = self
@@ -551,13 +538,12 @@ impl NetworkCore {
             .iter()
             .map(|r| r.latches.iter().filter(|l| l.is_some()).count() as u64)
             .sum();
-        let in_flight: u64 = self.channels.iter().map(|c| c.flits_in_flight() as u64).sum();
-        let ejecting: u64 = self.eject.iter().map(|c| c.flits_in_flight() as u64).sum();
+        let in_flight = self.wheel.flits() as u64;
         let ringed: u64 = self.ring.as_ref().map_or(0, |r| r.flits_in_ring());
         let transfers: u64 = self.ring_transfer.iter().map(|q| q.len() as u64).sum();
         let staged: u64 =
             self.ring_stage.iter().flat_map(|v| v.iter()).map(|(_, fs)| fs.len() as u64).sum();
-        buffered + latched + in_flight + ejecting + ringed + transfers + staged
+        buffered + latched + in_flight + ringed + transfers + staged
     }
 
     /// True if no packet is anywhere between generation and delivery.
@@ -576,9 +562,9 @@ impl NetworkCore {
     }
 
     /// True when a cycle step would move no flit anywhere: every scheduling
-    /// set is empty (no latched, buffered, in-flight or NIC-pending
-    /// traffic), no wakeup requests are queued, and the bypass ring (when
-    /// present) holds no flits. The sets are maintained eagerly and
+    /// set is empty (no latched, buffered or NIC-pending traffic), nothing
+    /// is in flight on the wheel, no wakeup requests are queued, and the
+    /// bypass ring (when present) holds no flits. The sets are maintained eagerly and
     /// cleaned lazily, so right after activity ends this may stay false
     /// for one cleaning step — which only delays a jump, never corrupts
     /// one. In-flight ring credits are deliberately *not* checked: their
@@ -588,8 +574,7 @@ impl NetworkCore {
         self.sched.latch.is_empty()
             && self.sched.work.is_empty()
             && self.sched.inject.is_empty()
-            && self.sched.chan.is_empty()
-            && self.sched.eject.is_empty()
+            && self.wheel.is_empty()
             && self.wake_list.is_empty()
             && self.ring.as_ref().is_none_or(|r| r.flits_in_ring() == 0)
             && self.ring_transfer.iter().all(|q| q.is_empty())
@@ -804,8 +789,9 @@ impl NetworkCore {
 /// `pipeline` module). The reference scan and the active-set loop run the
 /// bodies through [`Seq`], which applies every effect to the core at once;
 /// the parallel kernel runs them through `par::Lane`, which writes only the
-/// elements its tile owns and buffers every other effect into its `Delta`
-/// for ordered replay after the phase join (DESIGN.md §7b).
+/// elements its tile owns and buffers every other effect, sends onto the
+/// wheel included, into its `Delta` for ordered replay after the phase
+/// join (DESIGN.md §7b).
 trait Fabric {
     /// Power reads: the live core, or a tile's phase-start snapshot.
     type View: PowerView;
@@ -818,11 +804,9 @@ trait Fabric {
     fn view(&self) -> &Self::View;
 
     // Elements. A body touches only the ones its phase lets it own: its
-    // router, NIC, outgoing and ejection channels and ring stage, or (in
-    // delivery) the channels it receives from.
+    // router, NIC, outgoing link counters and ring stage, or (in delivery)
+    // the router a wheel entry arrives at.
     fn router(&mut self, i: usize) -> &mut Router;
-    fn chan(&mut self, e: usize) -> &mut Channel;
-    fn eject(&mut self, n: usize) -> &mut Channel;
     fn nic(&mut self, n: usize) -> &mut Nic;
     fn link_util(&mut self, e: usize) -> &mut u64;
     fn ring_stage(&mut self, n: usize) -> &mut Vec<(PacketId, Vec<Flit>)>;
@@ -835,8 +819,11 @@ trait Fabric {
     /// A packet at `origin` waits for the sleeping router `sleeper`.
     fn wakeup(&mut self, origin: NodeId, sleeper: NodeId);
     fn ring_enqueue(&mut self, node: NodeId, flit: Flit);
-    /// A credit relayed onto channel `e`, which another router consumes.
-    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg);
+    /// Sends onto the wheel: a flit or a credit onto link `e`, or a flit
+    /// toward the NIC of `node`, arriving at `arrival`.
+    fn send_flit(&mut self, e: usize, arrival: Cycle, f: Flit);
+    fn send_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg);
+    fn send_eject(&mut self, node: NodeId, arrival: Cycle, f: Flit);
     fn delivered(&mut self, done: DeliveredPacket);
     fn escape_diversion(&mut self);
     fn stalled_injection(&mut self);
@@ -881,16 +868,6 @@ impl Fabric for Seq<'_> {
     #[inline]
     fn router(&mut self, i: usize) -> &mut Router {
         &mut self.0.routers[i]
-    }
-
-    #[inline]
-    fn chan(&mut self, e: usize) -> &mut Channel {
-        &mut self.0.channels[e]
-    }
-
-    #[inline]
-    fn eject(&mut self, n: usize) -> &mut Channel {
-        &mut self.0.eject[n]
     }
 
     #[inline]
@@ -939,8 +916,18 @@ impl Fabric for Seq<'_> {
     }
 
     #[inline]
-    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
-        self.0.channels[e].send_credit(arrival, c);
+    fn send_flit(&mut self, e: usize, arrival: Cycle, f: Flit) {
+        self.0.wheel.send_flit(e, arrival, f);
+    }
+
+    #[inline]
+    fn send_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
+        self.0.wheel.send_credit(e, arrival, c);
+    }
+
+    #[inline]
+    fn send_eject(&mut self, node: NodeId, arrival: Cycle, f: Flit) {
+        self.0.wheel.send_eject(node, arrival, f);
     }
 
     #[inline]

@@ -20,24 +20,24 @@
 //! element, independent of tile geometry:
 //!
 //! * latch / injection / pipeline phases partition by the *owning* router
-//!   — a body touches only its router, its NIC, its outgoing channels and
-//!   its ejection channel;
-//! * the delivery phase partitions channels by the *receiving* router (a
-//!   directed channel has exactly one receiver), so all four inbound
-//!   channels of a router are drained by the same tile, in the same
-//!   relative (ascending-index) order as the sequential scan.
+//!   — a body touches only its router, its NIC and its outgoing link
+//!   counters, and buffers its sends onto the wheel;
+//! * the delivery phase takes the cycle's wheel slot once, and every tile
+//!   walks it, delivering the entries whose *receiving* router (or
+//!   ejecting node) it owns — a directed link has exactly one receiver, so
+//!   each entry is delivered by one tile, in the slot's send order.
 //!
 //! # One body per phase
 //!
 //! A tile runs the very functions the sequential kernels run — the
-//! `latch_task`, `chan_task` and `eject_task` of the `delivery` module and
-//! the `inject_task` and `pipeline_task` of the `pipeline` module — through
+//! `latch_task` and `deliver_slot` of the `delivery` module and the
+//! `inject_task` and `pipeline_task` of the `pipeline` module — through
 //! the [`Fabric`] seam. Where the sequential `Seq` applies every effect to
 //! the core at once, a tile's [`Lane`] reaches only the elements its tile
-//! owns (router, NIC, channels, ejection channel, link counter, ring
-//! stage), reads power from the phase-start snapshot, and buffers every
-//! other effect into its [`Delta`]. This module therefore holds no
-//! datapath code of its own: only the partition, the pool and the replay.
+//! owns (router, NIC, link counter, ring stage), reads power from the
+//! phase-start snapshot, and buffers every other effect, wheel sends
+//! included, into its [`Delta`]. This module therefore holds no datapath
+//! code of its own: only the partition, the pool and the replay.
 //!
 //! # Boundary exchange
 //!
@@ -45,21 +45,19 @@
 //! per-tile [`Delta`] and applied by the driver *after* the join. With 2-D
 //! tiles, tile order no longer equals ascending node order, so replay
 //! distinguishes two classes. The order-sensitive streams — wakeup
-//! requests and NoRD ring enqueues, both tagged with their originating
-//! node — are k-way merged across tiles back into ascending origin order,
-//! which is exactly the sequential order: per-tile lists are already
-//! ascending by origin (tiles walk the snapshot in ascending order) and
-//! origins are disjoint across tiles. Everything else — global counters
-//! and statistics, delivered-packet records, cross-tile credit relays,
-//! and every scheduling-set mark — commutes across tiles or is
-//! single-writer (a relayed credit's channel is fed by exactly the tile
-//! that owns its sender). Set marks apply all removals before all inserts — an insert from
-//! one tile must survive a concurrent lazy removal by the channel's
-//! consumer tile, exactly as the sequential kernel's in-order interleaving
-//! guarantees (a relayed credit arrives at `now + 1`, so the sequential
-//! consumer never removes the mark either). Buffered credit relays are
-//! equally invisible intra-phase: nothing with arrival `now + 1` can be
-//! received at `now`.
+//! requests, NoRD ring enqueues and ejections sent onto the wheel, each
+//! tagged with its originating node — are k-way merged across tiles back
+//! into ascending origin order, which is exactly the sequential order:
+//! per-tile lists are already ascending by origin (tiles walk the snapshot
+//! or the slot in ascending order) and origins are disjoint across tiles.
+//! Everything else — global counters and statistics, delivered-packet
+//! records, flit and credit sends onto the wheel, and every scheduling-set
+//! mark — commutes across tiles or is single-writer: wheel entries on
+//! different links commute at delivery, and each link is sent on by one
+//! tile per phase (its sender's, or for a relayed credit the tile that
+//! owns the relaying router), which appends in its own send order. Every
+//! set mark and removal names a node the tile owns. Buffered sends are
+//! invisible intra-phase: every send lands at least one cycle ahead.
 //!
 //! # Power snapshot
 //!
@@ -84,19 +82,19 @@
 //! `RunResult` — is bit-for-bit identical to the sequential kernel, which
 //! is why `KernelMode` stays out of result cache keys.
 
-use super::delivery::{chan_task, eject_task, latch_task};
+use super::delivery::{deliver_slot, latch_task};
 use super::pipeline::{inject_task, pipeline_task};
 use super::{Fabric, NetworkCore, NodeTables, SetId};
 use crate::activity::ActivityCounters;
 use crate::config::NocConfig;
 use crate::flit::Flit;
-use crate::link::{Channel, CreditMsg};
+use crate::link::{CreditMsg, Slot};
 use crate::nic::Nic;
 use crate::packet::DeliveredPacket;
 use crate::router::Router;
 use crate::topology::TopologySpec;
 use crate::traits::{PowerMechanism, PowerView};
-use crate::types::{Cycle, Dir, NodeId, PacketId, PowerState};
+use crate::types::{Cycle, NodeId, PacketId, PowerState};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -240,8 +238,12 @@ struct Delta {
     wakes: Vec<(NodeId, NodeId)>,
     /// Ring enqueues as `(origin, flit)`; merged like `wakes`.
     ring_enq: Vec<(NodeId, Flit)>,
-    /// Cross-tile credit relays: `(channel, arrival, credit)`.
-    credit_sends: Vec<(usize, Cycle, CreditMsg)>,
+    /// Wheel sends, in send order: flits and credits as `(link, arrival,
+    /// payload)`, ejections as `(node, (arrival, flit))`, merged like
+    /// `wakes`.
+    flit_sends: Vec<(u32, Cycle, Flit)>,
+    credit_sends: Vec<(u32, Cycle, CreditMsg)>,
+    eject_sends: Vec<(NodeId, (Cycle, Flit))>,
     removes: Vec<(SetId, u32)>,
     inserts: Vec<(SetId, u32)>,
 }
@@ -250,18 +252,21 @@ impl Delta {
     /// A delta sized for a tile owning at most `owned` nodes. Deltas are
     /// drained after every phase, so the needed capacity is one phase's
     /// worst burst, which is bandwidth-bounded (per owned node and cycle:
-    /// ~1 ejected packet, 4 outgoing channels' worth of flits/credits, a
-    /// handful of set transitions) — not resident-state-bounded. Reserving
-    /// past any realistic single-cycle burst keeps the steady-state loop
-    /// allocation-free (enforced by the `alloc_regression` test); an
-    /// extreme burst beyond the reserve still works, it just grows the
-    /// arena once and keeps the new high-water mark.
+    /// ~1 ejected packet, one flit and one credit per outgoing link, one
+    /// ejection, a handful of set transitions) — not resident-state-bounded.
+    /// Reserving past any realistic single-cycle burst keeps the
+    /// steady-state loop allocation-free (enforced by the
+    /// `alloc_regression` test); an extreme burst beyond the reserve still
+    /// works, it just grows the arena once and keeps the new high-water
+    /// mark.
     fn for_tile(owned: usize) -> Delta {
         let mut d = Delta::default();
         d.delivered.reserve(owned * 4);
         d.wakes.reserve(owned * 4);
         d.ring_enq.reserve(owned * 2);
+        d.flit_sends.reserve(owned * 4);
         d.credit_sends.reserve(owned * 4);
+        d.eject_sends.reserve(owned);
         d.removes.reserve(owned * 10);
         d.inserts.reserve(owned * 10);
         d
@@ -320,12 +325,11 @@ fn merge_ordered<T: Copy>(
     }
 }
 
-/// Replay the per-tile deltas into the core. Set removals apply before
-/// set inserts (see module docs). Counters, statistics and delivered
-/// records commute across tiles; credit sends are single-tile per
-/// channel; the two order-sensitive streams — wakeup requests and ring
-/// enqueues — are merged back into ascending origin order, which is the
-/// sequential kernel's order.
+/// Replay the per-tile deltas into the core. Counters, statistics, set
+/// marks and delivered records commute across tiles; flit and credit sends
+/// are single-tile per link; the three order-sensitive streams — wakeup
+/// requests, ring enqueues and ejections — are merged back into ascending
+/// origin order, which is the sequential kernel's order.
 fn apply_deltas(core: &mut NetworkCore, deltas: &mut [Delta], cursors: &mut Vec<usize>) {
     for t in deltas.iter() {
         for &(s, idx) in &t.removes {
@@ -355,10 +359,19 @@ fn apply_deltas(core: &mut NetworkCore, deltas: &mut [Delta], cursors: &mut Vec<
             core.last_progress = core.cycle;
             d.progressed = false;
         }
+        for (e, t, f) in d.flit_sends.drain(..) {
+            core.wheel.send_flit(e as usize, t, f);
+        }
         for (e, t, c) in d.credit_sends.drain(..) {
-            core.channels[e].send_credit(t, c);
+            core.wheel.send_credit(e as usize, t, c);
         }
     }
+    merge_ordered(
+        deltas,
+        cursors,
+        |d| &mut d.eject_sends,
+        |node, (t, f)| core.wheel.send_eject(node, t, f),
+    );
     merge_ordered(
         deltas,
         cursors,
@@ -412,8 +425,6 @@ struct Shared<'a> {
     has_ring: bool,
     nodes: usize,
     routers: *mut Router,
-    channels: *mut Channel,
-    eject: *mut Channel,
     nics: *mut Nic,
     link_util: *mut u64,
     ring_stage: *mut Vec<(PacketId, Vec<Flit>)>,
@@ -476,20 +487,6 @@ impl<'a> Fabric for Lane<'a> {
     }
 
     #[inline]
-    fn chan(&mut self, e: usize) -> &mut Channel {
-        assert!(e < self.sh.nodes * 4);
-        // SAFETY: an in-bounds, tile-owned element (see above).
-        unsafe { &mut *self.sh.channels.add(e) }
-    }
-
-    #[inline]
-    fn eject(&mut self, n: usize) -> &mut Channel {
-        assert!(n < self.sh.nodes);
-        // SAFETY: an in-bounds, tile-owned element (see above).
-        unsafe { &mut *self.sh.eject.add(n) }
-    }
-
-    #[inline]
     fn nic(&mut self, n: usize) -> &mut Nic {
         assert!(n < self.sh.nodes);
         // SAFETY: an in-bounds, tile-owned element (see above).
@@ -541,8 +538,18 @@ impl<'a> Fabric for Lane<'a> {
     }
 
     #[inline]
-    fn relay_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
-        self.d.credit_sends.push((e, arrival, c));
+    fn send_flit(&mut self, e: usize, arrival: Cycle, f: Flit) {
+        self.d.flit_sends.push((e as u32, arrival, f));
+    }
+
+    #[inline]
+    fn send_credit(&mut self, e: usize, arrival: Cycle, c: CreditMsg) {
+        self.d.credit_sends.push((e as u32, arrival, c));
+    }
+
+    #[inline]
+    fn send_eject(&mut self, node: NodeId, arrival: Cycle, f: Flit) {
+        self.d.eject_sends.push((node, (arrival, f)));
     }
 
     #[inline]
@@ -748,10 +755,11 @@ fn worker_loop(sh: &PoolShared, executor: usize, executors: usize) {
 
 // --- Phase driver -----------------------------------------------------------
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PhaseKind {
+#[derive(Clone, Copy, Debug)]
+enum PhaseKind<'a> {
     Latch,
-    Deliver,
+    /// Delivery of the cycle's wheel slot, taken out of the wheel.
+    Deliver(&'a Slot),
     Inject,
     Pipeline,
 }
@@ -759,15 +767,12 @@ enum PhaseKind {
 /// The driver-side job context one phase hands to all tiles.
 struct JobCtx<'a> {
     sh: Shared<'a>,
-    kind: PhaseKind,
+    kind: PhaseKind<'a>,
     plan: &'a TilePlan,
-    /// Node-indexed tasks (ascending). Every tile walks the whole
-    /// snapshot and runs the entries it owns, preserving ascending order
-    /// per tile. For `Deliver` these are the ejection-channel tasks.
+    /// Node-indexed tasks (ascending; empty for `Deliver`). Every tile
+    /// walks the whole snapshot and runs the entries it owns, preserving
+    /// ascending order per tile.
     tasks: &'a [u32],
-    /// Channel tasks, ascending (`Deliver` only); owned by the tile of
-    /// the *receiving* router.
-    chan_tasks: &'a [u32],
     deltas: *mut Delta,
 }
 
@@ -782,21 +787,7 @@ unsafe fn run_tile(ctx: *const (), tile: usize) {
                 latch_task(lane, i as usize);
             }
         }
-        PhaseKind::Deliver => {
-            for &e in j.chan_tasks {
-                let node = (e / 4) as NodeId;
-                let dir = Dir::from_index(e as usize % 4);
-                // Edge channels are never sent on, hence never marked.
-                let target =
-                    j.sh.tables.neighbor(node, dir).expect("active channel on a mesh edge");
-                if owned(target as u32) {
-                    chan_task(lane, e as usize);
-                }
-            }
-            for &n in j.tasks.iter().filter(|&&n| owned(n)) {
-                eject_task(lane, n as usize);
-            }
-        }
+        PhaseKind::Deliver(slot) => deliver_slot(lane, slot, |n| owned(n as u32)),
         PhaseKind::Inject => {
             let mech = j.sh.mech.expect("injection phase requires the mechanism");
             for &n in j.tasks.iter().filter(|&&n| owned(n)) {
@@ -822,7 +813,6 @@ pub(super) struct ParState {
     deltas: Vec<Delta>,
     powers: Vec<PowerState>,
     tasks: Vec<u32>,
-    chan_tasks: Vec<u32>,
     /// Persistent scratch for the ordered replay merges.
     cursors: Vec<usize>,
 }
@@ -847,7 +837,6 @@ impl ParState {
             deltas: (0..t).map(|_| Delta::for_tile(owned)).collect(),
             powers: Vec::new(),
             tasks: Vec::new(),
-            chan_tasks: Vec::new(),
             cursors: Vec::new(),
             plan,
         }
@@ -884,18 +873,16 @@ fn make_shared<'a>(
         has_ring: core.ring.is_some(),
         nodes: core.routers.len(),
         routers: core.routers.as_mut_ptr(),
-        channels: core.channels.as_mut_ptr(),
-        eject: core.eject.as_mut_ptr(),
         nics: core.nics.as_mut_ptr(),
         link_util: core.link_util.as_mut_ptr(),
         ring_stage: core.ring_stage.as_mut_ptr(),
     }
 }
 
-/// Fork-join one phase over the prepared task snapshots, then replay the
-/// deltas. `st.tasks` and (for `Deliver`) `st.chan_tasks` must be filled
-/// before calling. The replay is timed into the `exchange` bucket when
-/// phase timing is enabled.
+/// Fork-join one phase over the prepared task snapshot (`st.tasks`, filled
+/// before calling, or the slot for `Deliver`), then replay the deltas. The
+/// replay is timed into the `exchange` bucket when phase timing is
+/// enabled.
 fn run_phase(
     core: &mut NetworkCore,
     mech: Option<&dyn PowerMechanism>,
@@ -909,7 +896,6 @@ fn run_phase(
             kind,
             plan: &st.plan,
             tasks: &st.tasks,
-            chan_tasks: &st.chan_tasks,
             deltas,
         };
         let tiles = st.plan.tiles();
@@ -933,16 +919,18 @@ pub(super) fn latch_phase(core: &mut NetworkCore, tiles: usize, grid: Option<(u1
     core.par = Some(st);
 }
 
-/// Phase 3, parallel: link delivery. Channels partition by *receiver*;
-/// ejection channels by node.
+/// Phase 3, parallel: delivery of the cycle's wheel slot. Link entries
+/// partition by *receiver*, ejections by node.
 pub(super) fn delivery_phase(core: &mut NetworkCore, tiles: usize, grid: Option<(u16, u16)>) {
     let mut st = take_state(core, tiles, grid);
-    core.sched.chan.collect_into(&mut st.chan_tasks);
-    core.sched.eject.collect_into(&mut st.tasks);
-    if !st.tasks.is_empty() || !st.chan_tasks.is_empty() {
+    let now = core.cycle;
+    let slot = core.wheel.take(now);
+    if !slot.is_empty() {
+        st.tasks.clear();
         snapshot_powers(core, &mut st.powers);
-        run_phase(core, None, &mut st, PhaseKind::Deliver);
+        run_phase(core, None, &mut st, PhaseKind::Deliver(&slot));
     }
+    core.wheel.retire(now, slot);
     core.par = Some(st);
 }
 

@@ -305,7 +305,8 @@ fn sa_stage<F: Fabric>(fab: &mut F, node: NodeId) {
 /// Switch traversal for one SA winner: move the flit onto the output link,
 /// consume the downstream credit, refund the upstream credit for the freed
 /// input slot, and close the wormhole on tails. Every write lands on
-/// `node`'s own router, outgoing channels and ejection channel.
+/// `node`'s own router and link counters, or on the wheel as a send from
+/// `node`.
 fn st_traverse<F: Fabric>(fab: &mut F, node: NodeId, in_port: usize, s: usize, op: usize, ovc: u8) {
     let now = fab.now();
     let n = node as usize;
@@ -324,13 +325,11 @@ fn st_traverse<F: Fabric>(fab: &mut F, node: NodeId, in_port: usize, s: usize, o
     f.hops_link += 1;
     let arrival = now + link_lat + 2; // ST next cycle, then the wire
     if op == Port::Local.index() {
-        fab.eject(n).send_flit(arrival, f);
-        fab.mark(SetId::Eject, n);
+        fab.send_eject(node, arrival, f);
     } else {
         let e = n * 4 + Port::from_index(op).dir().unwrap().index();
         *fab.link_util(e) += 1;
-        fab.chan(e).send_flit(arrival, f);
-        fab.mark(SetId::Chan, e);
+        fab.send_flit(e, arrival, f);
     }
     // Credit for the freed input slot flows back upstream (not for the
     // local port: the NIC observes buffer space directly).
@@ -339,8 +338,7 @@ fn st_traverse<F: Fabric>(fab: &mut F, node: NodeId, in_port: usize, s: usize, o
         if fab.tables().neighbor(node, d_up).is_some() {
             let (vn, vc) = fab.cfg().vc_split(s % fab.cfg().total_vcs());
             let e = n * 4 + d_up.index();
-            fab.chan(e).send_credit(now + 3, CreditMsg { vnet: vn as u8, vc: vc as u8 });
-            fab.mark(SetId::Chan, e);
+            fab.send_credit(e, now + 3, CreditMsg { vnet: vn as u8, vc: vc as u8 });
             fab.act().credit_msgs += 1;
         }
     }

@@ -507,6 +507,33 @@ fn auditor_flags_a_drifted_router_mirror() {
 }
 
 #[test]
+fn auditor_flags_a_drifted_wire_count() {
+    // Mid-flight, flip the wheel's in-flight count of one busy link and of
+    // one idle link in turn: each gives exactly one violation.
+    let events = (0..4).map(|_| (0u64, PacketRequest { src: 0, dst: 3, vnet: 0, len: 4 }));
+    let w = ScriptedWorkload::new(events.collect());
+    let mut sim = Simulation::new(small_cfg(), Box::new(AlwaysOnYx), Box::new(w));
+    sim.run(8);
+    let violations = |sim: &Simulation| {
+        let mut aud = Auditor::with_interval(1, 0);
+        aud.check(&sim.core, sim.mech.as_ref());
+        aud.violations().to_vec()
+    };
+    assert_eq!(violations(&sim), [], "a healthy run drifted");
+    let counts = sim.core.wheel.wire_flits();
+    let busy = counts.iter().position(|&n| n > 0).expect("a flit on some wire");
+    let idle = counts.iter().position(|&n| n == 0).expect("an idle link");
+    for e in [busy, idle] {
+        sim.core.wheel.wire_flits_mut()[e] += 1;
+        let found = violations(&sim);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].kind, AuditKind::StateLegality);
+        assert!(found[0].detail.contains(&format!("link {e}:")), "{}", found[0].detail);
+        sim.core.wheel.wire_flits_mut()[e] -= 1;
+    }
+}
+
+#[test]
 fn auditor_reports_stall_instead_of_panicking() {
     // The watchdog scenario from `watchdog_fires_on_artificial_stall`,
     // with an auditor attached: same detection, structured report, no

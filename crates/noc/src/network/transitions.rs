@@ -62,7 +62,7 @@ impl NetworkCore {
             let mut cur = node;
             while cur != u {
                 let prev = self.neighbor(cur, d.opposite()).unwrap();
-                self.channel_mut(cur, d.opposite()).clear_credits();
+                self.wheel.clear_credits(self.edge(cur, d.opposite()));
                 cur = prev;
             }
             // A sleeping edge router has no wire in `d`: nothing can flow
@@ -126,7 +126,7 @@ impl NetworkCore {
                 let mut cur = node;
                 while cur != u {
                     let prev = self.neighbor(cur, d.opposite()).unwrap();
-                    self.channel_mut(cur, d.opposite()).clear_credits();
+                    self.wheel.clear_credits(self.edge(cur, d.opposite()));
                     cur = prev;
                 }
                 let port = Port::from_dir(d);

@@ -11,7 +11,7 @@
 //!
 //! * the **physical** view ([`TopologySpec::neighbor`]) is wrap-aware — it
 //!   describes the links that actually exist, and is what the datapath
-//!   (channel delivery, FLOV latch chains, credit relays) follows;
+//!   (link delivery, FLOV latch chains, credit relays) follows;
 //! * the **grid** view ([`TopologySpec::grid_neighbor`]) never wraps — it
 //!   is the mesh-semantic view that routing policy and the mechanisms'
 //!   edge logic (escape routing's "go East until the edge", FLOV latch

@@ -1,10 +1,10 @@
 //! Property tests for the kernel data structures through the public API:
-//! channel ordering, input VC FIFO discipline, PRNG statistics, flit
+//! arrival-wheel ordering, input VC FIFO discipline, PRNG statistics, flit
 //! integrity coding, and latency-breakdown arithmetic.
 
 use flov_noc::config::NocConfig;
 use flov_noc::flit::{Flit, FlitKind};
-use flov_noc::link::{Channel, CreditMsg};
+use flov_noc::link::{CreditMsg, Wheel};
 use flov_noc::packet::{DeliveredPacket, Packet};
 use flov_noc::rng::Rng;
 use flov_noc::router::Router;
@@ -15,56 +15,69 @@ fn flit(packet: u64, idx: u16, len: u16) -> Flit {
 }
 
 proptest! {
-    /// Channel delivery is a stable sort by arrival cycle: same-cycle sends
-    /// come out in send order, later cycles later.
+    /// Wheel delivery is a stable sort by arrival cycle: sends made over
+    /// many cycles, each landing 1..=3 cycles ahead (the reach of a
+    /// one-cycle link), come out at exactly their arrival cycle, same-cycle
+    /// arrivals in send order.
     #[test]
-    fn channel_delivery_is_stable_by_arrival(arrivals in prop::collection::vec(0u64..50, 1..40)) {
-        let mut ch = Channel::new();
-        for (i, &a) in arrivals.iter().enumerate() {
-            ch.send_flit(a, flit(i as u64, 0, 1));
-        }
-        let mut out = Vec::new();
-        for now in 0..=60u64 {
-            while let Some(f) = ch.recv_flit(now) {
-                out.push((now, f.packet));
+    fn wheel_delivery_is_stable_by_arrival(
+        ops in prop::collection::vec((0usize..8, 1u64..4, any::<bool>()), 1..80),
+    ) {
+        let mut w = Wheel::new(8, 2, 1);
+        let mut now = 0u64;
+        let mut sent = Vec::new(); // (arrival, id)
+        let mut out = Vec::new(); // (delivered at, id)
+        let deliver = |w: &mut Wheel, now: u64, out: &mut Vec<(u64, u64)>| {
+            let slot = w.take(now);
+            out.extend(slot.flits.iter().map(|&(_, f)| (now, f.packet)));
+            w.retire(now, slot);
+        };
+        for (i, &(link, ahead, step)) in ops.iter().enumerate() {
+            w.send_flit(link, now + ahead, flit(i as u64, 0, 1));
+            sent.push((now + ahead, i as u64));
+            if step {
+                deliver(&mut w, now, &mut out);
+                now += 1;
             }
         }
-        prop_assert_eq!(out.len(), arrivals.len());
-        // Each flit is delivered at exactly its arrival cycle (monotone
-        // polling) and sorted stably.
-        let mut expected: Vec<(u64, u64)> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &a)| (a, i as u64))
-            .collect();
-        expected.sort_by_key(|&(a, _)| a); // stable: preserves send order per cycle
-        prop_assert_eq!(out, expected);
+        while !w.is_empty() {
+            deliver(&mut w, now, &mut out);
+            now += 1;
+        }
+        sent.sort_by_key(|&(a, _)| a); // stable: preserves send order per cycle
+        prop_assert_eq!(out, sent);
     }
 
-    /// Credits and flits never interfere on a channel.
+    /// Flits, credits and ejections never interfere on the wheel.
     #[test]
-    fn channel_credits_and_flits_independent(
+    fn wheel_kinds_are_independent(
         n_flits in 0usize..20,
         n_credits in 0usize..20,
+        n_ejects in 0usize..20,
     ) {
-        let mut ch = Channel::new();
+        let mut w = Wheel::new(4, 4, 1);
         for i in 0..n_flits {
-            ch.send_flit(i as u64, flit(i as u64, 0, 1));
+            w.send_flit(i % 4, 1 + (i % 3) as u64, flit(i as u64, 0, 1));
         }
         for i in 0..n_credits {
-            ch.send_credit(i as u64, CreditMsg { vnet: 0, vc: (i % 4) as u8 });
+            w.send_credit(i % 4, 1 + (i % 3) as u64, CreditMsg { vnet: 0, vc: (i % 4) as u8 });
         }
-        prop_assert_eq!(ch.flits_in_flight(), n_flits);
-        prop_assert_eq!(ch.credits_in_flight(), n_credits);
-        let mut got_f = 0;
-        let mut got_c = 0;
-        for now in 0..40u64 {
-            while ch.recv_flit(now).is_some() { got_f += 1; }
-            while ch.recv_credit(now).is_some() { got_c += 1; }
+        for i in 0..n_ejects {
+            w.send_eject((i % 4) as u16, 3, flit(i as u64, 0, 1));
         }
-        prop_assert_eq!(got_f, n_flits);
-        prop_assert_eq!(got_c, n_credits);
-        prop_assert!(ch.is_idle());
+        prop_assert_eq!(w.flits(), n_flits + n_ejects);
+        prop_assert_eq!(w.wire_flits().iter().sum::<u32>() as usize, n_flits);
+        let (mut got_f, mut got_c, mut got_e) = (0, 0, 0);
+        for now in 0..4u64 {
+            let slot = w.take(now);
+            got_f += slot.flits.len();
+            got_c += slot.credits.len();
+            got_e += slot.ejects.len();
+            w.retire(now, slot);
+        }
+        prop_assert_eq!((got_f, got_c, got_e), (n_flits, n_credits, n_ejects));
+        prop_assert!(w.is_empty());
+        prop_assert_eq!(w.wire_flits().iter().sum::<u32>(), 0);
     }
 
     /// Each input VC of a router is an exact FIFO ring over its slots of
