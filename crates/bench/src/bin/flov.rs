@@ -12,13 +12,17 @@
 //!
 //! Global flags (valid anywhere after the subcommand):
 //!   --cache-dir D  cache location (default $FLOV_CACHE_DIR or results/cache)
-//!   --no-cache     always simulate; touch no files
 //!   --quiet        suppress stderr progress + engine summary
 //!
-//! The figure and study subcommands, `parsec`, `bench-kernel` and
-//! `bench-engine` also read `--quick` (a reduced-scale sweep for smoke
-//! runs). Any other flag the subcommand does not read, a flag without its
-//! value or a stray word exits 2 naming it, before anything runs.
+//! Every subcommand but the `cache` verbs also reads `--no-cache` (always
+//! simulate; touch no cache files). The figure and study subcommands,
+//! `parsec`, `bench-kernel` and `bench-engine` also read `--quick` (a
+//! reduced-scale sweep for smoke runs). Any other flag the subcommand does
+//! not read, a flag without its value or a stray word exits 2 naming it,
+//! before anything runs.
+//!
+//! Output piped into a reader that closes early (`flov table1 | head -1`)
+//! ends `flov` by SIGPIPE, as it does any Unix filter, instead of a panic.
 
 use flov_bench::engine::Engine;
 use flov_bench::figures::{
@@ -100,22 +104,24 @@ tools:
               rewrites JSON entries older builds wrote as sharded binary,
               hash-preserving; gc evicts oldest-first by last use)
 
-global flags: [--cache-dir DIR] [--no-cache] [--quiet]
+global flags: [--cache-dir DIR] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
               plain per-5% progress lines instead of redraws)
+no cache:     [--no-cache] (always simulate; touch no cache files) on
+              every subcommand but the cache verbs
 reduced scale: [--quick] on fig6..fig10, ablations, nord, related,
               scaling, parsec, bench-kernel and bench-engine
 any other flag a subcommand does not read exits 2, as does a stray word
 ";
 
 /// The flags every subcommand reads.
-const GLOBAL_FLAGS: &str = "--quiet --no-cache --cache-dir=";
+const GLOBAL_FLAGS: &str = "--quiet --cache-dir=";
 
 /// The workload and run-shape flags `sim` and `trace record` share.
 macro_rules! run_flags {
     () => {
-        "--mech= --pattern= --rate= --gated= --cycles= --warmup= --seed= --k= --topology= \
-         --parsec= --mmpp= --diurnal= --dwell= --audit --threads= --tiles= --json"
+        "--no-cache --mech= --pattern= --rate= --gated= --cycles= --warmup= --seed= --k= \
+         --topology= --parsec= --mmpp= --diurnal= --dwell= --audit --threads= --tiles= --json"
     };
 }
 
@@ -123,26 +129,26 @@ macro_rules! run_flags {
 /// subcommand or `trace`/`cache` verb. A trailing `=` marks a flag that
 /// takes a value.
 const FLAGS: [(&str, &str); 25] = [
-    ("fig6", "--quick"),
-    ("fig7", "--quick"),
-    ("fig8ab", "--quick"),
-    ("fig8cd", "--quick"),
-    ("fig9", "--quick"),
-    ("fig10", "--quick"),
-    ("table1", ""),
-    ("overhead", ""),
-    ("ablations", "--quick"),
-    ("nord", "--quick"),
-    ("related", "--quick"),
-    ("scaling", "--quick"),
-    ("parsec", "--quick --bench= --mech= --seed="),
+    ("fig6", "--no-cache --quick"),
+    ("fig7", "--no-cache --quick"),
+    ("fig8ab", "--no-cache --quick"),
+    ("fig8cd", "--no-cache --quick"),
+    ("fig9", "--no-cache --quick"),
+    ("fig10", "--no-cache --quick"),
+    ("table1", "--no-cache"),
+    ("overhead", "--no-cache"),
+    ("ablations", "--no-cache --quick"),
+    ("nord", "--no-cache --quick"),
+    ("related", "--no-cache --quick"),
+    ("scaling", "--no-cache --quick"),
+    ("parsec", "--no-cache --quick --bench= --mech= --seed="),
     ("sim", concat!(run_flags!(), " --map")),
     ("trace record", concat!(run_flags!(), " --out=")),
-    ("trace replay", "--in= --json --closed-loop"),
-    ("sweep", "--spec="),
-    ("bench-kernel", "--quick --min-cps= --min-skip= --min-parallel-speedup= --out="),
-    ("bench-engine", "--quick --runs= --min-warm-probe-rate= --out="),
-    ("fuzz", "--runs= --max-cycles= --seed= --out= --replay="),
+    ("trace replay", "--no-cache --in= --json --closed-loop"),
+    ("sweep", "--no-cache --spec="),
+    ("bench-kernel", "--no-cache --quick --min-cps= --min-skip= --min-parallel-speedup= --out="),
+    ("bench-engine", "--no-cache --quick --runs= --min-warm-probe-rate= --out="),
+    ("fuzz", "--no-cache --runs= --max-cycles= --seed= --out= --replay="),
     ("cache stats", ""),
     ("cache clear", ""),
     ("cache verify", ""),
@@ -363,7 +369,26 @@ fn write_report(args: &Args, report: &impl serde::Serialize, default_out: &str) 
     eprintln!("[flov] {} report written to {out}", args.arm);
 }
 
+/// Restore the default SIGPIPE action, which the Rust runtime sets to
+/// ignore: a reader that closes the pipe early then ends `flov` quietly,
+/// where every later `println!` would otherwise panic on a broken pipe.
+#[cfg(unix)]
+fn die_on_sigpipe() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGPIPE: i32 = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: sets one signal's disposition to the default action before
+    // any thread starts; no handler code is installed.
+    unsafe { signal(SIGPIPE, SIG_DFL) };
+}
+
+#[cfg(not(unix))]
+fn die_on_sigpipe() {}
+
 fn main() {
+    die_on_sigpipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&argv);
     check_env_or_die();

@@ -4,12 +4,13 @@
 //! instead of panicking, silently running a clamped or different
 //! experiment or measuring an empty window. A run whose invariant auditor
 //! finds a violation makes `flov` exit 1 instead of printing a silent
-//! wrong answer.
+//! wrong answer. A reader that closes `flov`'s stdout early ends it
+//! quietly, not with a panic.
 
 use flov_bench::{RunSpec, WorkloadSpec};
 use flov_noc::types::Cycle;
 use flov_noc::TopologySpec;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const FLOV_VARS: [&str; 4] = ["FLOV_KERNEL", "FLOV_THREADS", "FLOV_TILES", "FLOV_AUDIT"];
 
@@ -68,6 +69,18 @@ fn bad_env_values_exit_2_naming_the_variable() {
 #[test]
 fn unknown_and_unread_flags_exit_2_naming_them() {
     let parsec_run = ["sim", "--parsec", "swaptions", "--k", "4", "--cycles", "1000", "--no-cache"];
+    // A cache holding one entry, which `cache clear --no-cache` must leave.
+    let cache = std::env::temp_dir().join(format!("flov-no-cache-{}", std::process::id()));
+    let cache = cache.to_str().expect("utf-8 path");
+    let run = ["sim", "--k", "4", "--warmup", "0", "--cycles", "100", "--cache-dir", cache];
+    assert_eq!(flov(&run, &[]).status.code(), Some(0));
+    let entries = || {
+        let out = flov(&["cache", "--cache-dir", cache, "stats"], &[]);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.starts_with("entries")).map(str::to_owned);
+        line.unwrap_or_else(|| panic!("no entries line in {stdout}"))
+    };
+    assert_eq!(entries().split_whitespace().collect::<Vec<_>>(), ["entries", "1"]);
     for (out, named) in [
         (flov(&["table1", "--bogus"], &[]), "--bogus"),
         (flov(&["cache", "stats", "--max-bytes", "1"], &[]), "--max-bytes"),
@@ -79,11 +92,15 @@ fn unknown_and_unread_flags_exit_2_naming_them() {
         (flov(&["bench-kernel", "--quick", "--min-cp", "5000"], &[]), "--min-cp"),
         (sim(&[], &["--quick"]), "--quick"),
         (flov(&["table1", "--quick"], &[]), "--quick"),
+        (flov(&["cache", "--cache-dir", cache, "clear", "--no-cache"], &[]), "--no-cache"),
     ] {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
         assert!(stderr.contains(named), "stderr does not name {named}: {stderr}");
     }
+    let survived = entries();
+    let _ = std::fs::remove_dir_all(cache);
+    assert_eq!(survived.split_whitespace().collect::<Vec<_>>(), ["entries", "1"]);
     // A flag may come before the verb it belongs to.
     let dir = std::env::temp_dir().join(format!("flov-flag-order-{}", std::process::id()));
     let out = flov(&["cache", "--cache-dir", dir.to_str().expect("utf-8 path"), "stats"], &[]);
@@ -172,6 +189,8 @@ fn hostile_specs_exit_2_naming_the_value() {
         (with(|s| s.warmup = 1_000), "warmup 1000 leaves no measurement window"),
         (with(|s| s.cfg.buf_depth = 65_536), "buffer depth 65536 "),
         (with(|s| s.cfg.buf_depth = 65_542), "buffer depth 65542 "),
+        (with(|s| s.cfg.link_latency = 0), "link latency 0 "),
+        (with(|s| s.cfg.link_latency = u32::MAX), "link latency 4294967295 "),
     ];
     for (tag, (spec, named)) in rows.iter().enumerate() {
         let out = sweep(spec, tag);
@@ -179,6 +198,28 @@ fn hostile_specs_exit_2_naming_the_value() {
         assert_eq!(out.status.code(), Some(2), "row {tag} ({named}): {stderr}");
         assert!(stderr.contains(named), "row {tag}: stderr does not name {named}: {stderr}");
     }
+}
+
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_flov_without_a_panic() {
+    use std::os::unix::process::ExitStatusExt;
+    let dir = std::env::temp_dir().join(format!("flov-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_flov"))
+        .arg("table1")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .current_dir(&dir)
+        .spawn()
+        .expect("spawn flov");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for flov");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let status = out.status;
+    assert!(status.code() == Some(0) || status.signal() == Some(13), "{status:?}: {stderr}");
 }
 
 #[test]
