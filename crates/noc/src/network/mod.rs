@@ -450,11 +450,6 @@ impl NetworkCore {
         node as usize * 4 + d.index()
     }
 
-    /// The in-flight traffic, by arrival cycle (read-only).
-    pub fn wheel(&self) -> &Wheel {
-        &self.wheel
-    }
-
     /// Power state of `node`.
     #[inline]
     pub fn power(&self, node: NodeId) -> PowerState {
