@@ -213,6 +213,22 @@ impl Auditor {
 
     fn check_credit_conservation(&mut self, core: &NetworkCore) {
         let per = core.cfg.vcs_per_vnet();
+        // In-flight flits and credits per (link, VC), from one scan of the
+        // wheel instead of one per audited VC and hop.
+        let total = core.cfg.total_vcs();
+        let at = |e: u32, vnet: u8, vc: u8| {
+            e as usize * total + core.cfg.vc_index(vnet as usize, vc as usize)
+        };
+        let mut flits = vec![0usize; core.nodes() * 4 * total];
+        let mut credits = vec![0usize; core.nodes() * 4 * total];
+        for slot in core.wheel.iter_slots() {
+            for &(e, f) in &slot.flits {
+                flits[at(e, f.vnet, f.vc)] += 1;
+            }
+            for &(e, c) in &slot.credits {
+                credits[at(e, c.vnet, c.vc)] += 1;
+            }
+        }
         for u in 0..core.nodes() {
             let u = u as crate::types::NodeId;
             if !core.power(u).is_powered() {
@@ -236,7 +252,9 @@ impl Auditor {
                 for flat in 0..core.cfg.total_vcs() {
                     let (vnet, vc) = (flat / per, flat % per);
                     let have = r.out_credits[r.slot(port.index(), flat)].available();
-                    let expect = core.audit_credits(u, owner, d, vnet, vc);
+                    let expect = core.audit_credits_by(u, owner, d, vnet, vc, |fl, cl| {
+                        flits[fl * total + flat] + credits[cl * total + flat]
+                    });
                     if have != expect {
                         self.push(
                             core.cycle,

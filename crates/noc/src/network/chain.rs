@@ -205,6 +205,25 @@ impl NetworkCore {
         vnet: usize,
         vc: usize,
     ) -> usize {
+        let (vn, v) = (vnet as u8, vc as u8);
+        self.audit_credits_by(upstream, owner, d, vnet, vc, |flit_link, credit_link| {
+            self.wheel.flits_for(flit_link, vn, v) + self.wheel.credits_for(credit_link, vn, v)
+        })
+    }
+
+    /// [`NetworkCore::audit_credits`] with the VC's traffic in flight on
+    /// each hop counted by `in_flight(flit_link, credit_link)`: its flits
+    /// on the link toward the owner plus its credits on the link back.
+    /// The auditor counts from one scan of the wheel for every VC at once.
+    pub(crate) fn audit_credits_by(
+        &self,
+        upstream: NodeId,
+        owner: NodeId,
+        d: Dir,
+        vnet: usize,
+        vc: usize,
+        in_flight: impl Fn(usize, usize) -> usize,
+    ) -> usize {
         let in_port = crate::types::Port::from_dir(d.opposite());
         let owner_r = &self.routers[owner as usize];
         let slot = owner_r.slot(in_port.index(), self.cfg.vc_index(vnet, vc));
@@ -216,10 +235,9 @@ impl NetworkCore {
         loop {
             let prev =
                 self.neighbor(cur, d.opposite()).expect("audit path must stay inside the mesh");
-            // Link prev -> cur carries flits downstream.
-            claimed += self.wheel.flits_for(self.edge(prev, d), vnet as u8, vc as u8);
-            // Link cur -> prev carries credits upstream.
-            claimed += self.wheel.credits_for(self.edge(cur, d.opposite()), vnet as u8, vc as u8);
+            // Link prev -> cur carries flits downstream, link cur -> prev
+            // credits upstream.
+            claimed += in_flight(self.edge(prev, d), self.edge(cur, d.opposite()));
             if prev == upstream {
                 break;
             }

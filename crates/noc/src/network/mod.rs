@@ -58,10 +58,10 @@ use crate::types::{Coord, Cycle, Dir, NodeId, PacketId, PowerState};
 /// the active sets are maintained unconditionally and cleaned lazily.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Visit only routers and NICs with work, tracked
-    /// incrementally; per-cycle cost scales with activity. Additionally
-    /// jumps the clock over fully quiescent windows (the time-domain skip;
-    /// see [`NetworkCore::quiescent`] and the next-event horizons on
+    /// Visit only routers and NICs with work, tracked incrementally;
+    /// per-cycle cost scales with activity. Additionally jumps the clock
+    /// over fully quiescent windows (the time-domain skip; see
+    /// [`NetworkCore::quiescent`] and the next-event horizons on
     /// [`crate::traits::PowerMechanism`] / [`crate::traits::Workload`]),
     /// so total run cost scales with how many cycles are *busy*.
     #[default]
@@ -559,10 +559,10 @@ impl NetworkCore {
     /// True when a cycle step would move no flit anywhere: every scheduling
     /// set is empty (no latched, buffered or NIC-pending traffic), nothing
     /// is in flight on the wheel, no wakeup requests are queued, and the
-    /// bypass ring (when present) holds no flits. The sets are maintained eagerly and
-    /// cleaned lazily, so right after activity ends this may stay false
-    /// for one cleaning step — which only delays a jump, never corrupts
-    /// one. In-flight ring credits are deliberately *not* checked: their
+    /// bypass ring (when present) holds no flits. The sets are maintained
+    /// eagerly and cleaned lazily, so right after activity ends this may
+    /// stay false for one cleaning step — which only delays a jump, never
+    /// corrupts one. In-flight ring credits are deliberately *not* checked: their
     /// delivery is `arrival <= now`, so a jump past the arrival lands the
     /// same credits at the next real step with identical state.
     pub fn quiescent(&self) -> bool {
