@@ -414,8 +414,8 @@ impl Auditor {
 
     /// Digest of the escape sub-network's occupancy: per escape VC, the
     /// buffer length and front flit identity, plus per-link in-flight
-    /// escape counts from the wheel, plus per-NIC injection frontier (head packet
-    /// identity/age, serialization progress). Any change means the
+    /// escape counts from the wheel, plus per-NIC injection frontier (head
+    /// packet identity/age, serialization progress). Any change means the
     /// deadlock-recovery lane — or the injection frontier — moved. Queue
     /// length is deliberately left out: an open-loop workload keeps
     /// enqueueing behind a stuck head, which is not movement.
