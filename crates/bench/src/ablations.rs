@@ -13,7 +13,7 @@
 use crate::engine::Engine;
 use crate::report::{f2, mw, Table};
 use crate::run_with;
-use crate::spec::{RunSpec, WorkloadSpec};
+use crate::spec::{RunResult, RunSpec, WorkloadSpec};
 use flov_core::{Flov, FlovParams, RouterParking, RpMode};
 use flov_workloads::Pattern;
 
@@ -28,6 +28,17 @@ fn base_spec(cycles: u64) -> RunSpec {
         .build()
 }
 
+/// Runs the spec of every point of a sweep as one engine batch, so the
+/// points share the engine's workers; each comes back with its result.
+fn batch<P: Copy>(
+    engine: &Engine,
+    points: &[P],
+    spec: impl Fn(P) -> RunSpec,
+) -> Vec<(P, RunResult)> {
+    let specs: Vec<RunSpec> = points.iter().map(|&p| spec(p)).collect();
+    points.iter().copied().zip(engine.run_batch(&specs)).collect()
+}
+
 /// Escape-timeout sensitivity: too low floods the single escape VC, too
 /// high leaves blocked packets waiting (pre-diversion latency).
 pub fn ablate_escape_timeout(engine: &Engine, cycles: u64) -> Table {
@@ -35,10 +46,12 @@ pub fn ablate_escape_timeout(engine: &Engine, cycles: u64) -> Table {
         "ablation: escape timeout (gFLOV, UR 0.02, 50% gated)",
         &["timeout [cy]", "avg lat", "max lat", "escape pkts", "diversions"],
     );
-    for timeout in [16u32, 64, 128, 512] {
+    let points = batch(engine, &[16u32, 64, 128, 512], |timeout| {
         let mut spec = base_spec(cycles);
         spec.cfg.escape_timeout = timeout;
-        let r = engine.run_one(&spec);
+        spec
+    });
+    for (timeout, r) in points {
         t.row(vec![
             timeout.to_string(),
             f2(r.avg_latency),
@@ -57,17 +70,13 @@ pub fn ablate_idle_threshold(engine: &Engine, cycles: u64) -> Table {
         "ablation: idle-detect threshold before draining (gFLOV)",
         &["threshold [cy]", "avg lat", "gating events", "static [mW]", "total [mW]"],
     );
-    let thresholds = [4u32, 16, 64, 256];
-    let specs: Vec<RunSpec> = thresholds
-        .iter()
-        .map(|&thr| {
-            let mut spec = base_spec(cycles);
-            spec.cfg.idle_threshold = thr;
-            spec.warmup = 0; // count the gating churn
-            spec
-        })
-        .collect();
-    for (thr, r) in thresholds.iter().zip(engine.run_batch(&specs)) {
+    let points = batch(engine, &[4u32, 16, 64, 256], |thr| {
+        let mut spec = base_spec(cycles);
+        spec.cfg.idle_threshold = thr;
+        spec.warmup = 0; // count the gating churn
+        spec
+    });
+    for (thr, r) in points {
         t.row(vec![
             thr.to_string(),
             f2(r.avg_latency),
@@ -117,13 +126,15 @@ pub fn ablate_buffer_depth(engine: &Engine, cycles: u64) -> Table {
         "ablation: input buffer depth (gFLOV, UR 0.08, 50% gated)",
         &["depth [flits]", "avg lat", "throughput [f/cy]", "contention"],
     );
-    for depth in [2usize, 4, 6, 8] {
+    let points = batch(engine, &[2usize, 4, 6, 8], |depth| {
         let mut spec = base_spec(cycles);
         spec.cfg.buf_depth = depth;
         if let WorkloadSpec::Synthetic { ref mut rate, .. } = spec.workload {
             *rate = 0.08;
         }
-        let r = engine.run_one(&spec);
+        spec
+    });
+    for (depth, r) in points {
         t.row(vec![depth.to_string(), f2(r.avg_latency), f2(r.throughput), f2(r.breakdown[3])]);
     }
     t
@@ -135,13 +146,15 @@ pub fn ablate_vc_count(engine: &Engine, cycles: u64) -> Table {
         "ablation: regular VCs per vnet (gFLOV, UR 0.08, 50% gated)",
         &["regular VCs", "avg lat", "throughput [f/cy]"],
     );
-    for vcs in [1usize, 2, 3, 4] {
+    let points = batch(engine, &[1usize, 2, 3, 4], |vcs| {
         let mut spec = base_spec(cycles);
         spec.cfg.regular_vcs = vcs;
         if let WorkloadSpec::Synthetic { ref mut rate, .. } = spec.workload {
             *rate = 0.08;
         }
-        let r = engine.run_one(&spec);
+        spec
+    });
+    for (vcs, r) in points {
         t.row(vec![vcs.to_string(), f2(r.avg_latency), f2(r.throughput)]);
     }
     t
@@ -153,22 +166,28 @@ pub fn ablate_rp_policy(engine: &Engine, cycles: u64) -> Table {
         "ablation: RP parking policy (UR, 50% gated)",
         &["rate", "policy", "avg lat", "static [mW]", "total [mW]"],
     );
-    for rate in [0.02f64, 0.08] {
-        for (name, mech) in [("aggressive", "RP-aggressive"), ("adaptive", "RP")] {
-            let mut spec = base_spec(cycles);
-            spec.mechanism = mech.into();
-            if let WorkloadSpec::Synthetic { rate: ref mut r, .. } = spec.workload {
-                *r = rate;
-            }
-            let r = engine.run_one(&spec);
-            t.row(vec![
-                format!("{rate}"),
-                name.into(),
-                f2(r.avg_latency),
-                mw(r.power.static_w),
-                mw(r.power.total_w),
-            ]);
+    let policies = [
+        (0.02f64, "aggressive", "RP-aggressive"),
+        (0.02, "adaptive", "RP"),
+        (0.08, "aggressive", "RP-aggressive"),
+        (0.08, "adaptive", "RP"),
+    ];
+    let points = batch(engine, &policies, |(rate, _, mech)| {
+        let mut spec = base_spec(cycles);
+        spec.mechanism = mech.into();
+        if let WorkloadSpec::Synthetic { rate: ref mut r, .. } = spec.workload {
+            *r = rate;
         }
+        spec
+    });
+    for ((rate, name, _), r) in points {
+        t.row(vec![
+            format!("{rate}"),
+            name.into(),
+            f2(r.avg_latency),
+            mw(r.power.static_w),
+            mw(r.power.total_w),
+        ]);
     }
     t
 }
@@ -226,12 +245,24 @@ mod tests {
         }
     }
 
+    /// Every sweep whose knob lives in the spec submits its four points
+    /// as one batch, not as four one-spec batches on one worker each.
     #[test]
     fn idle_threshold_ablation_runs_through_the_engine() {
         let engine = Engine::without_cache();
-        let t = ablate_idle_threshold(&engine, 6_000);
-        assert_eq!(t.rows.len(), 4);
-        assert_eq!(engine.stats().simulated, 4);
+        let sweeps: [fn(&Engine, u64) -> Table; 5] = [
+            ablate_escape_timeout,
+            ablate_idle_threshold,
+            ablate_buffer_depth,
+            ablate_vc_count,
+            ablate_rp_policy,
+        ];
+        for (i, sweep) in sweeps.into_iter().enumerate() {
+            let t = sweep(&engine, 6_000);
+            assert_eq!(t.rows.len(), 4, "{}", t.title);
+            assert_eq!(engine.sched_stats().unwrap().jobs, 4, "{}", t.title);
+            assert_eq!(engine.stats().simulated, 4 * (i + 1), "{}", t.title);
+        }
     }
 
     #[test]

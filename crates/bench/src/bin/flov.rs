@@ -98,11 +98,10 @@ tools:
               [--runs N] [--max-cycles N] [--seed S] [--out DIR]
               | --replay FILE.json
   cache       result-cache maintenance
-              stats | clear | verify | migrate
+              stats | clear | verify
               | gc [--max-bytes N[K|M|G]] [--max-age N[s|m|h|d]]
-              (verify re-derives every entry's content hash; migrate
-              rewrites JSON entries older builds wrote as sharded binary,
-              hash-preserving; gc evicts oldest-first by last use)
+              (verify re-derives every entry's content hash; gc evicts
+              oldest-first by last use)
 
 global flags: [--cache-dir DIR] [--quiet]
               (FLOV_QUIET=1 also silences progress; non-TTY stderr gets
@@ -128,7 +127,7 @@ macro_rules! run_flags {
 /// The flags each subcommand reads besides [`GLOBAL_FLAGS`], one line per
 /// subcommand or `trace`/`cache` verb. A trailing `=` marks a flag that
 /// takes a value.
-const FLAGS: [(&str, &str); 25] = [
+const FLAGS: [(&str, &str); 24] = [
     ("fig6", "--no-cache --quick"),
     ("fig7", "--no-cache --quick"),
     ("fig8ab", "--no-cache --quick"),
@@ -152,7 +151,6 @@ const FLAGS: [(&str, &str); 25] = [
     ("cache stats", ""),
     ("cache clear", ""),
     ("cache verify", ""),
-    ("cache migrate", ""),
     ("cache gc", "--max-bytes= --max-age="),
 ];
 
@@ -587,22 +585,7 @@ fn main() {
                     println!("entries      {}", s.entries);
                     println!("total size   {} bytes", s.total_bytes);
                     println!("shard dirs   {}", s.shard_dirs);
-                    if s.awaiting_migrate > 0 {
-                        println!(
-                            "json         {} awaiting migrate (run `flov cache migrate`)",
-                            s.awaiting_migrate
-                        );
-                    }
                     println!("quarantined  {} ({} bytes)", s.quarantined, s.quarantined_bytes);
-                    if s.atime_bump_failures > 0 {
-                        println!(
-                            "atime bumps  {} failed — access times are stale \
-                             (noatime/read-only mount?); gc orders by mtime",
-                            s.atime_bump_failures
-                        );
-                    } else {
-                        println!("atime bumps  ok (gc orders by last use)");
-                    }
                 }
                 "cache clear" => {
                     let n = cache.clear().unwrap_or_else(|e| fail(format!("clearing cache: {e}")));
@@ -617,15 +600,6 @@ fn main() {
                     if r.quarantined > 0 {
                         std::process::exit(1);
                     }
-                }
-                "cache migrate" => {
-                    let r =
-                        cache.migrate().unwrap_or_else(|e| fail(format!("migrating cache: {e}")));
-                    println!(
-                        "migrated {} JSON entries to binary, {} already binary, \
-                         {} superseded by binary, {} quarantined",
-                        r.migrated, r.already_binary, r.superseded, r.quarantined
-                    );
                 }
                 "cache gc" => {
                     let opts = flov_bench::GcOptions {

@@ -13,10 +13,7 @@
 //! (`<dir>/<first two hex chars>/<key>.bin`), created lazily and written
 //! atomically (temp file + `sync_all` + same-directory rename), so a
 //! killed sweep never leaves a partial entry behind. Every entry is the
-//! compact binary container of [`crate::binfmt`]. JSON entries that older
-//! builds wrote (flat `<dir>/<key>.json` or sharded) are never probed:
-//! `flov cache migrate` is the one reader of them, and rewrites each as a
-//! binary entry without changing its content hash.
+//! compact binary container of [`crate::binfmt`].
 //!
 //! Probing is O(1): the first probe scans the directory tree once into an
 //! in-memory index (key → path), after which a warm 10k-run sweep never
@@ -28,12 +25,11 @@
 
 use crate::binfmt;
 use crate::spec::{RunResult, RunSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
@@ -42,7 +38,7 @@ pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// What one cache file holds: enough to audit a result without re-running
 /// it (the spec is stored alongside, not just its hash).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CacheEntry {
     pub kernel_version: u32,
     pub spec: RunSpec,
@@ -55,18 +51,11 @@ pub struct CacheStats {
     /// Binary entries in shard subdirectories.
     pub entries: usize,
     pub total_bytes: u64,
-    /// JSON entries older builds wrote (flat or sharded). Probes ignore
-    /// them until `flov cache migrate` rewrites them as binary.
-    pub awaiting_migrate: usize,
     /// Shard subdirectories present.
     pub shard_dirs: usize,
     /// Files parked in `quarantine/`.
     pub quarantined: usize,
     pub quarantined_bytes: u64,
-    /// LRU atime bumps that failed since this cache handle was created
-    /// (noatime/read-only mounts). Non-zero means access times are stale
-    /// and GC recency falls back to modification times.
-    pub atime_bump_failures: u64,
 }
 
 /// Knobs for [`ResultCache::gc`]. Unset fields do not evict.
@@ -97,19 +86,6 @@ pub struct VerifyReport {
     pub quarantined: usize,
 }
 
-/// What [`ResultCache::migrate`] did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrateReport {
-    /// JSON entries rewritten as sharded binary (hash-preserving).
-    pub migrated: usize,
-    /// Binary entries already present, left alone.
-    pub already_binary: usize,
-    /// JSON entries deleted because their key already has a binary entry.
-    pub superseded: usize,
-    /// Unreadable or hash-mismatched JSON entries moved to `quarantine/`.
-    pub quarantined: usize,
-}
-
 /// A directory of content-addressed cache entries. Cloning shares the
 /// in-memory index.
 #[derive(Clone, Debug)]
@@ -117,19 +93,12 @@ pub struct ResultCache {
     dir: PathBuf,
     /// Lazily built key → path map; `None` until the first probe.
     index: Arc<Mutex<Option<HashMap<String, PathBuf>>>>,
-    /// How many LRU atime bumps have failed (shared across clones, like
-    /// the index). The first failure also latches `atime_unreliable`.
-    atime_failures: Arc<AtomicU64>,
-    /// Once an atime bump fails (noatime/read-only mount), access times
-    /// can no longer be trusted to reflect use: recency ordering falls
-    /// back to modification times for the rest of this handle's life.
-    atime_unreliable: Arc<AtomicBool>,
-    /// Test-only failure injection: filesystem-owner semantics let root
-    /// set times even on read-only files, so the failure path cannot be
-    /// provoked from the outside in a root-run test suite.
-    #[cfg(test)]
-    fail_atime_bumps: Arc<AtomicBool>,
 }
+
+/// Temp files written so far by this process: with the pid, it makes
+/// every write's temp name unique, so two writers of one key never share
+/// (and truncate) one temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// 64-bit FNV-1a over `bytes`, from a caller-chosen basis.
 fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
@@ -140,18 +109,18 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// `Some(key)` when `name` is `<32 lowercase hex>.<ext>`.
-fn entry_key<'a>(name: &'a str, ext: &str) -> Option<&'a str> {
-    let key = name.strip_suffix(ext)?.strip_suffix('.')?;
+/// `Some(key)` when `name` is `<32 lowercase hex>.bin`.
+fn entry_key(name: &str) -> Option<&str> {
+    let key = name.strip_suffix(".bin")?;
     (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()))
         .then_some(key)
 }
 
-/// Every `<key>.<ext>` file directly inside `dir`, as `(key, path)`.
-fn entries_in<'a>(dir: &Path, ext: &'a str) -> impl Iterator<Item = (String, PathBuf)> + 'a {
-    fs::read_dir(dir).into_iter().flatten().flatten().filter_map(move |f| {
+/// Every `<key>.bin` file directly inside `dir`, as `(key, path)`.
+fn entries_in(dir: &Path) -> impl Iterator<Item = (String, PathBuf)> {
+    fs::read_dir(dir).into_iter().flatten().flatten().filter_map(|f| {
         let name = f.file_name();
-        let key = entry_key(name.to_str()?, ext)?.to_string();
+        let key = entry_key(name.to_str()?)?.to_string();
         Some((key, f.path()))
     })
 }
@@ -159,14 +128,7 @@ fn entries_in<'a>(dir: &Path, ext: &'a str) -> impl Iterator<Item = (String, Pat
 impl ResultCache {
     /// A sharded cache rooted at `dir` (created lazily on first write).
     pub fn new(dir: impl Into<PathBuf>) -> ResultCache {
-        ResultCache {
-            dir: dir.into(),
-            index: Arc::new(Mutex::new(None)),
-            atime_failures: Arc::new(AtomicU64::new(0)),
-            atime_unreliable: Arc::new(AtomicBool::new(false)),
-            #[cfg(test)]
-            fail_atime_bumps: Arc::new(AtomicBool::new(false)),
-        }
+        ResultCache { dir: dir.into(), index: Arc::new(Mutex::new(None)) }
     }
 
     /// The default location: `$FLOV_CACHE_DIR`, or `results/cache`.
@@ -205,20 +167,13 @@ impl ResultCache {
         })
     }
 
-    /// JSON entries older builds wrote, flat or sharded, as `(key, path)`.
-    /// Only [`ResultCache::migrate`] reads them.
-    fn json_entries(&self) -> Vec<(String, PathBuf)> {
-        let sharded = self.shards().flat_map(|s| entries_in(&s, "json"));
-        entries_in(&self.dir, "json").chain(sharded).collect()
-    }
-
     // ------------------------------------------------------------- index
 
     /// One directory scan building the key → path map over the binary
-    /// entries in shard subdirectories; tmp files, JSON leftovers and
+    /// entries in shard subdirectories; tmp files, any other file and
     /// `quarantine/` are skipped.
     fn scan(&self) -> HashMap<String, PathBuf> {
-        self.shards().flat_map(|s| entries_in(&s, "bin")).collect()
+        self.shards().flat_map(|s| entries_in(&s)).collect()
     }
 
     /// Build the index now (normally it builds on the first probe) and
@@ -265,7 +220,7 @@ impl ResultCache {
         }
     }
 
-    /// Drop the in-memory index (after gc/migrate/clear rearrange disk);
+    /// Drop the in-memory index (after gc/verify/clear rearrange disk);
     /// the next probe rescans.
     fn index_reset(&self) {
         *self.index.lock().expect("cache index lock") = None;
@@ -294,7 +249,11 @@ impl ResultCache {
         }
         match binfmt::decode_result(&bytes, key, kernel_version) {
             Ok(Some(result)) => {
-                self.bump_atime(&file);
+                // Best effort, for LRU order only. A bump that never lands
+                // (a read-only mount, an entry another user owns) leaves
+                // the entry's recency, max(atime, mtime), no older than its
+                // write, so `gc` then orders it by when it was written.
+                let _ = file.set_times(fs::FileTimes::new().set_accessed(SystemTime::now()));
                 Some(result)
             }
             Ok(None) => None,
@@ -304,38 +263,6 @@ impl ResultCache {
                 None
             }
         }
-    }
-
-    /// Bump `file`'s access time so `gc` can evict least-recently-*used*
-    /// first. LRU accuracy only — a failure (noatime or read-only mount)
-    /// never fails the probe — but failures are *counted*, surfaced in
-    /// [`ResultCache::stats`], and latch the mtime-ordering fallback for
-    /// [`ResultCache::gc`] recency (stale access times would otherwise
-    /// make "LRU" eviction arbitrary).
-    fn bump_atime(&self, file: &fs::File) {
-        #[cfg(test)]
-        let outcome = if self.fail_atime_bumps.load(Ordering::Relaxed) {
-            Err(std::io::Error::other("injected atime failure"))
-        } else {
-            file.set_times(fs::FileTimes::new().set_accessed(SystemTime::now()))
-        };
-        #[cfg(not(test))]
-        let outcome = file.set_times(fs::FileTimes::new().set_accessed(SystemTime::now()));
-        if outcome.is_err() {
-            self.atime_failures.fetch_add(1, Ordering::Relaxed);
-            self.atime_unreliable.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// LRU atime bumps that failed through this handle (and its clones).
-    pub fn atime_bump_failures(&self) -> u64 {
-        self.atime_failures.load(Ordering::Relaxed)
-    }
-
-    /// Whether GC recency has fallen back to modification-time ordering
-    /// (latched by the first failed atime bump).
-    pub fn atime_unreliable(&self) -> bool {
-        self.atime_unreliable.load(Ordering::Relaxed)
     }
 
     /// Persist `entry` under `key` atomically: the shard directory is
@@ -348,7 +275,8 @@ impl ResultCache {
         fs::create_dir_all(&shard)?;
         let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
         let bytes = binfmt::encode_entry(key, entry.kernel_version, &spec_json, &entry.result);
-        let tmp = shard.join(format!(".{key}.tmp-{}", std::process::id()));
+        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = shard.join(format!(".{key}.tmp-{}-{seq}", std::process::id()));
         let path = shard.join(format!("{key}.bin"));
         let published = fs::File::create(&tmp)
             .and_then(|mut f| {
@@ -377,22 +305,17 @@ impl ResultCache {
             let _ = fs::remove_file(path);
         }
         eprintln!("[flov] cache: quarantined {} ({reason})", path.display());
-        if let Some(key) =
-            path.file_name().and_then(|n| n.to_str()).and_then(|n| entry_key(n, "bin"))
-        {
+        if let Some(key) = path.file_name().and_then(|n| n.to_str()).and_then(entry_key) {
             self.index_forget(key);
         }
     }
 
     // -------------------------------------------------------- maintenance
 
-    /// Every entry on disk as `(key, path, bytes, last use)`.
+    /// Every entry on disk as `(key, path, bytes, last use)`, where last
+    /// use is the newer of the access time a hit bumps and the write time.
     fn inventory(&self) -> Vec<(String, PathBuf, u64, SystemTime)> {
         self.index_reset();
-        // Once a bump has failed, access times no longer track use: an
-        // entry replayed a thousand times can look untouched. Ordering by
-        // modification time alone is then the honest recency signal.
-        let trust_atime = !self.atime_unreliable();
         self.scan()
             .into_iter()
             .map(|(key, path)| {
@@ -400,12 +323,8 @@ impl ResultCache {
                 let len = meta.as_ref().map(|m| m.len()).unwrap_or(0);
                 let recency = meta
                     .map(|m| {
-                        let modi = m.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                        if trust_atime {
-                            m.accessed().unwrap_or(SystemTime::UNIX_EPOCH).max(modi)
-                        } else {
-                            modi
-                        }
+                        let modified = m.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+                        m.accessed().unwrap_or(SystemTime::UNIX_EPOCH).max(modified)
                     })
                     .unwrap_or(SystemTime::UNIX_EPOCH);
                 (key, path, len, recency)
@@ -415,14 +334,10 @@ impl ResultCache {
 
     /// Count the entries (and bytes) currently on disk.
     pub fn stats(&self) -> CacheStats {
-        let mut s = CacheStats {
-            awaiting_migrate: self.json_entries().len(),
-            atime_bump_failures: self.atime_bump_failures(),
-            ..Default::default()
-        };
+        let mut s = CacheStats::default();
         for shard in self.shards() {
             s.shard_dirs += 1;
-            for (_, path) in entries_in(&shard, "bin") {
+            for (_, path) in entries_in(&shard) {
                 s.entries += 1;
                 s.total_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             }
@@ -436,27 +351,18 @@ impl ResultCache {
         s
     }
 
-    /// Delete every entry, JSON entry awaiting migrate and quarantined
-    /// file; returns how many entries (binary or JSON) were removed.
+    /// Remove every shard directory with all it holds (entries and the
+    /// temp files of killed writers) and `quarantine/`; other files in the
+    /// cache directory stay. Returns how many entries were removed.
     pub fn clear(&self) -> std::io::Result<usize> {
         let mut n = 0;
-        for path in self.scan().into_values().chain(self.json_entries().into_iter().map(|e| e.1)) {
-            fs::remove_file(&path)?;
-            n += 1;
+        for shard in self.shards() {
+            n += entries_in(&shard).count();
+            fs::remove_dir_all(&shard)?;
         }
-        let qdir = self.dir.join(QUARANTINE_DIR);
-        if let Ok(q) = fs::read_dir(&qdir) {
-            for f in q.flatten() {
-                let _ = fs::remove_file(f.path());
-            }
-            let _ = fs::remove_dir(&qdir);
-        }
-        if let Ok(rd) = fs::read_dir(&self.dir) {
-            for e in rd.flatten() {
-                if e.path().is_dir() {
-                    let _ = fs::remove_dir(e.path()); // only if now empty
-                }
-            }
+        match fs::remove_dir_all(self.dir.join(QUARANTINE_DIR)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
         self.index_reset();
         Ok(n)
@@ -538,50 +444,6 @@ impl ResultCache {
         }
         Ok(())
     }
-
-    /// Rewrite every JSON entry older builds left (flat or sharded) as a
-    /// binary entry through [`ResultCache::put`], then delete the JSON —
-    /// preserving every content hash, so a warm sweep replays identically
-    /// before and after. A key that already has a binary entry keeps it.
-    /// Unreadable or hash-mismatched JSON entries are quarantined.
-    pub fn migrate(&self) -> std::io::Result<MigrateReport> {
-        self.index_reset();
-        let mut report =
-            MigrateReport { already_binary: self.prime_index().0, ..Default::default() };
-        for (key, path) in self.json_entries() {
-            if self.index_lookup(&key).is_some() {
-                fs::remove_file(&path)?;
-                report.superseded += 1;
-                continue;
-            }
-            match read_json_entry(&key, &path) {
-                Ok(entry) => {
-                    self.put(&key, &entry)?;
-                    fs::remove_file(&path)?;
-                    report.migrated += 1;
-                }
-                Err(reason) => {
-                    self.quarantine(&path, &reason);
-                    report.quarantined += 1;
-                }
-            }
-        }
-        self.index_reset();
-        Ok(report)
-    }
-}
-
-/// Parse one JSON entry and check that its spec hashes to `key`.
-fn read_json_entry(key: &str, path: &Path) -> Result<CacheEntry, String> {
-    let bytes = fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-    let entry: CacheEntry =
-        serde_json::from_slice(&bytes).map_err(|e| format!("JSON entry does not parse: {e}"))?;
-    let spec_json = serde_json::to_string(&entry.spec).expect("spec serializes");
-    let derived = ResultCache::key(&spec_json, entry.kernel_version);
-    if derived != key {
-        return Err(format!("spec hashes to {derived}, filed under {key}"));
-    }
-    Ok(entry)
 }
 
 #[cfg(test)]
@@ -626,69 +488,6 @@ mod tests {
         (dir.clone(), ResultCache::new(dir))
     }
 
-    #[test]
-    fn atime_bump_failures_are_counted_and_surfaced() {
-        let (dir, cache) = temp_cache("atime");
-        let (key, entry) = tiny_entry(1);
-        cache.put(&key, &entry).unwrap();
-
-        assert!(cache.get(&key, 1).is_some());
-        assert_eq!(cache.atime_bump_failures(), 0);
-        assert!(!cache.atime_unreliable());
-
-        cache.fail_atime_bumps.store(true, Ordering::Relaxed);
-        // A failed bump never fails the probe itself...
-        assert!(cache.get(&key, 1).is_some(), "hit must survive a failed atime bump");
-        assert!(cache.get(&key, 1).is_some());
-        // ...but it is counted, latches the unreliable flag, and shows up
-        // in `cache stats` (the satellite bug: `let _ =` swallowed it all).
-        assert_eq!(cache.atime_bump_failures(), 2);
-        assert!(cache.atime_unreliable());
-        assert_eq!(cache.stats().atime_bump_failures, 2);
-        // Clones share the counters, like the index.
-        assert_eq!(cache.clone().atime_bump_failures(), 2);
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_recency_falls_back_to_mtime_when_atime_unreliable() {
-        let (dir, cache) = temp_cache("recency");
-        let (key_a, entry_a) = tiny_entry(2);
-        let (key_b, entry_b) = tiny_entry(3);
-        cache.put(&key_a, &entry_a).unwrap();
-        cache.put(&key_b, &entry_b).unwrap();
-
-        let stamp = |key: &str, mtime_s: u64, atime_s: u64| {
-            let path = cache.index_lookup(key).expect("entry indexed");
-            let at = |s| SystemTime::UNIX_EPOCH + Duration::from_secs(s);
-            let f = fs::File::options().write(true).open(path).unwrap();
-            f.set_times(fs::FileTimes::new().set_modified(at(mtime_s)).set_accessed(at(atime_s)))
-                .unwrap();
-        };
-        // A: written long ago but heavily replayed (fresh atime).
-        // B: written later, never replayed.
-        stamp(&key_a, 1_000, 9_000);
-        stamp(&key_b, 5_000, 5_000);
-
-        let recency = |cache: &ResultCache| -> HashMap<String, SystemTime> {
-            cache.inventory().into_iter().map(|(k, _, _, r)| (k, r)).collect()
-        };
-        // Healthy atimes: replay recency counts, A is the fresher entry.
-        let r = recency(&cache);
-        assert!(r[&key_a] > r[&key_b], "atime-trusting recency inverted");
-
-        // After a bump failure, access times are stale by assumption:
-        // ordering must degrade to modification times (B is fresher).
-        cache.fail_atime_bumps.store(true, Ordering::Relaxed);
-        assert!(cache.get(&key_a, 1).is_some());
-        assert!(cache.atime_unreliable());
-        let r = recency(&cache);
-        assert!(r[&key_a] < r[&key_b], "mtime fallback not applied");
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     #[cfg(unix)]
     #[test]
     fn probes_survive_a_read_only_shard_dir() {
@@ -705,9 +504,8 @@ mod tests {
         };
         restore(&entry_path, 0o444);
         restore(&shard, 0o555);
-        // A read-only layout must never fail the probe. (Whether the bump
-        // itself fails is owner-dependent — root may set times regardless
-        // — so the counter is exercised via injection above, not here.)
+        // A read-only layout must never fail the probe, whether or not the
+        // atime bump lands (root may set times regardless).
         assert!(cache.get(&key, 1).is_some(), "read-only shard broke probing");
         restore(&shard, 0o755);
         restore(&entry_path, 0o644);
@@ -717,13 +515,12 @@ mod tests {
     #[test]
     fn entry_key_accepts_entries_and_rejects_noise() {
         let key = "0123456789abcdef0123456789abcdef";
-        assert_eq!(entry_key(&format!("{key}.bin"), "bin"), Some(key));
-        assert_eq!(entry_key(&format!("{key}.json"), "json"), Some(key));
-        assert_eq!(entry_key(&format!("{key}.json"), "bin"), None);
-        assert_eq!(entry_key(&format!("{key}bin"), "bin"), None);
-        assert_eq!(entry_key(&format!(".{key}.tmp-123"), "bin"), None);
-        assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin", "bin"), None);
-        assert_eq!(entry_key("short.json", "json"), None);
-        assert_eq!(entry_key("notes.txt", "bin"), None);
+        assert_eq!(entry_key(&format!("{key}.bin")), Some(key));
+        assert_eq!(entry_key(&format!("{key}.json")), None);
+        assert_eq!(entry_key(&format!("{key}bin")), None);
+        assert_eq!(entry_key(&format!(".{key}.tmp-123-0")), None);
+        assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin"), None);
+        assert_eq!(entry_key("short.bin"), None);
+        assert_eq!(entry_key("notes.txt"), None);
     }
 }

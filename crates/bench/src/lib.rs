@@ -24,9 +24,7 @@ pub mod spec;
 pub mod studies;
 pub mod tracefmt;
 
-pub use cache::{
-    CacheEntry, CacheStats, GcOptions, GcReport, MigrateReport, ResultCache, VerifyReport,
-};
+pub use cache::{CacheEntry, CacheStats, GcOptions, GcReport, ResultCache, VerifyReport};
 pub use engine::{Engine, EngineStats, KERNEL_VERSION};
 pub use flov_noc::audit::{AuditViolation, DEFAULT_AUDIT_INTERVAL};
 pub use flov_noc::network::KernelMode;

@@ -1,6 +1,6 @@
 //! The sharded binary cache: format round-trips, decoder robustness,
-//! index correctness, corruption quarantine, GC eviction order, JSON
-//! migration, and work-stealing determinism.
+//! index correctness, corruption quarantine, GC eviction order, `clear`,
+//! concurrent writers, and work-stealing determinism.
 
 use flov_bench::cache::QUARANTINE_DIR;
 use flov_bench::{
@@ -10,7 +10,8 @@ use flov_noc::stats::IntervalSample;
 use proptest::prelude::*;
 use std::fs::{self, FileTimes};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Barrier;
 use std::time::{Duration, SystemTime};
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -174,19 +175,24 @@ fn set_entry_times(path: &Path, t: SystemTime) {
     f.set_times(FileTimes::new().set_accessed(t).set_modified(t)).unwrap();
 }
 
+/// Four entries written into `dir`, last used 4, 3, 2 and 1 hours ago;
+/// their keys, oldest first.
+fn aged_entries(dir: &Path, seed: u64) -> Vec<String> {
+    let specs: Vec<RunSpec> = (0..4).map(|i| tiny_spec(0.1 * i as f64, seed + i)).collect();
+    binary_engine(dir).run_batch(&specs);
+    let now = SystemTime::now();
+    let keys: Vec<String> = specs.iter().map(key_of).collect();
+    for (i, key) in keys.iter().enumerate() {
+        let age = Duration::from_secs(3600 * (keys.len() - i) as u64);
+        set_entry_times(&entry_path(dir, key, "bin"), now - age);
+    }
+    keys
+}
+
 #[test]
 fn gc_max_bytes_keeps_most_recently_used_entries() {
     let dir = temp_cache_dir();
-    let specs: Vec<RunSpec> = (0..4).map(|i| tiny_spec(0.1 * i as f64, 200 + i)).collect();
-    binary_engine(&dir).run_batch(&specs);
-    let keys: Vec<String> = specs.iter().map(key_of).collect();
-    let now = SystemTime::now();
-    // Ages: specs[0] oldest ... specs[3] newest.
-    for (i, key) in keys.iter().enumerate() {
-        let age = Duration::from_secs(3600 * (specs.len() - i) as u64);
-        set_entry_times(&entry_path(&dir, key, "bin"), now - age);
-    }
-
+    let keys = aged_entries(&dir, 200);
     let cache = ResultCache::new(&dir);
     let sizes: Vec<u64> =
         keys.iter().map(|k| fs::metadata(entry_path(&dir, k, "bin")).unwrap().len()).collect();
@@ -199,6 +205,22 @@ fn gc_max_bytes_keeps_most_recently_used_entries() {
     assert!(!entry_path(&dir, &keys[1], "bin").exists());
     assert!(entry_path(&dir, &keys[2], "bin").exists(), "MRU entries must survive");
     assert!(entry_path(&dir, &keys[3], "bin").exists());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The recency `flov cache gc` orders by is what probes leave behind: a
+/// hit through one handle must save its entry from a budget eviction run
+/// later through a fresh handle, as two `flov` invocations would.
+#[test]
+fn gc_keeps_the_entry_a_probe_read() {
+    let dir = temp_cache_dir();
+    let keys = aged_entries(&dir, 250);
+    assert!(ResultCache::new(&dir).get(&keys[0], KERNEL_VERSION).is_some());
+    let budget = fs::metadata(entry_path(&dir, &keys[0], "bin")).unwrap().len();
+    let report =
+        ResultCache::new(&dir).gc(&GcOptions { max_bytes: Some(budget), max_age: None }).unwrap();
+    assert_eq!((report.scanned, report.removed), (4, 3));
+    assert!(entry_path(&dir, &keys[0], "bin").exists(), "the entry just read was evicted");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -389,86 +411,65 @@ fn extreme_values_roundtrip_bit_exactly() {
     }
 }
 
-/// A JSON entry in the exact bytes older builds wrote.
-fn write_json_entry(path: &Path, spec: &RunSpec, result: &RunResult) {
-    let entry = CacheEntry {
-        kernel_version: KERNEL_VERSION,
-        spec: spec.resolved(),
-        result: result.clone(),
-    };
-    fs::create_dir_all(path.parent().unwrap()).unwrap();
-    fs::write(path, serde_json::to_string(&entry).unwrap()).unwrap();
-}
-
+/// `clear` removes each shard directory whole, so a temp file a killed
+/// writer left goes with it, and leaves files outside the shards alone.
 #[test]
-fn json_entries_migrate_with_their_hashes_kept() {
+fn clear_removes_shard_dirs_with_stray_temp_files() {
     let dir = temp_cache_dir();
-    let specs: Vec<RunSpec> = (0..4).map(|i| tiny_spec(0.2 * i as f64, 400 + i)).collect();
-    let original: Vec<RunResult> = specs.iter().map(flov_bench::run).collect();
-    // Half in the seed engine's flat layout, half sharded.
-    for (i, (spec, result)) in specs.iter().zip(&original).enumerate() {
-        let key = key_of(spec);
-        let path = if i % 2 == 0 {
-            dir.join(format!("{key}.json"))
-        } else {
-            entry_path(&dir, &key, "json")
-        };
-        write_json_entry(&path, spec, result);
-    }
+    let spec = tiny_spec(0.25, 450);
+    binary_engine(&dir).run_one(&spec);
+    let key = key_of(&spec);
+    let shard = dir.join(&key[..2]);
+    fs::write(shard.join(format!(".{key}.tmp-1")), b"torn").unwrap();
+    let flat = dir.join(format!("{key}.json"));
+    fs::write(&flat, b"{}").unwrap();
 
-    // Probes never read JSON: until migrate, the entries are only counted.
     let cache = ResultCache::new(&dir);
-    assert!(cache.get(&key_of(&specs[0]), KERNEL_VERSION).is_none());
-    assert!(cache.known_keys().is_empty());
-    let s = cache.stats();
-    assert_eq!((s.entries, s.awaiting_migrate), (0, specs.len()));
-
-    let report = cache.migrate().unwrap();
-    assert_eq!((report.migrated, report.already_binary, report.quarantined), (specs.len(), 0, 0));
-    let mut expected: Vec<String> = specs.iter().map(key_of).collect();
-    expected.sort();
-    assert_eq!(cache.known_keys(), expected, "migration must preserve content hashes");
-    for key in &expected {
-        assert!(entry_path(&dir, key, "bin").exists());
-        assert!(!entry_path(&dir, key, "json").exists(), "source JSON must be consumed");
-        assert!(!dir.join(format!("{key}.json")).exists(), "source JSON must be consumed");
-    }
-    let s = cache.stats();
-    assert_eq!((s.entries, s.awaiting_migrate), (specs.len(), 0));
-    let verify = cache.verify();
-    assert_eq!((verify.checked, verify.quarantined), (specs.len(), 0));
-
-    // The warm replay serves every run, byte-identical to the simulation.
-    let engine = binary_engine(&dir);
-    let replayed = engine.run_batch(&specs);
-    assert_eq!(engine.stats().cached, specs.len());
-    assert_eq!(
-        serde_json::to_string(&replayed).unwrap(),
-        serde_json::to_string(&original).unwrap()
-    );
+    assert_eq!(cache.clear().unwrap(), 1);
+    assert!(!shard.exists(), "clear left the shard directory");
+    assert_eq!(cache.stats(), Default::default());
+    assert!(flat.exists(), "clear removed a file outside the shards");
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Writers of one key in one process (engines over clones of one handle)
+/// each publish through a temp file of their own, so no `put` fails and
+/// no reader ever sees a torn entry.
 #[test]
-fn migrate_keeps_the_binary_entry_when_a_key_has_both() {
+fn concurrent_puts_of_one_key_never_tear_the_entry() {
+    const WRITERS: usize = 4;
+    const PUTS: usize = 50;
     let dir = temp_cache_dir();
-    let spec = tiny_spec(0.35, 700);
-    let original = binary_engine(&dir).run_one(&spec);
+    let spec = tiny_spec(0.3, 460).resolved();
     let key = key_of(&spec);
-    // Stale JSON copies of the same key, with a result that differs.
-    let stale = RunResult { packets: original.packets + 1, ..original.clone() };
-    write_json_entry(&dir.join(format!("{key}.json")), &spec, &stale);
-    write_json_entry(&entry_path(&dir, &key, "json"), &spec, &stale);
-
+    let entry = CacheEntry { kernel_version: KERNEL_VERSION, result: flov_bench::run(&spec), spec };
     let cache = ResultCache::new(&dir);
-    let report = cache.migrate().unwrap();
-    assert_eq!((report.migrated, report.already_binary, report.superseded), (0, 1, 2));
-    assert_eq!(cache.get(&key, KERNEL_VERSION).unwrap().packets, original.packets);
-    assert_eq!(cache.stats().awaiting_migrate, 0);
-
-    // `clear` empties the directory, JSON leftovers included.
-    write_json_entry(&dir.join(format!("{key}.json")), &spec, &stale);
-    assert_eq!(cache.clear().unwrap(), 2);
-    assert_eq!(cache.stats(), Default::default());
+    let start = Barrier::new(WRITERS + 1);
+    let done = AtomicBool::new(false);
+    let failed = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let (cache, entry, key, start) = (cache.clone(), &entry, &key, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..PUTS).filter(|_| cache.put(key, entry).is_err()).count()
+                })
+            })
+            .collect();
+        // A reader probes through fresh handles, as another `flov` would.
+        let reader = s.spawn(|| {
+            start.wait();
+            while !done.load(Ordering::SeqCst) {
+                ResultCache::new(&dir).get(&key, KERNEL_VERSION);
+            }
+        });
+        let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::SeqCst);
+        reader.join().unwrap();
+        joined.into_iter().map(|j| j.unwrap()).sum::<usize>()
+    });
+    assert_eq!(failed, 0, "{failed} of {} puts failed", WRITERS * PUTS);
+    assert_eq!(cache.stats().quarantined, 0, "a reader saw a torn entry");
+    assert!(ResultCache::new(&dir).get(&key, KERNEL_VERSION).is_some());
     let _ = fs::remove_dir_all(&dir);
 }

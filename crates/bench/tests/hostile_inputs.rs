@@ -69,7 +69,8 @@ fn bad_env_values_exit_2_naming_the_variable() {
 #[test]
 fn unknown_and_unread_flags_exit_2_naming_them() {
     let parsec_run = ["sim", "--parsec", "swaptions", "--k", "4", "--cycles", "1000", "--no-cache"];
-    // A cache holding one entry, which `cache clear --no-cache` must leave.
+    // A cache holding one entry, which no rejected command line below may
+    // touch (`cache clear --no-cache` among them).
     let cache = std::env::temp_dir().join(format!("flov-no-cache-{}", std::process::id()));
     let cache = cache.to_str().expect("utf-8 path");
     let run = ["sim", "--k", "4", "--warmup", "0", "--cycles", "100", "--cache-dir", cache];
@@ -93,6 +94,7 @@ fn unknown_and_unread_flags_exit_2_naming_them() {
         (sim(&[], &["--quick"]), "--quick"),
         (flov(&["table1", "--quick"], &[]), "--quick"),
         (flov(&["cache", "--cache-dir", cache, "clear", "--no-cache"], &[]), "--no-cache"),
+        (flov(&["cache", "--cache-dir", cache, "migrate"], &[]), "cache migrate"),
     ] {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{named}: {stderr}");
