@@ -64,12 +64,11 @@ impl SchedStats {
     }
 }
 
-/// Worker count for a batch of `jobs`: one thread per job up to the
-/// host's parallelism (`FLOV_THREADS` overrides, matching the kernel).
+/// Worker count for a batch of `jobs`: one thread per job up to the core
+/// budget ([`crate::Switches::threads`], else the host's parallelism).
 pub fn workers_for(jobs: usize) -> usize {
-    let host = crate::threads_from_env()
-        .ok()
-        .flatten()
+    let host = crate::Switches::get()
+        .threads
         .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
     host.min(jobs).max(1)
 }
