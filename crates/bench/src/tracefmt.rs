@@ -26,7 +26,7 @@
 use crate::binfmt::{crc32, write_uvarint, BinError, Reader};
 use flov_noc::traits::PacketRequest;
 use flov_noc::types::{Cycle, NodeId};
-use flov_noc::ConfigError;
+use flov_noc::{ConfigError, NocConfig};
 use flov_workloads::trace::TraceData;
 
 /// Trace container magic (the result-cache container uses `FLOVBC1\n`).
@@ -99,10 +99,11 @@ fn node_of(v: u128) -> Result<NodeId, BinError> {
 
 /// Read the trace file a [`WorkloadSpec::Trace`] names and check it
 /// against the spec: the file must be readable, a valid container, carry
-/// the CRC the spec pinned, and name only nodes below `cores`.
+/// the CRC the spec pinned, name only nodes below `cfg`'s core count, and
+/// hold only packets of at least one flit on one of `cfg`'s vnets.
 ///
 /// [`WorkloadSpec::Trace`]: crate::spec::WorkloadSpec::Trace
-pub fn load_trace(path: &str, crc: u32, cores: usize) -> Result<TraceFile, ConfigError> {
+pub fn load_trace(path: &str, crc: u32, cfg: &NocConfig) -> Result<TraceFile, ConfigError> {
     let bad = |why: String| ConfigError::BadTrace { path: path.to_string(), why };
     let bytes = std::fs::read(path).map_err(|e| bad(format!("cannot read: {e}")))?;
     let file = decode_trace(&bytes).map_err(|e| bad(e.0))?;
@@ -113,8 +114,21 @@ pub fn load_trace(path: &str, crc: u32, cores: usize) -> Result<TraceFile, Confi
             file.crc
         )));
     }
+    let cores = cfg.cores();
     if let Some(max) = file.data.max_node().filter(|&n| n as usize >= cores) {
         return Err(bad(format!("references node {max} but the config has {cores} cores")));
+    }
+    for (i, (cycle, req)) in file.data.packets.iter().enumerate() {
+        if req.vnet as usize >= cfg.vnets {
+            let vnets = cfg.vnets;
+            return Err(bad(format!(
+                "packet {i} (cycle {cycle}) is on vnet {} but the config has {vnets} vnets",
+                req.vnet
+            )));
+        }
+        if req.len == 0 {
+            return Err(bad(format!("packet {i} (cycle {cycle}) has no flits")));
+        }
     }
     Ok(file)
 }

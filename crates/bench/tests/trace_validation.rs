@@ -1,4 +1,4 @@
-//! A trace-replay spec whose file cannot replay is rejected by
+//! A trace-replay spec whose file cannot replay on its config is rejected by
 //! `RunSpec::validate` with a `ConfigError` naming the file: the library
 //! returns `Err` instead of panicking, and `flov sweep` exits 2.
 
@@ -14,17 +14,19 @@ fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("flov-trace-validation-{}-{tag}", std::process::id()))
 }
 
-/// Write a trace whose one packet runs from node 0 to `dst`; returns the
-/// file's CRC.
-fn write_trace(path: &Path, dst: u16) -> u32 {
-    let data = TraceData {
-        packets: vec![(10, PacketRequest { src: 0, dst, vnet: 0, len: 4 })],
-        core_events: vec![],
-        changed_cycles: vec![],
-    };
+/// Write a trace whose one packet, injected at cycle 10, is `req`; returns
+/// the file's CRC.
+fn write_packet(path: &Path, req: PacketRequest) -> u32 {
+    let data = TraceData { packets: vec![(10, req)], core_events: vec![], changed_cycles: vec![] };
     let bytes = tracefmt::encode_trace(KERNEL_VERSION, "{}", &data);
     std::fs::write(path, &bytes).unwrap();
     tracefmt::decode_trace(&bytes).unwrap().crc
+}
+
+/// Write a trace whose one packet runs from node 0 to `dst`; returns the
+/// file's CRC.
+fn write_trace(path: &Path, dst: u16) -> u32 {
+    write_packet(path, PacketRequest { src: 0, dst, vnet: 0, len: 4 })
 }
 
 /// A 2x2 replay of `path`, pinned to `crc`.
@@ -110,5 +112,27 @@ fn a_trace_naming_a_missing_node_is_a_config_error() {
         &path,
         "references node 7 but the config has 4 cores",
     );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn a_trace_packet_on_a_missing_vnet_is_a_config_error() {
+    // Before this check it panicked indexing the NIC's 3 vnet queues.
+    let path = temp_path("vnet.flovtrace");
+    let crc = write_packet(&path, PacketRequest { src: 0, dst: 3, vnet: 7, len: 4 });
+    assert_rejected(
+        &replay_spec(&path, crc),
+        &path,
+        "packet 0 (cycle 10) is on vnet 7 but the config has 3 vnets",
+    );
+    let _ = std::fs::remove_file(path);
+}
+
+#[test]
+fn a_trace_packet_without_flits_is_a_config_error() {
+    // Before this check the run reported 0 packets, `delivered_all` false.
+    let path = temp_path("len.flovtrace");
+    let crc = write_packet(&path, PacketRequest { src: 0, dst: 3, vnet: 0, len: 0 });
+    assert_rejected(&replay_spec(&path, crc), &path, "packet 0 (cycle 10) has no flits");
     let _ = std::fs::remove_file(path);
 }
