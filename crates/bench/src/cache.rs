@@ -56,6 +56,10 @@ pub struct CacheStats {
     /// Files parked in `quarantine/`.
     pub quarantined: usize,
     pub quarantined_bytes: u64,
+    /// Temp files of writes in flight or of killed writers, in shard
+    /// subdirectories.
+    pub temp_files: usize,
+    pub temp_bytes: u64,
 }
 
 /// Knobs for [`ResultCache::gc`]. Unset fields do not evict.
@@ -67,7 +71,7 @@ pub struct GcOptions {
     pub max_age: Option<Duration>,
 }
 
-/// What [`ResultCache::gc`] did.
+/// What [`ResultCache::gc`] did, counting entries and temp files alike.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcReport {
     pub scanned: usize,
@@ -109,11 +113,20 @@ fn fnv1a(basis: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// True when `key` is 32 lowercase hex characters.
+fn is_key(key: &str) -> bool {
+    key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase())
+}
+
 /// `Some(key)` when `name` is `<32 lowercase hex>.bin`.
 fn entry_key(name: &str) -> Option<&str> {
-    let key = name.strip_suffix(".bin")?;
-    (key.len() == 32 && key.bytes().all(|b| b.is_ascii_hexdigit() && !b.is_ascii_uppercase()))
-        .then_some(key)
+    name.strip_suffix(".bin").filter(|key| is_key(key))
+}
+
+/// True when `name` is a temp file [`ResultCache::put`] writes:
+/// `.<key>.tmp-<pid>-<n>`.
+fn is_temp(name: &str) -> bool {
+    name.strip_prefix('.').and_then(|n| n.split_once(".tmp-")).is_some_and(|(key, _)| is_key(key))
 }
 
 /// Every `<key>.bin` file directly inside `dir`, as `(key, path)`.
@@ -332,7 +345,23 @@ impl ResultCache {
             .collect()
     }
 
-    /// Count the entries (and bytes) currently on disk.
+    /// Every temp file in a shard directory as `(name, path, bytes, last
+    /// write)`.
+    fn temp_files(&self) -> Vec<(String, PathBuf, u64, SystemTime)> {
+        let files = self.shards().flat_map(|s| fs::read_dir(s).into_iter().flatten().flatten());
+        files
+            .filter_map(|f| {
+                let name = f.file_name().into_string().ok().filter(|n| is_temp(n))?;
+                let meta = f.metadata().ok();
+                let len = meta.as_ref().map(|m| m.len()).unwrap_or(0);
+                let written =
+                    meta.and_then(|m| m.modified().ok()).unwrap_or(SystemTime::UNIX_EPOCH);
+                Some((name, f.path(), len, written))
+            })
+            .collect()
+    }
+
+    /// Count the entries, temp files (and bytes) currently on disk.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
         for shard in self.shards() {
@@ -341,6 +370,10 @@ impl ResultCache {
                 s.entries += 1;
                 s.total_bytes += fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
             }
+        }
+        for (_, _, len, _) in self.temp_files() {
+            s.temp_files += 1;
+            s.temp_bytes += len;
         }
         if let Ok(q) = fs::read_dir(self.dir.join(QUARANTINE_DIR)) {
             for f in q.flatten() {
@@ -371,18 +404,27 @@ impl ResultCache {
     /// Evict entries per `opts`: first everything older than `max_age`,
     /// then — least-recently-used first — until the survivors fit in
     /// `max_bytes`. Cache hits bump access times, so recently replayed
-    /// entries survive.
+    /// entries survive. Temp files are evicted alike, aged by their last
+    /// write (a live writer whose temp file goes fails its `put`), and
+    /// shard directories left empty are removed.
     pub fn gc(&self, opts: &GcOptions) -> std::io::Result<GcReport> {
         let mut entries = self.inventory();
+        entries.extend(self.temp_files());
         let mut report = GcReport {
             scanned: entries.len(),
             scanned_bytes: entries.iter().map(|(_, _, len, _)| len).sum(),
             ..GcReport::default()
         };
         let evict = |path: &Path, len: u64, report: &mut GcReport| -> std::io::Result<()> {
-            fs::remove_file(path)?;
-            report.removed += 1;
-            report.removed_bytes += len;
+            match fs::remove_file(path) {
+                // Published or removed since the scan.
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+                Ok(()) => {
+                    report.removed += 1;
+                    report.removed_bytes += len;
+                }
+            }
             Ok(())
         };
         if let Some(age) = opts.max_age {
@@ -407,6 +449,10 @@ impl ResultCache {
                     evict(&path, len, &mut report)?;
                 }
             }
+        }
+        for shard in self.shards() {
+            // Fails, and keeps the directory, unless it is empty.
+            let _ = fs::remove_dir(shard);
         }
         self.index_reset();
         Ok(report)
@@ -522,5 +568,15 @@ mod tests {
         assert_eq!(entry_key("0123456789ABCDEF0123456789ABCDEF.bin"), None);
         assert_eq!(entry_key("short.bin"), None);
         assert_eq!(entry_key("notes.txt"), None);
+    }
+
+    #[test]
+    fn is_temp_matches_only_put_temp_names() {
+        let key = "0123456789abcdef0123456789abcdef";
+        assert!(is_temp(&format!(".{key}.tmp-123-0")));
+        assert!(!is_temp(&format!("{key}.tmp-123-0")));
+        assert!(!is_temp(&format!(".{key}.bin")));
+        assert!(!is_temp(".short.tmp-1-0"));
+        assert!(!is_temp(".notes.txt"));
     }
 }

@@ -432,6 +432,35 @@ fn clear_removes_shard_dirs_with_stray_temp_files() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `stats` counts the temp files killed writers leave on a line of their
+/// own, and `gc` evicts them like entries, aged by their last write, then
+/// removes the shard directories it emptied.
+#[test]
+fn gc_evicts_temp_files_and_the_shard_dirs_it_empties() {
+    let dir = temp_cache_dir();
+    let specs = [tiny_spec(0.1, 470), tiny_spec(0.2, 471)];
+    binary_engine(&dir).run_batch(&specs);
+    let key = key_of(&specs[0]);
+    let temp = dir.join(&key[..2]).join(format!(".{key}.tmp-4242-0"));
+    fs::write(&temp, vec![0u8; 40_000]).unwrap();
+    set_entry_times(&temp, SystemTime::now() - Duration::from_secs(3600));
+
+    let cache = ResultCache::new(&dir);
+    let s = cache.stats();
+    assert_eq!((s.entries, s.temp_files, s.temp_bytes), (2, 1, 40_000));
+    let half_hour = Some(Duration::from_secs(1800));
+    let report = cache.gc(&GcOptions { max_bytes: None, max_age: half_hour }).unwrap();
+    assert_eq!((report.scanned, report.removed, report.removed_bytes), (3, 1, 40_000));
+    assert!(!temp.exists(), "gc --max-age kept a stale temp file");
+    assert_eq!(cache.stats().entries, 2);
+
+    fs::write(&temp, b"torn").unwrap();
+    let report = cache.gc(&GcOptions { max_bytes: Some(0), max_age: None }).unwrap();
+    assert_eq!((report.scanned, report.removed), (3, 3));
+    assert_eq!(cache.stats(), Default::default(), "gc left a file or a shard directory");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Writers of one key in one process (engines over clones of one handle)
 /// each publish through a temp file of their own, so no `put` fails and
 /// no reader ever sees a torn entry.
