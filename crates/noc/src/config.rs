@@ -236,10 +236,14 @@ pub struct NocConfig {
     pub escape_timeout: u32,
     /// Flits per packet for synthetic traffic.
     pub synth_packet_len: u16,
-    /// Router/link clock frequency in Hz (2 GHz in the paper).
+    /// Router/link clock frequency in Hz (2 GHz in the paper). Only Table
+    /// I's row reads it: the power model prices time with
+    /// `PowerParams::clock_hz`. Kept because it is serialized, so removing
+    /// it changes every cache key.
     pub clock_hz: f64,
-    /// Maximum queued flits per NIC source queue before generation back-
-    /// pressure is reported (statistics only; the queue itself is unbounded).
+    /// Unread: nothing reports NIC back-pressure against it (source queues
+    /// are unbounded). Kept because it is serialized, so removing it
+    /// changes every cache key.
     pub nic_queue_warn: usize,
     /// Enable the NoRD bypass ring (node-router decoupling): a Hamiltonian
     /// ring over all routers that keeps gated nodes reachable without FLOV
@@ -248,8 +252,9 @@ pub struct NocConfig {
     /// concentration lifts the restriction), at most 256 routers, and at
     /// least two regular VCs (ring-to-mesh transfers reserve the last one).
     pub enable_ring: bool,
-    /// Seed for all simulation-internal randomness (arbitration tie-breaks
-    /// are deterministic; this seeds workload-facing RNG forks).
+    /// Unread: arbitration tie-breaks are deterministic, and workloads take
+    /// their seed from the run's workload spec. Kept because it is
+    /// serialized, so removing it changes every cache key.
     pub seed: u64,
     /// Cycles without any network event after which the watchdog declares a
     /// deadlock (0 disables).

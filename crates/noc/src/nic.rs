@@ -33,8 +33,6 @@ pub struct Nic {
     /// Round-robin pointer over vnets for the 1 flit/cycle injection port.
     pub vnet_rr: usize,
     rx: HashMap<PacketId, RxState>,
-    /// Peak source-queue depth observed, in packets (congestion statistic).
-    pub peak_queue: usize,
 }
 
 impl Nic {
@@ -44,16 +42,12 @@ impl Nic {
             in_progress: vec![None; vnets],
             vnet_rr: 0,
             rx: HashMap::new(),
-            peak_queue: 0,
         }
     }
 
     /// Queue a packet for injection.
     pub fn enqueue(&mut self, p: Packet) {
-        let q = &mut self.queues[p.vnet as usize];
-        q.push_back(p);
-        let depth: usize = self.queues.iter().map(|q| q.len()).sum();
-        self.peak_queue = self.peak_queue.max(depth);
+        self.queues[p.vnet as usize].push_back(p);
     }
 
     /// True if any packet is queued or mid-serialization.
@@ -200,7 +194,6 @@ mod tests {
         nic.enqueue(Packet { vnet: 1, ..packet(2, 4) });
         assert!(nic.pending());
         assert_eq!(nic.queued_packets(), 2);
-        assert_eq!(nic.peak_queue, 2);
         assert_eq!(FlitKind::of(0, 4), FlitKind::Head);
     }
 }
