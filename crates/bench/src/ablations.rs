@@ -10,10 +10,10 @@
 //! [`run_with`] directly — caching them by spec would conflate distinct
 //! experiments under one key.
 
-use crate::engine::Engine;
+use crate::engine::{batch, Engine};
 use crate::report::{f2, mw, Table};
 use crate::run_with;
-use crate::spec::{RunResult, RunSpec, WorkloadSpec};
+use crate::spec::{RunSpec, WorkloadSpec};
 use flov_core::{Flov, FlovParams, RouterParking, RpMode};
 use flov_workloads::Pattern;
 
@@ -26,17 +26,6 @@ fn base_spec(cycles: u64) -> RunSpec {
         .cycles(cycles)
         .drain(cycles * 2)
         .build()
-}
-
-/// Runs the spec of every point of a sweep as one engine batch, so the
-/// points share the engine's workers; each comes back with its result.
-fn batch<P: Copy>(
-    engine: &Engine,
-    points: &[P],
-    spec: impl Fn(P) -> RunSpec,
-) -> Vec<(P, RunResult)> {
-    let specs: Vec<RunSpec> = points.iter().map(|&p| spec(p)).collect();
-    points.iter().copied().zip(engine.run_batch(&specs)).collect()
 }
 
 /// Escape-timeout sensitivity: too low floods the single escape VC, too

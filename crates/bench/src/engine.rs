@@ -44,7 +44,13 @@ use std::sync::Mutex;
 /// edges (the old convention overstated p50/p95/p99 by up to 2×), and
 /// `RunSpec` grew the `audit` / `mech_switches` fields, which change
 /// every spec's canonical serialization.
-pub const KERNEL_VERSION: u32 = 3;
+///
+/// v4: `NocConfig` names each thing once — one `topology` in place of `k`
+/// plus an optional topology, and none of the four fields (router depth,
+/// clock, NIC queue warning, seed) that changed no simulated cycle — and
+/// a run with mechanism switches prices each interval's static power by
+/// the mechanism that ran it.
+pub const KERNEL_VERSION: u32 = 4;
 
 /// Cumulative accounting across every batch an engine has run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -364,6 +370,17 @@ impl Engine {
             (result, kernel)
         })
     }
+}
+
+/// Runs the spec of every point of a sweep as one engine batch, so the
+/// points share the engine's workers; each comes back with its result.
+pub(crate) fn batch<P: Copy>(
+    engine: &Engine,
+    points: &[P],
+    spec: impl Fn(P) -> RunSpec,
+) -> Vec<(P, RunResult)> {
+    let specs: Vec<RunSpec> = points.iter().map(|&p| spec(p)).collect();
+    points.iter().copied().zip(engine.run_batch(&specs)).collect()
 }
 
 #[cfg(test)]

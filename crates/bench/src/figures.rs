@@ -5,6 +5,7 @@
 use crate::engine::Engine;
 use crate::report::{f2, f3, mw, Table};
 use crate::spec::{RunResult, RunSpec};
+use flov_noc::config::ROUTER_STAGES;
 use flov_noc::NocConfig;
 use flov_power::{AreaModel, PowerParams};
 use flov_workloads::{Pattern, PARSEC_BENCHMARKS};
@@ -320,7 +321,7 @@ pub fn table1() -> Table {
     let rows: Vec<(&str, String)> = vec![
         ("Network Topology", {
             use flov_noc::TopologySpec as T;
-            match cfg.topology_spec() {
+            match cfg.topology {
                 T::Mesh { k } => format!("{k}x{k} Mesh"),
                 T::RectMesh { kx, ky } => format!("{kx}x{ky} Mesh"),
                 T::Torus { k } => format!("{k}x{k} Torus"),
@@ -328,10 +329,7 @@ pub fn table1() -> Table {
             }
         }),
         ("Input Buffer Depth", format!("{} flits", cfg.buf_depth)),
-        (
-            "Router",
-            format!("{}-stage ({} cycles) router", cfg.pipeline_stages, cfg.pipeline_stages),
-        ),
+        ("Router", format!("{ROUTER_STAGES}-stage ({ROUTER_STAGES} cycles) router")),
         (
             "Virtual Channel",
             format!(
@@ -345,7 +343,7 @@ pub fn table1() -> Table {
             "32KB L1 I/D $, 8MB L2 $, MESI, 4 MCs at 4 corners (traffic model)".into(),
         ),
         ("Technology", "32nm".into()),
-        ("Clock Frequency", format!("{} GHz", cfg.clock_hz / 1e9)),
+        ("Clock Frequency", format!("{} GHz", p.clock_hz / 1e9)),
         ("Link", format!("1mm, {} cycle, 16B width", cfg.link_latency)),
         (
             "Power-Gating Parameters",

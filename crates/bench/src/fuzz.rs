@@ -26,13 +26,13 @@
 //! with `flov fuzz --replay <file>`.
 
 use crate::cache::ResultCache;
+use crate::scheduler::{run_work_stealing, workers_for};
 use crate::spec::{RunSpec, WorkloadSpec};
 use crate::{run_kernel_audited, KernelMode, KERNEL_VERSION};
 use flov_noc::rng::Rng;
 use flov_noc::types::{Cycle, NodeId};
 use flov_noc::{NocConfig, TopologySpec};
 use flov_workloads::Pattern;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -115,28 +115,28 @@ pub fn sample_spec(rng: &mut Rng, max_cycles: Cycle) -> RunSpec {
     // needs its escape VCs (which PowerPunch models away), and NoRD's
     // bypass ring needs a Hamiltonian cycle.
     let topology = match rng.below(8) {
-        0 if mechanism != "PowerPunch" => Some(TopologySpec::Torus { k }),
+        0 if mechanism != "PowerPunch" => TopologySpec::Torus { k },
         1 => {
             if mechanism == "NoRD" && !k.is_multiple_of(2) {
                 k += 1;
             }
-            Some(TopologySpec::CMesh { k, c: if rng.chance(0.5) { 2 } else { 4 } })
+            TopologySpec::CMesh { k, c: if rng.chance(0.5) { 2 } else { 4 } }
         }
         2 => {
             let mut ky = *rng.pick(&[2u16, 3, 4, 5]);
             if mechanism == "NoRD" && !k.is_multiple_of(2) && !ky.is_multiple_of(2) {
                 ky += 1;
             }
-            Some(TopologySpec::RectMesh { kx: k, ky })
+            TopologySpec::RectMesh { kx: k, ky }
         }
         _ => {
             if mechanism == "NoRD" && !k.is_multiple_of(2) {
                 k += 1;
             }
-            None
+            TopologySpec::Mesh { k }
         }
     };
-    let cores = topology.unwrap_or(TopologySpec::Mesh { k }).cores() as u64;
+    let cores = topology.cores() as u64;
     let pattern = match rng.below(6) {
         0 => Pattern::Tornado,
         1 => Pattern::Transpose,
@@ -149,7 +149,7 @@ pub fn sample_spec(rng: &mut Rng, max_cycles: Cycle) -> RunSpec {
         _ => Pattern::UniformRandom,
     };
     let cycles = 2_000 + rng.below(max_cycles.saturating_sub(2_000).max(1));
-    let mut cfg = NocConfig { k, topology, ..NocConfig::default() };
+    let mut cfg = NocConfig { topology, ..NocConfig::default() };
     cfg.vnets = if rng.chance(0.25) { 3 } else { 1 };
     // Short fuse on the no-progress watchdog: a deadlock must surface as a
     // structured NoProgress violation *within* the drain window.
@@ -305,14 +305,11 @@ fn shrink_candidates(spec: &RunSpec) -> Vec<RunSpec> {
         return out;
     };
     let rebuild = |cycles: Cycle,
-                   k: u16,
-                   topology: Option<TopologySpec>,
+                   topology: TopologySpec,
                    gated: f64,
                    changes: Vec<Cycle>,
                    switches: Vec<(Cycle, String)>| {
-        let mut cfg = spec.cfg.clone();
-        cfg.k = k;
-        cfg.topology = topology;
+        let cfg = NocConfig { topology, ..spec.cfg.clone() };
         let cores = cfg.cores() as NodeId;
         let pattern = match *pattern {
             // Keep the hotspot inside a shrunken fabric.
@@ -337,71 +334,50 @@ fn shrink_candidates(spec: &RunSpec) -> Vec<RunSpec> {
             .build()
     };
     let topo = spec.cfg.topology;
-    if topo.is_some() {
+    let (switches, nord) = (&spec.mech_switches, spec.mechanism == "NoRD");
+    let mesh_k = match topo {
+        TopologySpec::Mesh { k } => Some(k),
+        _ => None,
+    };
+    if mesh_k.is_none() {
         // Try the plain mesh first: most bugs are not topology-specific.
         let mut k = spec.cfg.kx().max(spec.cfg.ky());
-        if spec.mechanism == "NoRD" && !k.is_multiple_of(2) {
+        if nord && !k.is_multiple_of(2) {
             k += 1;
         }
-        out.push(rebuild(
-            spec.cycles,
-            k,
-            None,
-            *gated_fraction,
-            changes.clone(),
-            spec.mech_switches.clone(),
-        ));
+        let mesh = TopologySpec::Mesh { k };
+        out.push(rebuild(spec.cycles, mesh, *gated_fraction, changes.clone(), switches.clone()));
     }
     if spec.cycles > 2_000 {
-        out.push(rebuild(
-            (spec.cycles / 2).max(2_000),
-            spec.cfg.k,
-            topo,
-            *gated_fraction,
-            changes.clone(),
-            spec.mech_switches.clone(),
-        ));
+        let cycles = (spec.cycles / 2).max(2_000);
+        out.push(rebuild(cycles, topo, *gated_fraction, changes.clone(), switches.clone()));
     }
-    if topo.is_none() && spec.cfg.k > 2 {
+    if let Some(k) = mesh_k.filter(|&k| k > 2) {
         // NoRD's ring needs an even radix; everything else can step by 1.
-        let k = if spec.mechanism == "NoRD" { spec.cfg.k - 2 } else { spec.cfg.k - 1 };
+        let k = if nord { k - 2 } else { k - 1 };
         if k >= 2 {
+            let mesh = TopologySpec::Mesh { k };
             out.push(rebuild(
                 spec.cycles,
-                k,
-                None,
+                mesh,
                 *gated_fraction,
                 changes.clone(),
-                spec.mech_switches.clone(),
+                switches.clone(),
             ));
         }
     }
-    if !spec.mech_switches.is_empty() {
-        let mut s = spec.mech_switches.clone();
+    if !switches.is_empty() {
+        let mut s = switches.clone();
         s.pop();
-        out.push(rebuild(spec.cycles, spec.cfg.k, topo, *gated_fraction, changes.clone(), s));
+        out.push(rebuild(spec.cycles, topo, *gated_fraction, changes.clone(), s));
     }
     if !changes.is_empty() {
         let mut c = changes.clone();
         c.pop();
-        out.push(rebuild(
-            spec.cycles,
-            spec.cfg.k,
-            topo,
-            *gated_fraction,
-            c,
-            spec.mech_switches.clone(),
-        ));
+        out.push(rebuild(spec.cycles, topo, *gated_fraction, c, switches.clone()));
     }
     if *gated_fraction > 0.0 {
-        out.push(rebuild(
-            spec.cycles,
-            spec.cfg.k,
-            topo,
-            0.0,
-            changes.clone(),
-            spec.mech_switches.clone(),
-        ));
+        out.push(rebuild(spec.cycles, topo, 0.0, changes.clone(), switches.clone()));
     }
     out
 }
@@ -468,46 +444,40 @@ pub fn replay(path: &Path) -> Result<Option<(String, String)>, String> {
 }
 
 /// Run a fuzzing campaign: sample, differentially execute, shrink, and
-/// persist repros. Cases run in parallel; the report lists findings in
-/// case order.
+/// persist repros. Cases run on the batch scheduler, within the core
+/// budget of an engine batch; the report lists findings in case order.
 pub fn fuzz(opts: &FuzzOptions) -> FuzzReport {
-    let cases: Vec<u64> = (0..opts.runs).collect();
-    let mut findings: Vec<Finding> = cases
-        .par_iter()
-        .map(|&case| {
-            let mut rng = Rng::new(opts.seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            // Every fifth case exercises the record→replay path end to end;
-            // the rest sample live workloads (synthetic, MMPP, diurnal).
-            let spec = if case % 5 == 4 {
-                sample_trace_spec(&mut rng, opts.max_cycles, &opts.out_dir)
-                    .unwrap_or_else(|| sample_spec(&mut rng, opts.max_cycles))
-            } else {
-                sample_spec(&mut rng, opts.max_cycles)
-            };
-            let (kind, detail) = check_spec(&spec)?;
-            eprintln!("[flov] fuzz: case {case} failed ({kind}); shrinking");
-            let minimized = shrink_with(&spec, &kind, &|s| check_spec(s).map(|(k, _)| k), 32);
-            let repro = Repro {
-                kernel_version: KERNEL_VERSION,
-                kind: kind.clone(),
-                detail: detail.clone(),
-                spec: minimized.clone(),
-            };
-            let path = match write_repro(&opts.out_dir, &repro) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("[flov] fuzz: could not write repro: {e}");
-                    None
-                }
-            };
-            Some(Finding { case, kind, detail, spec: minimized, path })
-        })
-        .collect::<Vec<Option<Finding>>>()
-        .into_iter()
-        .flatten()
-        .collect();
-    findings.sort_by_key(|f| f.case);
-    FuzzReport { cases: opts.runs, findings }
+    let runs = opts.runs as usize;
+    let (findings, _) = run_work_stealing(runs, workers_for(runs), |i, _| {
+        let case = i as u64;
+        let mut rng = Rng::new(opts.seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        // Every fifth case exercises the record→replay path end to end;
+        // the rest sample live workloads (synthetic, MMPP, diurnal).
+        let spec = if case % 5 == 4 {
+            sample_trace_spec(&mut rng, opts.max_cycles, &opts.out_dir)
+                .unwrap_or_else(|| sample_spec(&mut rng, opts.max_cycles))
+        } else {
+            sample_spec(&mut rng, opts.max_cycles)
+        };
+        let (kind, detail) = check_spec(&spec)?;
+        eprintln!("[flov] fuzz: case {case} failed ({kind}); shrinking");
+        let minimized = shrink_with(&spec, &kind, &|s| check_spec(s).map(|(k, _)| k), 32);
+        let repro = Repro {
+            kernel_version: KERNEL_VERSION,
+            kind: kind.clone(),
+            detail: detail.clone(),
+            spec: minimized.clone(),
+        };
+        let path = match write_repro(&opts.out_dir, &repro) {
+            Ok(p) => Some(p),
+            Err(e) => {
+                eprintln!("[flov] fuzz: could not write repro: {e}");
+                None
+            }
+        };
+        Some(Finding { case, kind, detail, spec: minimized, path })
+    });
+    FuzzReport { cases: opts.runs, findings: findings.into_iter().flatten().collect() }
 }
 
 #[cfg(test)]
@@ -530,16 +500,13 @@ mod tests {
                 mechanism::by_name(&spec.mechanism, &spec.cfg).is_some(),
                 "unconstructible sample: {} on {}",
                 spec.mechanism,
-                spec.cfg.topology_spec().label()
+                spec.cfg.topology.label()
             );
             if spec.mechanism == "NoRD" {
-                assert!(
-                    spec.cfg.topology_spec().admits_ring(),
-                    "NoRD sampled on a ring-less topology"
-                );
+                assert!(spec.cfg.topology.admits_ring(), "NoRD sampled on a ring-less topology");
             }
             if spec.mechanism == "PowerPunch" {
-                assert!(!spec.cfg.topology_spec().wraps(), "PowerPunch sampled on a torus");
+                assert!(!spec.cfg.topology.wraps(), "PowerPunch sampled on a torus");
             }
             if let WorkloadSpec::Synthetic { pattern: Pattern::Hotspot { hotspot, .. }, .. } =
                 &spec.workload
@@ -579,16 +546,16 @@ mod tests {
         // (switches, changes, gating) and walk both knobs to their floor.
         let mut rng = Rng::new(3);
         let mut spec = sample_spec(&mut rng, 64_000);
-        while spec.cfg.k <= 3
+        while spec.cfg.kx() <= 3
             || spec.mechanism == "NoRD"
             || !matches!(spec.workload, WorkloadSpec::Synthetic { .. })
         {
             spec = sample_spec(&mut rng, 64_000);
         }
-        let pred = |s: &RunSpec| (s.cycles >= 2_000 && s.cfg.k > 3).then(|| "synthetic".into());
+        let pred = |s: &RunSpec| (s.cycles >= 2_000 && s.cfg.kx() > 3).then(|| "synthetic".into());
         let min = shrink_with(&spec, "synthetic", &pred, 64);
         assert_eq!(min.cycles, 2_000, "cycles not minimized: {}", min.cycles);
-        assert_eq!(min.cfg.k, 4, "radix not minimized: {}", min.cfg.k);
+        assert_eq!(min.cfg.topology, TopologySpec::Mesh { k: 4 }, "fabric not minimized");
         assert!(min.mech_switches.is_empty());
         if let WorkloadSpec::Synthetic { gated_fraction, changes, .. } = &min.workload {
             assert_eq!(*gated_fraction, 0.0);

@@ -29,8 +29,8 @@ pub const MECHANISMS: [&str; 5] = ["Baseline", "RP", "rFLOV", "gFLOV", "NoRD"];
 /// Topology lanes: the seed 8×8 mesh matrix plus a concentrated-mesh lane
 /// (64 cores on 16 routers) exercising the kernels on a fabric where core
 /// space and router space differ.
-pub const LANES: [(&str, Option<TopologySpec>); 2] =
-    [("mesh8x8", None), ("cmesh64", Some(TopologySpec::CMesh { k: 4, c: 4 }))];
+pub const LANES: [(&str, TopologySpec); 2] =
+    [("mesh8x8", TopologySpec::Mesh { k: 8 }), ("cmesh64", TopologySpec::CMesh { k: 4, c: 4 })];
 
 /// Parallel-scaling lanes: larger meshes where per-cycle work dwarfs the
 /// barrier cost, timed with the sharded kernel at each tile count.
@@ -170,36 +170,32 @@ pub struct BenchReport {
     pub parallel: Vec<ParallelRow>,
 }
 
-/// The run a lane times: uniform random traffic at seed 42 on the Table I
-/// mesh, or on `topology` when the lane sets one, `warmup + cycles` cycles
-/// long. The spec's warmup only has to leave a measurement window:
+/// The run a lane times: uniform random traffic at seed 42 on `topology`,
+/// `warmup + cycles` cycles long. The spec's warmup only has to leave a measurement window:
 /// [`measure_sim`] runs the warmup itself.
 fn lane_spec(
-    topology: Option<TopologySpec>,
+    topology: TopologySpec,
     mech_name: &str,
     rate: f64,
     gated_fraction: f64,
     warmup: u64,
     cycles: u64,
 ) -> RunSpecBuilder {
-    let spec = RunSpec::builder()
+    RunSpec::builder()
         .mechanism(mech_name)
+        .topology(topology)
         .rate(rate)
         .gated_fraction(gated_fraction)
         .seed(42)
         .warmup(warmup)
-        .cycles(warmup + cycles);
-    match topology {
-        Some(t) => spec.topology(t),
-        None => spec,
-    }
+        .cycles(warmup + cycles)
 }
 
 /// Time `cycles` simulated cycles after `warmup`; returns the row plus a
 /// digest of the end state (activity + stats) for equivalence checking.
 fn measure_one(
     lane: &str,
-    topology: Option<TopologySpec>,
+    topology: TopologySpec,
     mech_name: &str,
     load: (&str, f64, f64),
     kernel: KernelMode,
@@ -332,7 +328,7 @@ pub fn run_bench(
     for mech in BURSTY_MECHANISMS {
         let cycles = base;
         // The MMPP schedule replaces the uniform rate.
-        let spec = lane_spec(None, mech, 0.0, 0.5, warmup, cycles)
+        let spec = lane_spec(TopologySpec::Mesh { k: 8 }, mech, 0.0, 0.5, warmup, cycles)
             .mmpp(BURSTY_RATES.to_vec(), BURSTY_MEAN_DWELL)
             .build();
         let bursty = |kernel| {
@@ -390,19 +386,12 @@ pub fn run_bench(
         let par_warmup = 500u64;
         for mech in PARALLEL_MECHANISMS {
             let cell = ("saturated", 0.30, 0.0);
-            let (base, base_digest) = measure_one(
-                lane,
-                Some(topology),
-                mech,
-                cell,
-                KernelMode::ActiveSet,
-                par_warmup,
-                cycles,
-            );
+            let (base, base_digest) =
+                measure_one(lane, topology, mech, cell, KernelMode::ActiveSet, par_warmup, cycles);
             for tiles in PARALLEL_TILES {
                 let (par, par_digest) = measure_one(
                     lane,
-                    Some(topology),
+                    topology,
                     mech,
                     cell,
                     KernelMode::Parallel { tiles, grid: None },

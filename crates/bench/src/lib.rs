@@ -34,6 +34,7 @@ pub use scheduler::SchedStats;
 pub use spec::{RunResult, RunSpec, RunSpecBuilder, WorkloadSpec};
 
 use flov_core::mechanism;
+use flov_noc::activity::Residency;
 use flov_noc::network::Simulation;
 use flov_noc::traits::{ScriptedWorkload, Workload};
 use flov_noc::types::Cycle;
@@ -300,7 +301,7 @@ fn build_workload(spec: &RunSpec) -> Box<dyn Workload> {
             assert!(
                 cfg.kx() == cfg.ky() && cfg.concentration() == 1,
                 "PARSEC workload requires a square non-concentrated mesh, got {}",
-                cfg.topology_spec().label(),
+                cfg.topology.label(),
             );
             let profile = flov_workloads::benchmark(name)
                 .unwrap_or_else(|| panic!("unknown PARSEC benchmark {name:?}"));
@@ -369,10 +370,15 @@ fn run_audited_inner(
         WorkloadSpec::Trace { closed_loop, .. } => *closed_loop,
         _ => false,
     };
+    // Residency settled where the window opens and at each switch after
+    // that, each with the residual of the mechanism that runs from there,
+    // so that every interval is priced by its own mechanism.
+    let mut marks = vec![(GatedResidual::for_mechanism(&spec.mechanism), Vec::new())];
     // Warmup.
-    run_switched(&mut sim, spec, spec.warmup);
+    run_switched(&mut sim, spec, spec.warmup, &mut marks);
     let act0 = sim.core.activity.clone();
-    let res0 = sim.core.residency().to_vec();
+    let opening = marks.last().expect("the spec's mechanism opens the run").0;
+    marks = vec![(opening, sim.core.residency().to_vec())];
     // Measured portion.
     let measured_end;
     if closed_loop {
@@ -383,7 +389,7 @@ fn run_audited_inner(
         );
         measured_end = end;
     } else {
-        run_switched(&mut sim, spec, spec.cycles);
+        run_switched(&mut sim, spec, spec.cycles, &mut marks);
         measured_end = sim.core.cycle;
         sim.core.stats.measure_until = spec.cycles;
         sim.drain(spec.drain);
@@ -395,14 +401,19 @@ fn run_audited_inner(
     }
     let window = measured_end - spec.warmup;
     let activity = sim.core.activity.delta_since(&act0);
-    let residency = flov_power::residency_delta(sim.core.residency(), &res0);
+    let end = sim.core.residency().to_vec();
+    let stops = marks.iter().skip(1).map(|(_, r)| r).chain([&end]);
+    let intervals: Vec<(GatedResidual, Vec<Residency>)> = marks
+        .iter()
+        .zip(stops)
+        .map(|((residual, start), stop)| (*residual, flov_power::residency_delta(stop, start)))
+        .collect();
     let power = flov_power::compute_links(
         &spec.power_params,
-        sim.core.topo.links().len() as u64,
+        spec.cfg.topology.links().len() as u64,
         &activity,
-        &residency,
+        &intervals,
         window.max(1),
-        GatedResidual::for_mechanism(&spec.mechanism),
     );
     let (violations, suppressed, audit_checks) = match sim.auditor.as_deref_mut() {
         Some(aud) => (aud.take_violations(), aud.suppressed(), aud.checks()),
@@ -440,10 +451,17 @@ fn run_audited_inner(
 
 /// Advance `sim` to absolute cycle `until`, applying any
 /// [`RunSpec::mech_switches`] that fall in `[sim.core.cycle, until)` at
-/// their exact cycle. Illegal switches (anything but Baseline→rFLOV,
-/// Baseline→gFLOV, rFLOV→gFLOV) panic: a stricter protocol's invariants
-/// do not hold over the looser fabric it would inherit.
-fn run_switched(sim: &mut Simulation, spec: &RunSpec, until: Cycle) {
+/// their exact cycle, and pushing onto `marks` the residency settled at
+/// each switch with the residual of the mechanism it switches to. Illegal
+/// switches (anything but Baseline→rFLOV, Baseline→gFLOV, rFLOV→gFLOV)
+/// panic: a stricter protocol's invariants do not hold over the looser
+/// fabric it would inherit.
+fn run_switched(
+    sim: &mut Simulation,
+    spec: &RunSpec,
+    until: Cycle,
+    marks: &mut Vec<(GatedResidual, Vec<Residency>)>,
+) {
     for (at, name) in &spec.mech_switches {
         if *at < sim.core.cycle || *at >= until {
             continue;
@@ -456,6 +474,7 @@ fn run_switched(sim: &mut Simulation, spec: &RunSpec, until: Cycle) {
         );
         sim.mech = mechanism::by_name(name, &sim.core.cfg)
             .unwrap_or_else(|| panic!("unknown mechanism {name:?} in mech_switches"));
+        marks.push((GatedResidual::for_mechanism(name), sim.core.residency().to_vec()));
     }
     sim.run(until.saturating_sub(sim.core.cycle));
 }
@@ -520,6 +539,34 @@ mod tests {
         assert_eq!(a.packets, b.packets);
         assert_eq!(a.avg_latency, b.avg_latency);
         assert_eq!(a.power.static_w, b.power.static_w);
+    }
+
+    #[test]
+    fn a_switched_run_is_priced_by_the_mechanism_that_ran_it() {
+        // Baseline runs one cycle, then gFLOV runs the whole measured
+        // window, so the static power is plain gFLOV's (Baseline's gated
+        // routers would be priced as fully off).
+        let spec = |mech: &str| {
+            RunSpec::builder()
+                .mechanism(mech)
+                .k(4)
+                .gated_fraction(0.5)
+                .seed(7)
+                .warmup(1_000)
+                .cycles(6_000)
+                .drain(6_000)
+        };
+        let plain = run(&spec("gFLOV").build());
+        let switched = run(&spec("Baseline").mech_switches(vec![(1, "gFLOV".into())]).build());
+        assert_eq!(switched.mechanism, "Baseline");
+        assert_eq!(switched.packets, plain.packets);
+        let ratio = switched.power.static_w / plain.power.static_w;
+        assert!(
+            (ratio - 1.0).abs() < 0.005,
+            "switched static {} W vs plain gFLOV {} W",
+            switched.power.static_w,
+            plain.power.static_w
+        );
     }
 
     #[test]

@@ -216,9 +216,7 @@ impl RunSpec {
                 if flov_workloads::benchmark(name).is_none() {
                     Err(ConfigError::UnknownBenchmark { name: name.clone() })
                 } else if cfg.kx() != cfg.ky() || cfg.concentration() != 1 {
-                    Err(ConfigError::ParsecNeedsSquareGrid {
-                        topology: cfg.topology_spec().label(),
-                    })
+                    Err(ConfigError::ParsecNeedsSquareGrid { topology: cfg.topology.label() })
                 } else {
                     Ok(())
                 }
@@ -321,22 +319,14 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Mesh radix shorthand: a `k x k` network.
-    pub fn k(mut self, k: u16) -> Self {
-        self.cfg.k = k;
-        self
+    /// Mesh radix shorthand: a `k x k` mesh, `topology(Mesh { k })`.
+    pub fn k(self, k: u16) -> Self {
+        self.topology(TopologySpec::Mesh { k })
     }
 
-    /// Select the fabric topology. `Mesh { k }` is spelled as the bare
-    /// `k` field instead, keeping the serialized spec — and so the result
-    /// cache key — byte-identical to the pre-topology encoding.
+    /// Select the fabric topology.
     pub fn topology(mut self, t: TopologySpec) -> Self {
-        if let TopologySpec::Mesh { k } = t {
-            self.cfg.k = k;
-            self.cfg.topology = None;
-        } else {
-            self.cfg.topology = Some(t);
-        }
+        self.cfg.topology = t;
         self
     }
 
@@ -544,7 +534,7 @@ mod tests {
         let s = RunSpec::synthetic_paper("gFLOV", Pattern::UniformRandom, 0.02, 0.3, 1);
         assert_eq!(s.warmup, 10_000);
         assert_eq!(s.cycles, 100_000);
-        assert_eq!(s.cfg.k, 8);
+        assert_eq!(s.cfg.topology, TopologySpec::Mesh { k: 8 });
         assert_eq!(s.mechanism, "gFLOV");
     }
 
@@ -584,9 +574,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_k_shorthand_sets_mesh_radix() {
-        let s = RunSpec::builder().k(4).build();
-        assert_eq!(s.cfg.k, 4);
+    fn builder_k_shorthand_is_the_mesh_topology() {
+        // One fabric, one encoding, one cache key.
+        let k = RunSpec::builder().k(4).build();
+        let mesh = RunSpec::builder().topology(TopologySpec::Mesh { k: 4 }).build();
+        assert_eq!(k, mesh);
+        let key = |s: &RunSpec| {
+            let json = serde_json::to_string(&s.resolved()).unwrap();
+            crate::ResultCache::key(&json, crate::KERNEL_VERSION)
+        };
+        assert_eq!(key(&k), key(&mesh));
+        // `k` after a topology replaces it.
+        let cmesh = RunSpec::builder().topology(TopologySpec::CMesh { k: 4, c: 4 });
+        assert_eq!(cmesh.k(4).build(), k);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! binaries; now library generators driven by `flov {nord,related,scaling}`
 //! through a caching [`Engine`].
 
-use crate::engine::Engine;
+use crate::engine::{batch, Engine};
 use crate::report::{f2, mw, Table};
 use crate::spec::RunSpec;
 
@@ -37,19 +37,16 @@ pub fn nord_study(engine: &Engine, quick: bool) -> Vec<Table> {
         "NoRD vs FLOV — 8x8 UR 0.02, latency / static / total power",
         &["gated %", "mech", "avg lat", "ring flits", "static [mW]", "total [mW]"],
     );
-    for &f in fractions {
-        let specs: Vec<RunSpec> =
-            mechs.iter().map(|&m| sweep_spec(m, 8, 0.02, f, cycles)).collect();
-        for r in engine.run_batch(&specs) {
-            t.row(vec![
-                format!("{:.0}", f * 100.0),
-                r.mechanism.clone(),
-                if r.packets == 0 { "n/a".into() } else { f2(r.avg_latency) },
-                r.ring_flits.to_string(),
-                mw(r.power.static_w),
-                mw(r.power.total_w),
-            ]);
-        }
+    let cells: Vec<(f64, &str)> = fractions.iter().flat_map(|&f| mechs.map(|m| (f, m))).collect();
+    for ((f, _), r) in batch(engine, &cells, |(f, m)| sweep_spec(m, 8, 0.02, f, cycles)) {
+        t.row(vec![
+            format!("{:.0}", f * 100.0),
+            r.mechanism.clone(),
+            if r.packets == 0 { "n/a".into() } else { f2(r.avg_latency) },
+            r.ring_flits.to_string(),
+            mw(r.power.static_w),
+            mw(r.power.total_w),
+        ]);
     }
 
     // Experiment 2: mesh scaling at 75% gated.
@@ -58,18 +55,16 @@ pub fn nord_study(engine: &Engine, quick: bool) -> Vec<Table> {
         "NoRD scalability — UR 0.02, 75% gated: ring latency grows with k",
         &["k", "mech", "avg lat", "p95 lat", "static [mW]"],
     );
-    for &k in ks {
-        let specs: Vec<RunSpec> =
-            ["gFLOV", "NoRD"].iter().map(|&m| sweep_spec(m, k, 0.02, 0.75, cycles)).collect();
-        for r in engine.run_batch(&specs) {
-            t2.row(vec![
-                k.to_string(),
-                r.mechanism.clone(),
-                f2(r.avg_latency),
-                r.latency_percentiles.1.to_string(),
-                mw(r.power.static_w),
-            ]);
-        }
+    let cells: Vec<(u16, &str)> =
+        ks.iter().flat_map(|&k| ["gFLOV", "NoRD"].map(|m| (k, m))).collect();
+    for ((k, _), r) in batch(engine, &cells, |(k, m)| sweep_spec(m, k, 0.02, 0.75, cycles)) {
+        t2.row(vec![
+            k.to_string(),
+            r.mechanism.clone(),
+            f2(r.avg_latency),
+            r.latency_percentiles.1.to_string(),
+            mw(r.power.static_w),
+        ]);
     }
     vec![t, t2]
 }
@@ -92,21 +87,19 @@ pub fn related_landscape(engine: &Engine, quick: bool) -> Table {
             "gating events",
         ],
     );
-    for &f in fractions {
-        let specs: Vec<RunSpec> =
-            LANDSCAPE_MECHS.iter().map(|&m| sweep_spec(m, 8, 0.02, f, cycles)).collect();
-        for r in engine.run_batch(&specs) {
-            t.row(vec![
-                format!("{:.0}", f * 100.0),
-                r.mechanism.clone(),
-                f2(r.avg_latency),
-                r.latency_percentiles.1.to_string(),
-                mw(r.power.static_w),
-                mw(r.power.dynamic_w),
-                mw(r.power.total_w),
-                r.gating_events.to_string(),
-            ]);
-        }
+    let cells: Vec<(f64, &str)> =
+        fractions.iter().flat_map(|&f| LANDSCAPE_MECHS.map(|m| (f, m))).collect();
+    for ((f, _), r) in batch(engine, &cells, |(f, m)| sweep_spec(m, 8, 0.02, f, cycles)) {
+        t.row(vec![
+            format!("{:.0}", f * 100.0),
+            r.mechanism.clone(),
+            f2(r.avg_latency),
+            r.latency_percentiles.1.to_string(),
+            mw(r.power.static_w),
+            mw(r.power.dynamic_w),
+            mw(r.power.total_w),
+            r.gating_events.to_string(),
+        ]);
     }
     t
 }
@@ -121,34 +114,30 @@ pub fn mesh_scaling(engine: &Engine, quick: bool) -> Table {
         "mesh-size scaling: UR 0.02 flits/cycle/node, 50% cores gated",
         &["k", "mech", "avg lat", "avg hops", "flov hops", "static [mW]", "total [mW]", "stall cy"],
     );
-    for &k in ks {
-        let specs: Vec<RunSpec> = mechs
-            .iter()
-            .map(|&m| {
-                RunSpec::builder()
-                    .mechanism(m)
-                    .k(k)
-                    .gated_fraction(0.5)
-                    .seed(0xF10F ^ k as u64)
-                    .changes(vec![cycles / 2])
-                    .warmup(warmup)
-                    .cycles(cycles)
-                    .drain(cycles * 2)
-                    .build()
-            })
-            .collect();
-        for r in engine.run_batch(&specs) {
-            t.row(vec![
-                k.to_string(),
-                r.mechanism.clone(),
-                f2(r.avg_latency),
-                f2(r.avg_hops),
-                f2(r.avg_flov_hops),
-                mw(r.power.static_w),
-                mw(r.power.total_w),
-                r.stalled_injection_cycles.to_string(),
-            ]);
-        }
+    let cells: Vec<(u16, &str)> = ks.iter().flat_map(|&k| mechs.map(|m| (k, m))).collect();
+    let spec = |(k, m): (u16, &str)| {
+        RunSpec::builder()
+            .mechanism(m)
+            .k(k)
+            .gated_fraction(0.5)
+            .seed(0xF10F ^ k as u64)
+            .changes(vec![cycles / 2])
+            .warmup(warmup)
+            .cycles(cycles)
+            .drain(cycles * 2)
+            .build()
+    };
+    for ((k, _), r) in batch(engine, &cells, spec) {
+        t.row(vec![
+            k.to_string(),
+            r.mechanism.clone(),
+            f2(r.avg_latency),
+            f2(r.avg_hops),
+            f2(r.avg_flov_hops),
+            mw(r.power.static_w),
+            mw(r.power.total_w),
+            r.stalled_injection_cycles.to_string(),
+        ]);
     }
     t
 }
@@ -156,6 +145,14 @@ pub fn mesh_scaling(engine: &Engine, quick: bool) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mesh_scaling_submits_its_table_as_one_batch() {
+        let engine = Engine::without_cache();
+        let t = mesh_scaling(&engine, true);
+        assert_eq!(t.rows.len(), 6); // two radices x three mechanisms
+        assert_eq!(engine.sched_stats().expect("the batch simulated").jobs, 6);
+    }
 
     #[test]
     fn related_landscape_covers_all_mechanisms() {

@@ -17,9 +17,10 @@ use flov_workloads::Pattern;
 /// cycles old, with zero flits resident. The movement digest now counts
 /// NIC-queue churn, so the stall clock starts from the enqueue instead.
 fn rp_nic_parked_spec() -> RunSpec {
-    let cfg = NocConfig { k: 4, seed: 4044353807, watchdog_cycles: 10_000, ..NocConfig::default() };
+    let cfg = NocConfig { watchdog_cycles: 10_000, ..NocConfig::default() };
     RunSpec::builder()
         .cfg(cfg)
+        .k(4)
         .mechanism("RP-aggressive")
         .pattern(Pattern::Transpose)
         .rate(0.02)

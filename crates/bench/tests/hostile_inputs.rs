@@ -183,7 +183,7 @@ fn hostile_specs_exit_2_naming_the_value() {
         (
             with(|s| {
                 s.workload = parsec("swaptions");
-                s.cfg.topology = Some(TopologySpec::CMesh { k: 4, c: 4 });
+                s.cfg.topology = TopologySpec::CMesh { k: 4, c: 4 };
             }),
             "cmesh4x4c4 is not one",
         ),
@@ -235,6 +235,23 @@ fn hostile_specs_exit_2_naming_the_value() {
         assert_eq!(out.status.code(), Some(2), "row {tag} ({named}): {stderr}");
         assert!(stderr.contains(named), "row {tag}: stderr does not name {named}: {stderr}");
     }
+}
+
+#[test]
+fn a_v3_spec_file_fails_naming_topology() {
+    // v3 spelled the default mesh as a bare `k` and had no `topology`.
+    let spec = RunSpec::builder().k(4).warmup(100).cycles(1_000).drain(1_000).build();
+    let v4 = serde_json::to_string(&spec).expect("serialize spec");
+    let v3 = v4.replacen("\"topology\":{\"Mesh\":{\"k\":4}}", "\"k\":4", 1);
+    assert_ne!(v3, v4);
+    let path = std::env::temp_dir().join(format!("flov-v3-spec-{}.json", std::process::id()));
+    std::fs::write(&path, v3).expect("write");
+    let out = flov(&["sweep", "--spec", path.to_str().expect("utf-8 path"), "--no-cache"], &[]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("missing field `topology`"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[cfg(unix)]

@@ -14,12 +14,14 @@
 //! every tile count, on every topology, including across clock jumps.
 //!
 //! The kernel *mode* never enters the result cache key (both modes agree
-//! bit-for-bit), but `KERNEL_VERSION` is at 3: v2 made the synthetic
+//! bit-for-bit), but `KERNEL_VERSION` is at 4: v2 made the synthetic
 //! workload draw geometric inter-arrival gaps instead of per-cycle
 //! Bernoulli trials (a different RNG stream, so every v1 injection
-//! timeline differs), and v3 switched latency percentiles to bucket lower
-//! edges and extended the `RunSpec` schema.
+//! timeline differs), v3 switched latency percentiles to bucket lower
+//! edges and extended the `RunSpec` schema, and v4 encodes `NocConfig`
+//! with one field per fabric knob and prices switched runs per interval.
 
+use flov_bench::scheduler::{run_work_stealing, workers_for};
 use flov_bench::{
     record_trace, run_kernel, tracefmt, KernelMode, RunSpec, WorkloadSpec, KERNEL_VERSION,
 };
@@ -29,9 +31,16 @@ use flov_noc::{NocConfig, TopologySpec};
 use flov_workloads::{
     Dwell, GatingSchedule, ModulatedWorkload, Pattern, PatternSpace, SyntheticWorkload,
 };
-use rayon::prelude::*;
 
 const MECHANISMS: [&str; 5] = ["Baseline", "rFLOV", "gFLOV", "RP", "NoRD"];
+
+/// The failures `check` reports over `cells`, in cell order. The cells run
+/// on the batch scheduler, within the core budget of an engine batch.
+fn check_cells<T: Sync>(cells: &[T], check: impl Fn(&T) -> Option<String> + Sync) -> Vec<String> {
+    let (found, _) =
+        run_work_stealing(cells.len(), workers_for(cells.len()), |i, _| check(&cells[i]));
+    found.into_iter().flatten().collect()
+}
 
 fn patterns() -> [(&'static str, Pattern); 3] {
     [
@@ -60,33 +69,25 @@ fn active_set_kernel_matches_reference_on_the_full_matrix() {
         .iter()
         .flat_map(|&m| patterns().into_iter().map(move |(pn, p)| (m, pn, p)))
         .collect();
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(mech, pat_name, pattern)| {
-            eprintln!("cell start: {mech}/{pat_name}");
-            let s = spec(mech, pattern);
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let reference = run_kernel(&s, KernelMode::Reference);
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let rj = serde_json::to_string(&reference).expect("serialize reference result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{mech}/{pat_name}: too little traffic ({} packets) for a meaningful \
+    let failures = check_cells(&cells, |&(mech, pat_name, pattern)| {
+        eprintln!("cell start: {mech}/{pat_name}");
+        let s = spec(mech, pattern);
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let reference = run_kernel(&s, KernelMode::Reference);
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let rj = serde_json::to_string(&reference).expect("serialize reference result");
+        if active.packets <= 100 {
+            return Some(format!(
+                "{mech}/{pat_name}: too little traffic ({} packets) for a meaningful \
                      comparison",
-                    active.packets
-                ));
-            }
-            if aj != rj {
-                return Some(format!(
-                    "{mech}/{pat_name}: active-set and reference kernels diverged"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+                active.packets
+            ));
+        }
+        if aj != rj {
+            return Some(format!("{mech}/{pat_name}: active-set and reference kernels diverged"));
+        }
+        None
+    });
     assert!(failures.is_empty(), "kernel equivalence failures:\n{}", failures.join("\n"));
 }
 
@@ -111,42 +112,36 @@ fn topology_rows_stay_bit_identical_between_kernels() {
             })
         })
         .collect();
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(topo_name, topology, mech, pat_name, pattern)| {
-            eprintln!("cell start: {topo_name}/{mech}/{pat_name}");
-            let s = RunSpec::builder()
-                .mechanism(mech)
-                .topology(topology)
-                .pattern(pattern)
-                .rate(0.05)
-                .gated_fraction(0.3)
-                .seed(0xF10F)
-                .warmup(1_500)
-                .cycles(6_000)
-                .drain(25_000)
-                .build();
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let reference = run_kernel(&s, KernelMode::Reference);
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let rj = serde_json::to_string(&reference).expect("serialize reference result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{topo_name}/{mech}/{pat_name}: too little traffic ({} packets)",
-                    active.packets
-                ));
-            }
-            if aj != rj {
-                return Some(format!(
-                    "{topo_name}/{mech}/{pat_name}: active-set and reference kernels diverged"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures = check_cells(&cells, |&(topo_name, topology, mech, pat_name, pattern)| {
+        eprintln!("cell start: {topo_name}/{mech}/{pat_name}");
+        let s = RunSpec::builder()
+            .mechanism(mech)
+            .topology(topology)
+            .pattern(pattern)
+            .rate(0.05)
+            .gated_fraction(0.3)
+            .seed(0xF10F)
+            .warmup(1_500)
+            .cycles(6_000)
+            .drain(25_000)
+            .build();
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let reference = run_kernel(&s, KernelMode::Reference);
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let rj = serde_json::to_string(&reference).expect("serialize reference result");
+        if active.packets <= 100 {
+            return Some(format!(
+                "{topo_name}/{mech}/{pat_name}: too little traffic ({} packets)",
+                active.packets
+            ));
+        }
+        if aj != rj {
+            return Some(format!(
+                "{topo_name}/{mech}/{pat_name}: active-set and reference kernels diverged"
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "topology equivalence failures:\n{}", failures.join("\n"));
 }
 
@@ -166,32 +161,26 @@ fn parallel_kernel_matches_active_set_on_the_full_matrix() {
                 .flat_map(move |(pn, p)| [2usize, 4].into_iter().map(move |t| (m, pn, p, t)))
         })
         .collect();
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(mech, pat_name, pattern, tiles)| {
-            eprintln!("cell start: {mech}/{pat_name}/tiles={tiles}");
-            let s = spec(mech, pattern);
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let parallel = run_kernel(&s, KernelMode::Parallel { tiles, grid: None });
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{mech}/{pat_name}/tiles={tiles}: too little traffic ({} packets)",
-                    active.packets
-                ));
-            }
-            if aj != pj {
-                return Some(format!(
-                    "{mech}/{pat_name}/tiles={tiles}: parallel and active-set kernels diverged"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures = check_cells(&cells, |&(mech, pat_name, pattern, tiles)| {
+        eprintln!("cell start: {mech}/{pat_name}/tiles={tiles}");
+        let s = spec(mech, pattern);
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let parallel = run_kernel(&s, KernelMode::Parallel { tiles, grid: None });
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
+        if active.packets <= 100 {
+            return Some(format!(
+                "{mech}/{pat_name}/tiles={tiles}: too little traffic ({} packets)",
+                active.packets
+            ));
+        }
+        if aj != pj {
+            return Some(format!(
+                "{mech}/{pat_name}/tiles={tiles}: parallel and active-set kernels diverged"
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "parallel equivalence failures:\n{}", failures.join("\n"));
 }
 
@@ -210,42 +199,36 @@ fn parallel_kernel_matches_active_set_on_other_topologies() {
                 .flat_map(move |&m| [2usize, 4].into_iter().map(move |k| (tn, t, m, k)))
         })
         .collect();
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(topo_name, topology, mech, tiles)| {
-            eprintln!("cell start: {topo_name}/{mech}/tiles={tiles}");
-            let s = RunSpec::builder()
-                .mechanism(mech)
-                .topology(topology)
-                .pattern(Pattern::UniformRandom)
-                .rate(0.05)
-                .gated_fraction(0.3)
-                .seed(0xF10F)
-                .warmup(1_500)
-                .cycles(6_000)
-                .drain(25_000)
-                .build();
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let parallel = run_kernel(&s, KernelMode::Parallel { tiles, grid: None });
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{topo_name}/{mech}/tiles={tiles}: too little traffic ({} packets)",
-                    active.packets
-                ));
-            }
-            if aj != pj {
-                return Some(format!(
-                    "{topo_name}/{mech}/tiles={tiles}: parallel and active-set diverged"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures = check_cells(&cells, |&(topo_name, topology, mech, tiles)| {
+        eprintln!("cell start: {topo_name}/{mech}/tiles={tiles}");
+        let s = RunSpec::builder()
+            .mechanism(mech)
+            .topology(topology)
+            .pattern(Pattern::UniformRandom)
+            .rate(0.05)
+            .gated_fraction(0.3)
+            .seed(0xF10F)
+            .warmup(1_500)
+            .cycles(6_000)
+            .drain(25_000)
+            .build();
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let parallel = run_kernel(&s, KernelMode::Parallel { tiles, grid: None });
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
+        if active.packets <= 100 {
+            return Some(format!(
+                "{topo_name}/{mech}/tiles={tiles}: too little traffic ({} packets)",
+                active.packets
+            ));
+        }
+        if aj != pj {
+            return Some(format!(
+                "{topo_name}/{mech}/tiles={tiles}: parallel and active-set diverged"
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "parallel topology failures:\n{}", failures.join("\n"));
 }
 
@@ -268,49 +251,41 @@ fn parallel_kernel_matches_active_set_on_2d_tile_geometries() {
             cells.push((m, Some(rect), (3, 3)));
         }
     }
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(mech, topology, (rows, cols))| {
-            let lane = if topology.is_some() { "rect5x7" } else { "mesh8x8" };
-            eprintln!("cell start: {lane}/{mech}/grid={rows}x{cols}");
-            let mut b = RunSpec::builder()
-                .mechanism(mech)
-                .pattern(Pattern::UniformRandom)
-                .rate(0.05)
-                .gated_fraction(0.3)
-                .seed(0xF10F)
-                .warmup(1_500)
-                .cycles(6_000)
-                .drain(25_000);
-            if let Some(t) = topology {
-                b = b.topology(t);
-            }
-            let s = b.build();
-            let kernel = KernelMode::Parallel {
-                tiles: rows as usize * cols as usize,
-                grid: Some((rows, cols)),
-            };
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let parallel = run_kernel(&s, kernel);
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{lane}/{mech}/grid={rows}x{cols}: too little traffic ({} packets)",
-                    active.packets
-                ));
-            }
-            if aj != pj {
-                return Some(format!(
-                    "{lane}/{mech}/grid={rows}x{cols}: parallel and active-set diverged"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures = check_cells(&cells, |&(mech, topology, (rows, cols))| {
+        let lane = if topology.is_some() { "rect5x7" } else { "mesh8x8" };
+        eprintln!("cell start: {lane}/{mech}/grid={rows}x{cols}");
+        let mut b = RunSpec::builder()
+            .mechanism(mech)
+            .pattern(Pattern::UniformRandom)
+            .rate(0.05)
+            .gated_fraction(0.3)
+            .seed(0xF10F)
+            .warmup(1_500)
+            .cycles(6_000)
+            .drain(25_000);
+        if let Some(t) = topology {
+            b = b.topology(t);
+        }
+        let s = b.build();
+        let kernel =
+            KernelMode::Parallel { tiles: rows as usize * cols as usize, grid: Some((rows, cols)) };
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let parallel = run_kernel(&s, kernel);
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
+        if active.packets <= 100 {
+            return Some(format!(
+                "{lane}/{mech}/grid={rows}x{cols}: too little traffic ({} packets)",
+                active.packets
+            ));
+        }
+        if aj != pj {
+            return Some(format!(
+                "{lane}/{mech}/grid={rows}x{cols}: parallel and active-set diverged"
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "2-D geometry failures:\n{}", failures.join("\n"));
 }
 
@@ -325,7 +300,7 @@ fn run_low_rate(mech_name: &str, kernel: KernelMode) -> (String, u64, u64) {
     let cycles = 60_000u64;
     let gating = GatingSchedule::static_fraction(cfg.nodes(), 0.3, 0xF10F, &[]);
     let workload = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         Pattern::UniformRandom,
         0.001,
         cfg.synth_packet_len,
@@ -349,41 +324,35 @@ fn run_low_rate(mech_name: &str, kernel: KernelMode) -> (String, u64, u64) {
 /// land on a bit-identical end state.
 #[test]
 fn low_rate_rows_skip_most_cycles_and_stay_bit_identical() {
-    let failures: Vec<String> = MECHANISMS
-        .par_iter()
-        .map(|&mech| {
-            let (active, skipped, cycles) = run_low_rate(mech, KernelMode::ActiveSet);
-            let (reference, ref_skipped, _) = run_low_rate(mech, KernelMode::Reference);
-            let (parallel, par_skipped, _) =
-                run_low_rate(mech, KernelMode::Parallel { tiles: 4, grid: None });
-            if active != reference {
-                return Some(format!("{mech}: low-rate active vs reference end states differ"));
-            }
-            if ref_skipped != 0 {
-                return Some(format!("{mech}: reference kernel skipped {ref_skipped} cycles"));
-            }
-            if parallel != active {
-                return Some(format!("{mech}: low-rate parallel vs active end states differ"));
-            }
-            if par_skipped != skipped {
-                return Some(format!(
-                    "{mech}: parallel kernel skipped {par_skipped} cycles, active {skipped} \
+    let failures = check_cells(&MECHANISMS, |&mech| {
+        let (active, skipped, cycles) = run_low_rate(mech, KernelMode::ActiveSet);
+        let (reference, ref_skipped, _) = run_low_rate(mech, KernelMode::Reference);
+        let (parallel, par_skipped, _) =
+            run_low_rate(mech, KernelMode::Parallel { tiles: 4, grid: None });
+        if active != reference {
+            return Some(format!("{mech}: low-rate active vs reference end states differ"));
+        }
+        if ref_skipped != 0 {
+            return Some(format!("{mech}: reference kernel skipped {ref_skipped} cycles"));
+        }
+        if parallel != active {
+            return Some(format!("{mech}: low-rate parallel vs active end states differ"));
+        }
+        if par_skipped != skipped {
+            return Some(format!(
+                "{mech}: parallel kernel skipped {par_skipped} cycles, active {skipped} \
                      (jump horizons must agree)"
-                ));
-            }
-            let frac = skipped as f64 / cycles as f64;
-            if frac <= 0.5 {
-                return Some(format!(
-                    "{mech}: only {:.1}% of cycles skipped at rate 0.001 (want >50%)",
-                    100.0 * frac
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+            ));
+        }
+        let frac = skipped as f64 / cycles as f64;
+        if frac <= 0.5 {
+            return Some(format!(
+                "{mech}: only {:.1}% of cycles skipped at rate 0.001 (want >50%)",
+                100.0 * frac
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "low-rate skip failures:\n{}", failures.join("\n"));
 }
 
@@ -398,47 +367,38 @@ fn low_rate_rows_skip_most_cycles_and_stay_bit_identical() {
 fn modulated_rows_stay_bit_identical_across_all_kernels() {
     let cells: Vec<(&str, &str)> =
         MECHANISMS.iter().flat_map(|&m| [("mmpp", m), ("diurnal", m)]).collect();
-    let failures: Vec<String> = cells
-        .par_iter()
-        .map(|&(kind, mech)| {
-            eprintln!("cell start: {kind}/{mech}");
-            let b = RunSpec::builder()
-                .mechanism(mech)
-                .pattern(Pattern::UniformRandom)
-                .gated_fraction(0.3)
-                .seed(0xF10F)
-                .warmup(1_500)
-                .cycles(9_000)
-                .drain(25_000);
-            let s = match kind {
-                "mmpp" => b.mmpp(vec![0.002, 0.15], 1_500),
-                _ => b.diurnal(vec![0.002, 0.15], 1_500),
-            }
-            .build();
-            let active = run_kernel(&s, KernelMode::ActiveSet);
-            let reference = run_kernel(&s, KernelMode::Reference);
-            let parallel = run_kernel(&s, KernelMode::Parallel { tiles: 4, grid: None });
-            let aj = serde_json::to_string(&active).expect("serialize active result");
-            let rj = serde_json::to_string(&reference).expect("serialize reference result");
-            let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
-            if active.packets <= 100 {
-                return Some(format!(
-                    "{kind}/{mech}: too little traffic ({} packets)",
-                    active.packets
-                ));
-            }
-            if aj != rj {
-                return Some(format!("{kind}/{mech}: active-set and reference diverged"));
-            }
-            if aj != pj {
-                return Some(format!("{kind}/{mech}: parallel and active-set diverged"));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+    let failures = check_cells(&cells, |&(kind, mech)| {
+        eprintln!("cell start: {kind}/{mech}");
+        let b = RunSpec::builder()
+            .mechanism(mech)
+            .pattern(Pattern::UniformRandom)
+            .gated_fraction(0.3)
+            .seed(0xF10F)
+            .warmup(1_500)
+            .cycles(9_000)
+            .drain(25_000);
+        let s = match kind {
+            "mmpp" => b.mmpp(vec![0.002, 0.15], 1_500),
+            _ => b.diurnal(vec![0.002, 0.15], 1_500),
+        }
+        .build();
+        let active = run_kernel(&s, KernelMode::ActiveSet);
+        let reference = run_kernel(&s, KernelMode::Reference);
+        let parallel = run_kernel(&s, KernelMode::Parallel { tiles: 4, grid: None });
+        let aj = serde_json::to_string(&active).expect("serialize active result");
+        let rj = serde_json::to_string(&reference).expect("serialize reference result");
+        let pj = serde_json::to_string(&parallel).expect("serialize parallel result");
+        if active.packets <= 100 {
+            return Some(format!("{kind}/{mech}: too little traffic ({} packets)", active.packets));
+        }
+        if aj != rj {
+            return Some(format!("{kind}/{mech}: active-set and reference diverged"));
+        }
+        if aj != pj {
+            return Some(format!("{kind}/{mech}: parallel and active-set diverged"));
+        }
+        None
+    });
     assert!(failures.is_empty(), "modulated equivalence failures:\n{}", failures.join("\n"));
 }
 
@@ -476,40 +436,34 @@ fn run_bursty(mech_name: &str, kernel: KernelMode) -> (String, u64) {
 
 #[test]
 fn mmpp_quiet_phases_skip_cycles_and_stay_bit_identical() {
-    let failures: Vec<String> = MECHANISMS
-        .par_iter()
-        .map(|&mech| {
-            let (active, skipped) = run_bursty(mech, KernelMode::ActiveSet);
-            let (reference, ref_skipped) = run_bursty(mech, KernelMode::Reference);
-            let (parallel, par_skipped) =
-                run_bursty(mech, KernelMode::Parallel { tiles: 4, grid: None });
-            if active != reference {
-                return Some(format!("{mech}: bursty active vs reference end states differ"));
-            }
-            if parallel != active {
-                return Some(format!("{mech}: bursty parallel vs active end states differ"));
-            }
-            if ref_skipped != 0 {
-                return Some(format!("{mech}: reference kernel skipped {ref_skipped} cycles"));
-            }
-            if skipped == 0 {
-                return Some(format!(
-                    "{mech}: active kernel skipped no cycles under the bursty schedule \
+    let failures = check_cells(&MECHANISMS, |&mech| {
+        let (active, skipped) = run_bursty(mech, KernelMode::ActiveSet);
+        let (reference, ref_skipped) = run_bursty(mech, KernelMode::Reference);
+        let (parallel, par_skipped) =
+            run_bursty(mech, KernelMode::Parallel { tiles: 4, grid: None });
+        if active != reference {
+            return Some(format!("{mech}: bursty active vs reference end states differ"));
+        }
+        if parallel != active {
+            return Some(format!("{mech}: bursty parallel vs active end states differ"));
+        }
+        if ref_skipped != 0 {
+            return Some(format!("{mech}: reference kernel skipped {ref_skipped} cycles"));
+        }
+        if skipped == 0 {
+            return Some(format!(
+                "{mech}: active kernel skipped no cycles under the bursty schedule \
                      (silent MMPP phases should be skippable)"
-                ));
-            }
-            if par_skipped != skipped {
-                return Some(format!(
-                    "{mech}: parallel kernel skipped {par_skipped} cycles, active {skipped} \
+            ));
+        }
+        if par_skipped != skipped {
+            return Some(format!(
+                "{mech}: parallel kernel skipped {par_skipped} cycles, active {skipped} \
                      (jump horizons must agree)"
-                ));
-            }
-            None
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+            ));
+        }
+        None
+    });
     assert!(failures.is_empty(), "bursty skip failures:\n{}", failures.join("\n"));
 }
 
@@ -522,67 +476,59 @@ fn mmpp_quiet_phases_skip_cycles_and_stay_bit_identical() {
 #[test]
 fn recorded_traces_replay_bit_identical_on_every_kernel() {
     let sources: Vec<(&str, bool)> = vec![("gFLOV", false), ("NoRD", false), ("rFLOV", true)];
-    let failures: Vec<String> = sources
-        .par_iter()
-        .map(|&(mech, bursty)| {
-            eprintln!("cell start: replay/{mech}{}", if bursty { "/mmpp" } else { "" });
-            let b = RunSpec::builder()
-                .mechanism(mech)
-                .pattern(Pattern::UniformRandom)
-                .gated_fraction(0.3)
-                .seed(0xF10F)
-                .warmup(1_500)
-                .cycles(6_000)
-                .drain(25_000);
-            let source = if bursty { b.mmpp(vec![0.0, 0.10], 1_000) } else { b.rate(0.05) }
-                .build()
-                .resolved();
-            let (audited, data) =
-                record_trace(&source, KernelMode::ActiveSet).expect("source spec is valid");
-            let source_json =
-                serde_json::to_string(&audited.result).expect("serialize source result");
-            let spec_json = serde_json::to_string(&source).expect("spec serializes");
-            let bytes = tracefmt::encode_trace(KERNEL_VERSION, &spec_json, &data);
-            let path = std::env::temp_dir()
-                .join(format!("flov-equiv-trace-{mech}-{bursty}-{}.flovtrace", std::process::id()));
-            std::fs::write(&path, &bytes).expect("trace file writes");
-            let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("crc"));
-            let mut replay = source.clone();
-            replay.workload = WorkloadSpec::Trace {
-                path: path.to_string_lossy().into_owned(),
-                crc,
-                closed_loop: false,
-            };
-            let kernels = [
-                ("active", KernelMode::ActiveSet),
-                ("reference", KernelMode::Reference),
-                ("parallel", KernelMode::Parallel { tiles: 4, grid: None }),
-            ];
-            let mut failure = None;
-            for (kname, kernel) in kernels {
-                let r = run_kernel(&replay, kernel);
-                let rj = serde_json::to_string(&r).expect("serialize replay result");
-                if rj != source_json {
-                    failure = Some(format!(
-                        "replay/{mech} (bursty={bursty}): {kname}-kernel replay diverged \
-                         from the recorded source result"
-                    ));
-                    break;
-                }
-            }
-            let _ = std::fs::remove_file(&path);
-            if failure.is_none() && audited.result.packets <= 100 {
+    let failures = check_cells(&sources, |&(mech, bursty)| {
+        eprintln!("cell start: replay/{mech}{}", if bursty { "/mmpp" } else { "" });
+        let b = RunSpec::builder()
+            .mechanism(mech)
+            .pattern(Pattern::UniformRandom)
+            .gated_fraction(0.3)
+            .seed(0xF10F)
+            .warmup(1_500)
+            .cycles(6_000)
+            .drain(25_000);
+        let source =
+            if bursty { b.mmpp(vec![0.0, 0.10], 1_000) } else { b.rate(0.05) }.build().resolved();
+        let (audited, data) =
+            record_trace(&source, KernelMode::ActiveSet).expect("source spec is valid");
+        let source_json = serde_json::to_string(&audited.result).expect("serialize source result");
+        let spec_json = serde_json::to_string(&source).expect("spec serializes");
+        let bytes = tracefmt::encode_trace(KERNEL_VERSION, &spec_json, &data);
+        let path = std::env::temp_dir()
+            .join(format!("flov-equiv-trace-{mech}-{bursty}-{}.flovtrace", std::process::id()));
+        std::fs::write(&path, &bytes).expect("trace file writes");
+        let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("crc"));
+        let mut replay = source.clone();
+        replay.workload = WorkloadSpec::Trace {
+            path: path.to_string_lossy().into_owned(),
+            crc,
+            closed_loop: false,
+        };
+        let kernels = [
+            ("active", KernelMode::ActiveSet),
+            ("reference", KernelMode::Reference),
+            ("parallel", KernelMode::Parallel { tiles: 4, grid: None }),
+        ];
+        let mut failure = None;
+        for (kname, kernel) in kernels {
+            let r = run_kernel(&replay, kernel);
+            let rj = serde_json::to_string(&r).expect("serialize replay result");
+            if rj != source_json {
                 failure = Some(format!(
-                    "replay/{mech} (bursty={bursty}): too little traffic ({} packets)",
-                    audited.result.packets
+                    "replay/{mech} (bursty={bursty}): {kname}-kernel replay diverged \
+                         from the recorded source result"
                 ));
+                break;
             }
-            failure
-        })
-        .collect::<Vec<Option<String>>>()
-        .into_iter()
-        .flatten()
-        .collect();
+        }
+        let _ = std::fs::remove_file(&path);
+        if failure.is_none() && audited.result.packets <= 100 {
+            failure = Some(format!(
+                "replay/{mech} (bursty={bursty}): too little traffic ({} packets)",
+                audited.result.packets
+            ));
+        }
+        failure
+    });
     assert!(failures.is_empty(), "record→replay failures:\n{}", failures.join("\n"));
 }
 
@@ -604,9 +550,11 @@ fn nord_survives_base_load_without_uturn() {
 fn kernel_version_reflects_result_schema() {
     // The kernel *mode* still never enters the cache key — both modes are
     // bit-identical (and so is auditing, which is read-only). The salt
-    // moved to 3 because latency percentiles switched to bucket lower
-    // edges and `RunSpec` grew `audit`/`mech_switches`: v2 entries carry
-    // percentile values (and spec serializations) the harness no longer
-    // produces.
-    assert_eq!(KERNEL_VERSION, 3);
+    // moved to 4 because `NocConfig` now says each thing once (`topology`
+    // in place of `k`, and the four fields that changed no simulated cycle
+    // gone), so every spec serializes differently, and a run with
+    // mechanism switches prices each interval by its own mechanism: v3
+    // entries carry spec serializations (and switched-run static power)
+    // the harness no longer produces.
+    assert_eq!(KERNEL_VERSION, 4);
 }

@@ -21,7 +21,7 @@ fn silent_sim_with_boundary(mech_name: &str, kernel: KernelMode) -> Simulation {
     let gated: Vec<u16> = (0..cfg.nodes() as u16).step_by(2).collect();
     let gating = GatingSchedule::explicit(vec![(0, Vec::new()), (BOUNDARY, gated)]);
     let workload = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         Pattern::UniformRandom,
         0.0,
         cfg.synth_packet_len,

@@ -46,7 +46,7 @@ impl Nord {
     pub fn new(cfg: &flov_noc::NocConfig) -> Nord {
         assert!(cfg.enable_ring, "NoRD requires cfg.enable_ring");
         let succ = cfg
-            .topology_spec()
+            .topology
             .ring_successors()
             .expect("NoRD bypass ring requires a Hamiltonian topology (see NocConfig::validate)");
         let n = cfg.nodes();
@@ -188,16 +188,10 @@ mod tests {
     use super::*;
     use flov_noc::network::Simulation;
     use flov_noc::traits::{PacketRequest, ScriptedWorkload};
-    use flov_noc::NocConfig;
+    use flov_noc::{NocConfig, TopologySpec};
 
     fn cfg() -> NocConfig {
-        NocConfig {
-            k: 4,
-            vnets: 1,
-            enable_ring: true,
-            watchdog_cycles: 20_000,
-            ..NocConfig::default()
-        }
+        NocConfig { enable_ring: true, ..NocConfig::small_test() }
     }
 
     fn gate_all_but(active: &[u16]) -> Vec<(u64, NodeId, bool)> {
@@ -209,7 +203,11 @@ mod tests {
         // The paper's critique of NoRD, as an API contract: an odd-radix
         // mesh admits no Hamiltonian cycle, so the config is rejected with
         // a structured error instead of a panic.
-        let c = NocConfig { k: 5, enable_ring: true, ..NocConfig::default() };
+        let c = NocConfig {
+            topology: TopologySpec::Mesh { k: 5 },
+            enable_ring: true,
+            ..NocConfig::default()
+        };
         match flov_noc::network::NetworkCore::try_new(c) {
             Err(flov_noc::ConfigError::RingUnsupported { topology }) => {
                 assert_eq!(topology, "mesh5x5");
@@ -225,9 +223,8 @@ mod tests {
         // has a Hamiltonian cycle, so the same config validates once the
         // topology is a torus (with the escape VC the torus requires).
         let c = NocConfig {
-            k: 5,
+            topology: TopologySpec::Torus { k: 5 },
             enable_ring: true,
-            topology: Some(flov_noc::TopologySpec::Torus { k: 5 }),
             ..NocConfig::default()
         };
         assert!(c.validate().is_ok());

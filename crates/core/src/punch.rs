@@ -218,7 +218,7 @@ mod tests {
     use flov_noc::NocConfig;
 
     fn cfg() -> NocConfig {
-        punch_config(&NocConfig { k: 4, vnets: 1, watchdog_cycles: 20_000, ..NocConfig::default() })
+        punch_config(&NocConfig::small_test())
     }
 
     fn gate_all_but(active: &[u16]) -> Vec<(u64, NodeId, bool)> {

@@ -2,7 +2,7 @@
 
 use crate::topology::TopologySpec;
 use crate::types::{Cycle, NodeId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Most routers, and most cores, a fabric may have: ids `0..=65_534`.
@@ -42,8 +42,6 @@ pub enum ConfigError {
     TooManyNodes { routers: usize, cores: usize },
     /// Input buffer depth outside `1..=`[`MAX_BUF_DEPTH`] flits.
     BufDepthOutOfRange { depth: usize },
-    /// Zero-stage router pipeline.
-    ZeroPipelineStages,
     /// Link latency outside `1..=`[`MAX_LINK_LATENCY`] cycles (the arrival
     /// wheel is sized from it).
     LinkLatencyOutOfRange { latency: u32 },
@@ -126,7 +124,6 @@ impl fmt::Display for ConfigError {
             ConfigError::BufDepthOutOfRange { depth } => {
                 write!(f, "buffer depth {depth} is outside 1..={MAX_BUF_DEPTH} flits")
             }
-            ConfigError::ZeroPipelineStages => write!(f, "router needs at least one stage"),
             ConfigError::LinkLatencyOutOfRange { latency } => {
                 write!(f, "link latency {latency} is outside 1..={MAX_LINK_LATENCY} cycles")
             }
@@ -202,17 +199,23 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Router pipeline depth in cycles (RC | VA+SA | ST): Table I's 3-stage
+/// router. The switch traversal, the latency breakdown's router term and
+/// Table I all read it.
+pub const ROUTER_STAGES: u32 = 3;
+
 /// Configuration of the simulated NoC.
 ///
-/// Defaults reproduce Table I of the paper:
-/// 8x8 mesh, 3-stage routers at 2 GHz, 6-flit input buffers, 3 regular VCs +
-/// 1 escape VC per virtual network, 3 virtual networks, 1-cycle 16-byte
-/// links, 10-cycle wakeup latency and 17.7 pJ power-gating overhead.
-#[derive(Clone, Debug, PartialEq)]
+/// Defaults reproduce Table I of the paper: an 8x8 mesh of
+/// [`ROUTER_STAGES`]-stage routers, 6-flit input buffers, 3 regular VCs +
+/// 1 escape VC per virtual network, 3 virtual networks and 1-cycle links
+/// (the clock and the 17.7 pJ power-gating overhead are power parameters).
+/// Every field can change the simulated run, and the whole config is part of
+/// every result-cache key.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NocConfig {
-    /// Mesh radix: with no explicit [`NocConfig::topology`], the network is
-    /// a square `k x k` 2D mesh (the seed behavior).
-    pub k: u16,
+    /// The fabric: router grid, wrap links and cores per router.
+    pub topology: TopologySpec,
     /// Number of virtual networks (message classes).
     pub vnets: usize,
     /// Regular (non-escape) VCs per vnet per input port.
@@ -222,8 +225,6 @@ pub struct NocConfig {
     pub escape_vcs: usize,
     /// Input buffer depth, in flits, per VC.
     pub buf_depth: usize,
-    /// Router pipeline depth in cycles (RC / VA+SA / ST).
-    pub pipeline_stages: u32,
     /// Link traversal latency, cycles (`1..=`[`MAX_LINK_LATENCY`]).
     pub link_latency: u32,
     /// Cycles a power-gated router needs to ramp power back up.
@@ -236,15 +237,6 @@ pub struct NocConfig {
     pub escape_timeout: u32,
     /// Flits per packet for synthetic traffic.
     pub synth_packet_len: u16,
-    /// Router/link clock frequency in Hz (2 GHz in the paper). Only Table
-    /// I's row reads it: the power model prices time with
-    /// `PowerParams::clock_hz`. Kept because it is serialized, so removing
-    /// it changes every cache key.
-    pub clock_hz: f64,
-    /// Unread: nothing reports NIC back-pressure against it (source queues
-    /// are unbounded). Kept because it is serialized, so removing it
-    /// changes every cache key.
-    pub nic_queue_warn: usize,
     /// Enable the NoRD bypass ring (node-router decoupling): a Hamiltonian
     /// ring over all routers that keeps gated nodes reachable without FLOV
     /// links. Requires a topology admitting a Hamiltonian cycle (the
@@ -252,99 +244,26 @@ pub struct NocConfig {
     /// concentration lifts the restriction), at most 256 routers, and at
     /// least two regular VCs (ring-to-mesh transfers reserve the last one).
     pub enable_ring: bool,
-    /// Unread: arbitration tie-breaks are deterministic, and workloads take
-    /// their seed from the run's workload spec. Kept because it is
-    /// serialized, so removing it changes every cache key.
-    pub seed: u64,
     /// Cycles without any network event after which the watchdog declares a
     /// deadlock (0 disables).
     pub watchdog_cycles: u64,
-    /// Explicit topology selection; `None` means the default square
-    /// `k x k` mesh. Serialized (and thus cache-key-affecting) only when
-    /// set, so seed configurations keep byte-identical encodings.
-    pub topology: Option<TopologySpec>,
-}
-
-// `NocConfig` carries a hand-written serde impl instead of the derive:
-// the compat shim has no `skip_serializing_if`, and the `topology` field
-// must vanish from the encoding when unset so every pre-topology cache
-// key and golden JSON stays byte-identical. Field order below mirrors
-// the struct declaration (the shim's canonical map order).
-impl Serialize for NocConfig {
-    fn to_value(&self) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("k".into(), self.k.to_value()),
-            ("vnets".into(), self.vnets.to_value()),
-            ("regular_vcs".into(), self.regular_vcs.to_value()),
-            ("escape_vcs".into(), self.escape_vcs.to_value()),
-            ("buf_depth".into(), self.buf_depth.to_value()),
-            ("pipeline_stages".into(), self.pipeline_stages.to_value()),
-            ("link_latency".into(), self.link_latency.to_value()),
-            ("wakeup_latency".into(), self.wakeup_latency.to_value()),
-            ("idle_threshold".into(), self.idle_threshold.to_value()),
-            ("escape_timeout".into(), self.escape_timeout.to_value()),
-            ("synth_packet_len".into(), self.synth_packet_len.to_value()),
-            ("clock_hz".into(), self.clock_hz.to_value()),
-            ("nic_queue_warn".into(), self.nic_queue_warn.to_value()),
-            ("enable_ring".into(), self.enable_ring.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("watchdog_cycles".into(), self.watchdog_cycles.to_value()),
-        ];
-        if let Some(spec) = &self.topology {
-            m.push(("topology".into(), spec.to_value()));
-        }
-        Value::Map(m)
-    }
-}
-
-impl Deserialize for NocConfig {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(NocConfig {
-            k: u16::from_value(v.field("k")?)?,
-            vnets: usize::from_value(v.field("vnets")?)?,
-            regular_vcs: usize::from_value(v.field("regular_vcs")?)?,
-            escape_vcs: usize::from_value(v.field("escape_vcs")?)?,
-            buf_depth: usize::from_value(v.field("buf_depth")?)?,
-            pipeline_stages: u32::from_value(v.field("pipeline_stages")?)?,
-            link_latency: u32::from_value(v.field("link_latency")?)?,
-            wakeup_latency: u32::from_value(v.field("wakeup_latency")?)?,
-            idle_threshold: u32::from_value(v.field("idle_threshold")?)?,
-            escape_timeout: u32::from_value(v.field("escape_timeout")?)?,
-            synth_packet_len: u16::from_value(v.field("synth_packet_len")?)?,
-            clock_hz: f64::from_value(v.field("clock_hz")?)?,
-            nic_queue_warn: usize::from_value(v.field("nic_queue_warn")?)?,
-            enable_ring: bool::from_value(v.field("enable_ring")?)?,
-            seed: u64::from_value(v.field("seed")?)?,
-            watchdog_cycles: u64::from_value(v.field("watchdog_cycles")?)?,
-            // Absent in every pre-topology encoding.
-            topology: match v.field("topology") {
-                Ok(t) => Option::<TopologySpec>::from_value(t)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl Default for NocConfig {
     fn default() -> Self {
         NocConfig {
-            k: 8,
+            topology: TopologySpec::Mesh { k: 8 },
             vnets: 3,
             regular_vcs: 3,
             escape_vcs: 1,
             buf_depth: 6,
-            pipeline_stages: 3,
             link_latency: 1,
             wakeup_latency: 10,
             idle_threshold: 16,
             escape_timeout: 128,
             synth_packet_len: 4,
-            clock_hz: 2.0e9,
-            nic_queue_warn: 4096,
             enable_ring: false,
-            seed: 0xF10F_F10F,
             watchdog_cycles: 50_000,
-            topology: None,
         }
     }
 }
@@ -391,47 +310,41 @@ impl NocConfig {
         vc >= self.regular_vcs
     }
 
-    /// The effective topology selection (`None` means square `k x k` mesh).
-    #[inline]
-    pub fn topology_spec(&self) -> TopologySpec {
-        self.topology.unwrap_or(TopologySpec::Mesh { k: self.k })
-    }
-
     /// Router-grid width.
     #[inline]
     pub fn kx(&self) -> u16 {
-        self.topology_spec().kx()
+        self.topology.kx()
     }
 
     /// Router-grid height.
     #[inline]
     pub fn ky(&self) -> u16 {
-        self.topology_spec().ky()
+        self.topology.ky()
     }
 
     /// Cores per router (1 except for concentrated meshes).
     #[inline]
     pub fn concentration(&self) -> u16 {
-        self.topology_spec().concentration()
+        self.topology.concentration()
     }
 
     /// Number of routers (= nodes of the fabric).
     #[inline]
     pub fn nodes(&self) -> usize {
-        self.topology_spec().routers()
+        self.topology.routers()
     }
 
     /// Number of cores (traffic endpoints): routers times concentration.
     #[inline]
     pub fn cores(&self) -> usize {
-        self.topology_spec().cores()
+        self.topology.cores()
     }
 
     /// Validate invariants, returning a structured [`ConfigError`] on
     /// misconfiguration (surfaced by the CLI as a diagnostic; panicking
     /// entry points wrap this).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let spec = self.topology_spec();
+        let spec = &self.topology;
         if spec.kx() < 2 || spec.ky() < 2 {
             return Err(ConfigError::RadixTooSmall { kx: spec.kx(), ky: spec.ky() });
         }
@@ -455,9 +368,6 @@ impl NocConfig {
         }
         if !(1..=MAX_BUF_DEPTH).contains(&self.buf_depth) {
             return Err(ConfigError::BufDepthOutOfRange { depth: self.buf_depth });
-        }
-        if self.pipeline_stages < 1 {
-            return Err(ConfigError::ZeroPipelineStages);
         }
         if !(1..=MAX_LINK_LATENCY).contains(&self.link_latency) {
             return Err(ConfigError::LinkLatencyOutOfRange { latency: self.link_latency });
@@ -492,28 +402,32 @@ impl NocConfig {
 
     /// Small configuration for fast tests: 4x4 mesh, 1 vnet.
     pub fn small_test() -> Self {
-        NocConfig { k: 4, vnets: 1, watchdog_cycles: 20_000, ..Self::default() }
+        NocConfig {
+            topology: TopologySpec::Mesh { k: 4 },
+            vnets: 1,
+            watchdog_cycles: 20_000,
+            ..Self::default()
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn defaults_match_table1() {
         let c = NocConfig::default();
-        assert_eq!(c.k, 8);
+        assert_eq!(c.topology, TopologySpec::Mesh { k: 8 });
         assert_eq!(c.buf_depth, 6);
         assert_eq!(c.regular_vcs, 3);
         assert_eq!(c.escape_vcs, 1);
         assert_eq!(c.vnets, 3);
-        assert_eq!(c.pipeline_stages, 3);
+        assert_eq!(ROUTER_STAGES, 3);
         assert_eq!(c.link_latency, 1);
         assert_eq!(c.wakeup_latency, 10);
         assert_eq!(c.synth_packet_len, 4);
-        assert_eq!(c.clock_hz, 2.0e9);
-        assert_eq!(c.topology, None);
         c.validate().unwrap();
     }
 
@@ -541,7 +455,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_tiny_mesh() {
-        let err = NocConfig { k: 1, ..NocConfig::default() }.validate().unwrap_err();
+        let c = NocConfig { topology: TopologySpec::Mesh { k: 1 }, ..NocConfig::default() };
+        let err = c.validate().unwrap_err();
         assert_eq!(err, ConfigError::RadixTooSmall { kx: 1, ky: 1 });
         assert!(err.to_string().contains("mesh radix"));
     }
@@ -549,39 +464,26 @@ mod tests {
     #[test]
     fn validate_gates_the_ring_on_topology() {
         // Odd square mesh: no Hamiltonian cycle — the paper's §II critique.
-        let odd = NocConfig { k: 5, enable_ring: true, ..NocConfig::default() };
+        let ring_on = |topology| NocConfig { topology, enable_ring: true, ..NocConfig::default() };
+        let odd = ring_on(TopologySpec::Mesh { k: 5 });
         assert!(matches!(odd.validate(), Err(ConfigError::RingUnsupported { .. })));
         // The same odd radix on a torus admits the tornado cycle.
-        let torus = NocConfig {
-            topology: Some(TopologySpec::Torus { k: 5 }),
-            enable_ring: true,
-            ..NocConfig::default()
-        };
-        torus.validate().unwrap();
+        ring_on(TopologySpec::Torus { k: 5 }).validate().unwrap();
         // Rectangle with one even side is fine; both odd is not.
-        let rect_ok = NocConfig {
-            topology: Some(TopologySpec::RectMesh { kx: 4, ky: 3 }),
-            enable_ring: true,
-            ..NocConfig::default()
-        };
-        rect_ok.validate().unwrap();
-        let rect_bad = NocConfig {
-            topology: Some(TopologySpec::RectMesh { kx: 5, ky: 3 }),
-            enable_ring: true,
-            ..NocConfig::default()
-        };
+        ring_on(TopologySpec::RectMesh { kx: 4, ky: 3 }).validate().unwrap();
+        let rect_bad = ring_on(TopologySpec::RectMesh { kx: 5, ky: 3 });
         assert!(matches!(rect_bad.validate(), Err(ConfigError::RingUnsupported { .. })));
         // Ring transfer VC and exit-stamping limits.
-        let one_vc = NocConfig { k: 4, enable_ring: true, regular_vcs: 1, ..NocConfig::default() };
+        let one_vc = NocConfig { regular_vcs: 1, ..ring_on(TopologySpec::Mesh { k: 4 }) };
         assert_eq!(one_vc.validate(), Err(ConfigError::RingNeedsTransferVc));
-        let huge = NocConfig { k: 18, enable_ring: true, ..NocConfig::default() };
+        let huge = ring_on(TopologySpec::Mesh { k: 18 });
         assert_eq!(huge.validate(), Err(ConfigError::RingTooLarge { nodes: 324 }));
     }
 
     #[test]
     fn validate_requires_escape_on_torus() {
         let c = NocConfig {
-            topology: Some(TopologySpec::Torus { k: 4 }),
+            topology: TopologySpec::Torus { k: 4 },
             escape_vcs: 0,
             ..NocConfig::default()
         };
@@ -590,7 +492,7 @@ mod tests {
 
     #[test]
     fn validate_bounds_node_ids() {
-        let at = |topology| NocConfig { topology: Some(topology), ..NocConfig::default() };
+        let at = |topology| NocConfig { topology, ..NocConfig::default() };
         let err = |routers, cores| Err(ConfigError::TooManyNodes { routers, cores });
         // 16 routers but 80,000 cores: core ids would alias modulo 2^16.
         assert_eq!(at(TopologySpec::CMesh { k: 4, c: 5_000 }).validate(), err(16, 80_000));
@@ -638,57 +540,43 @@ mod tests {
     fn node_count() {
         assert_eq!(NocConfig::default().nodes(), 64);
         assert_eq!(NocConfig::small_test().nodes(), 16);
-        let cmesh = NocConfig {
-            k: 4,
-            topology: Some(TopologySpec::CMesh { k: 4, c: 4 }),
-            ..NocConfig::default()
-        };
+        let cmesh =
+            NocConfig { topology: TopologySpec::CMesh { k: 4, c: 4 }, ..NocConfig::default() };
         assert_eq!(cmesh.nodes(), 16);
         assert_eq!(cmesh.cores(), 64);
     }
 
     #[test]
-    fn serialization_is_byte_identical_without_topology() {
-        // The seed encoding (no `topology` key) must be preserved exactly:
-        // the result cache keys on these bytes.
-        let v = NocConfig::default().to_value();
+    fn v4_encoding_names_each_field_once() {
+        // The result cache keys on these bytes: the derive writes the
+        // fields in declaration order, the topology first.
+        let c = NocConfig { topology: TopologySpec::CMesh { k: 4, c: 4 }, ..NocConfig::default() };
+        let v = c.to_value();
         let Value::Map(entries) = &v else { panic!("config must encode as a map") };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
             [
-                "k",
+                "topology",
                 "vnets",
                 "regular_vcs",
                 "escape_vcs",
                 "buf_depth",
-                "pipeline_stages",
                 "link_latency",
                 "wakeup_latency",
                 "idle_threshold",
                 "escape_timeout",
                 "synth_packet_len",
-                "clock_hz",
-                "nic_queue_warn",
                 "enable_ring",
-                "seed",
                 "watchdog_cycles"
             ]
         );
-        // And it round-trips (missing `topology` key tolerated).
-        let back = NocConfig::from_value(&v).unwrap();
-        assert_eq!(back, NocConfig::default());
-    }
-
-    #[test]
-    fn serialization_roundtrips_with_topology() {
-        let c = NocConfig {
-            topology: Some(TopologySpec::CMesh { k: 4, c: 4 }),
-            ..NocConfig::default()
-        };
-        let v = c.to_value();
-        let Value::Map(entries) = &v else { panic!("config must encode as a map") };
-        assert_eq!(entries.last().unwrap().0, "topology");
+        assert_eq!(entries[0].1, c.topology.to_value());
         assert_eq!(NocConfig::from_value(&v).unwrap(), c);
+        // A v3 encoding (a bare `k` in place of `topology`) no longer parses.
+        let mut v3 = entries.clone();
+        v3[0] = ("k".into(), 4u16.to_value());
+        let err = NocConfig::from_value(&Value::Map(v3)).unwrap_err().to_string();
+        assert!(err.contains("topology"), "{err}");
     }
 }

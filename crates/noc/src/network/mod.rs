@@ -194,9 +194,6 @@ impl NodeTables {
 /// The network state, without the mechanism/workload policies.
 pub struct NetworkCore {
     pub cfg: NocConfig,
-    /// The fabric topology (`cfg.topology_spec()`), the source of every
-    /// adjacency query (tabulated in `tables`).
-    pub topo: TopologySpec,
     tables: NodeTables,
     pub cycle: Cycle,
     pub routers: Vec<Router>,
@@ -302,7 +299,7 @@ impl NetworkCore {
     /// misconfiguration (including NoRD on a ring-less topology).
     pub fn try_new(cfg: NocConfig) -> Result<NetworkCore, ConfigError> {
         cfg.validate()?;
-        let topo = cfg.topology_spec();
+        let topo = &cfg.topology;
         let n = topo.routers();
         let cores = topo.cores();
         let measure_from = 0;
@@ -316,7 +313,7 @@ impl NetworkCore {
             activity: ActivityCounters::default(),
             residency: vec![Residency::default(); n],
             res_since: vec![0; n],
-            stats: NetStats::new(measure_from, cfg.pipeline_stages, cfg.link_latency),
+            stats: NetStats::new(measure_from, cfg.link_latency),
             next_packet: 0,
             in_flight_packets: 0,
             last_progress: 0,
@@ -342,8 +339,7 @@ impl NetworkCore {
             par: None,
             phase_nanos: None,
             cycle: 0,
-            tables: NodeTables::new(&topo),
-            topo,
+            tables: NodeTables::new(topo),
             cfg,
         })
     }
@@ -384,13 +380,13 @@ impl NetworkCore {
     /// Router-grid width (`kx`; the historical square radix).
     #[inline]
     pub fn k(&self) -> u16 {
-        self.topo.kx()
+        self.cfg.topology.kx()
     }
 
     /// Router-grid height.
     #[inline]
     pub fn ky(&self) -> u16 {
-        self.topo.ky()
+        self.cfg.topology.ky()
     }
 
     /// Number of routers.
@@ -408,7 +404,7 @@ impl NetworkCore {
     /// Attachment router of core `core`.
     #[inline]
     pub fn core_router(&self, core: NodeId) -> NodeId {
-        core / self.topo.concentration()
+        core / self.cfg.topology.concentration()
     }
 
     /// True if any core attached to router `node` is OS-active. With
@@ -416,7 +412,7 @@ impl NetworkCore {
     /// their gating decisions off this view.
     #[inline]
     pub fn router_core_active(&self, node: NodeId) -> bool {
-        let c = self.topo.concentration() as usize;
+        let c = self.cfg.topology.concentration() as usize;
         if c == 1 {
             self.core_active[node as usize]
         } else {
@@ -793,7 +789,10 @@ trait Fabric {
 
     fn now(&self) -> Cycle;
     fn cfg(&self) -> &NocConfig;
-    fn topo(&self) -> &TopologySpec;
+    #[inline]
+    fn topo(&self) -> &TopologySpec {
+        &self.cfg().topology
+    }
     fn tables(&self) -> &NodeTables;
     fn has_ring(&self) -> bool;
     fn view(&self) -> &Self::View;
@@ -838,11 +837,6 @@ impl Fabric for Seq<'_> {
     #[inline]
     fn cfg(&self) -> &NocConfig {
         &self.0.cfg
-    }
-
-    #[inline]
-    fn topo(&self) -> &TopologySpec {
-        &self.0.topo
     }
 
     #[inline]

@@ -92,7 +92,6 @@ use crate::link::{CreditMsg, Slot};
 use crate::nic::Nic;
 use crate::packet::DeliveredPacket;
 use crate::router::Router;
-use crate::topology::TopologySpec;
 use crate::traits::{PowerMechanism, PowerView};
 use crate::types::{Cycle, NodeId, PacketId, PowerState};
 use std::cell::UnsafeCell;
@@ -416,7 +415,6 @@ impl PowerView for SnapView<'_> {
 struct Shared<'a> {
     now: Cycle,
     cfg: &'a NocConfig,
-    topo: &'a TopologySpec,
     tables: &'a NodeTables,
     view: SnapView<'a>,
     /// The mechanism, for the injection-gate and routing hooks; `None` in
@@ -457,11 +455,6 @@ impl<'a> Fabric for Lane<'a> {
     #[inline]
     fn cfg(&self) -> &NocConfig {
         self.sh.cfg
-    }
-
-    #[inline]
-    fn topo(&self) -> &TopologySpec {
-        self.sh.topo
     }
 
     #[inline]
@@ -819,7 +812,7 @@ pub(super) struct ParState {
 
 impl ParState {
     fn new(core: &NetworkCore, tiles: usize, grid: Option<(u16, u16)>) -> ParState {
-        let plan = TilePlan::new(core.topo.kx(), core.topo.ky(), tiles, grid);
+        let plan = TilePlan::new(core.cfg.kx(), core.cfg.ky(), tiles, grid);
         let t = plan.tiles();
         // Never spawn more workers than the host has spare cores: the
         // partitioning (and hence the result) is fixed by the tile plan,
@@ -866,7 +859,6 @@ fn make_shared<'a>(
     Shared {
         now: core.cycle,
         cfg: &core.cfg,
-        topo: &core.topo,
         tables: &core.tables,
         view: SnapView { powers },
         mech,

@@ -4,10 +4,11 @@
 //! route compute during `a`, may win VA+SA from `a + 1`, traverses the
 //! switch the cycle after its SA win and the link after that — so a flit
 //! winning SA at `t` becomes visible downstream at `t + 2 + link_latency`,
-//! and the unloaded per-hop latency is `pipeline_stages + link_latency`.
+//! and the unloaded per-hop latency is [`ROUTER_STAGES`] plus `link_latency`.
 //! Body flits stream behind the head at one flit per cycle per VC.
 
 use super::{chain, Fabric, KernelMode, NetworkCore, Seq, SetId};
+use crate::config::ROUTER_STAGES;
 use crate::link::CreditMsg;
 use crate::nic::InjectState;
 use crate::routing::RouteCtx;
@@ -323,7 +324,8 @@ fn st_traverse<F: Fabric>(fab: &mut F, node: NodeId, in_port: usize, s: usize, o
     f.vc = ovc;
     f.hops_router += 1;
     f.hops_link += 1;
-    let arrival = now + link_lat + 2; // ST next cycle, then the wire
+    // SA won this cycle (the second stage): ST next cycle, then the wire.
+    let arrival = now + link_lat + (ROUTER_STAGES - 1) as u64;
     if op == Port::Local.index() {
         fab.send_eject(node, arrival, f);
     } else {

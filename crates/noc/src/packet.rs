@@ -1,5 +1,6 @@
 //! Packets: the unit of routing and of workload generation.
 
+use crate::config::ROUTER_STAGES;
 use crate::flit::{Flit, FlitKind};
 use crate::types::{Cycle, NodeId, PacketId};
 use serde::{Deserialize, Serialize};
@@ -74,10 +75,10 @@ impl DeliveredPacket {
         self.eject - self.birth
     }
 
-    /// Router pipeline component: hops x pipeline depth.
+    /// Router pipeline component: hops x [`ROUTER_STAGES`].
     #[inline]
-    pub fn router_latency(&self, pipeline_stages: u32) -> u64 {
-        self.hops_router as u64 * pipeline_stages as u64
+    pub fn router_latency(&self) -> u64 {
+        self.hops_router as u64 * ROUTER_STAGES as u64
     }
 
     /// Link component: one cycle per link traversal.
@@ -101,9 +102,9 @@ impl DeliveredPacket {
     /// Contention component: whatever is left after the structural terms
     /// (includes source queueing and in-network blocking).
     #[inline]
-    pub fn contention_latency(&self, pipeline_stages: u32, link_latency: u32) -> u64 {
+    pub fn contention_latency(&self, link_latency: u32) -> u64 {
         self.total_latency().saturating_sub(
-            self.router_latency(pipeline_stages)
+            self.router_latency()
                 + self.link_latency(link_latency)
                 + self.serialization_latency()
                 + self.flov_latency(),
@@ -155,13 +156,13 @@ mod tests {
             used_escape: false,
         };
         let total = d.total_latency();
-        let parts = d.router_latency(3)
+        let parts = d.router_latency()
             + d.link_latency(1)
             + d.serialization_latency()
             + d.flov_latency()
-            + d.contention_latency(3, 1);
+            + d.contention_latency(1);
         assert_eq!(total, parts);
-        assert_eq!(d.router_latency(3), 12);
+        assert_eq!(d.router_latency(), 12);
         assert_eq!(d.link_latency(1), 6);
         assert_eq!(d.serialization_latency(), 3);
         assert_eq!(d.flov_latency(), 2);
@@ -184,6 +185,6 @@ mod tests {
             hops_link: 10,
             used_escape: false,
         };
-        assert_eq!(d.contention_latency(3, 1), 0);
+        assert_eq!(d.contention_latency(1), 0);
     }
 }

@@ -169,7 +169,7 @@ pub struct Router {
 
 impl Router {
     pub fn new(cfg: &NocConfig, id: NodeId) -> Router {
-        let spec = cfg.topology_spec();
+        let spec = cfg.topology;
         let coord = Coord { x: id % spec.kx(), y: id / spec.kx() };
         // FLOV latch capability: a gated router can fly flits over in a
         // dimension iff it has physical links on both sides of it — the

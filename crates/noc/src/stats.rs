@@ -119,7 +119,6 @@ pub struct NetStats {
     /// Packets born after this cycle are not measured (exclusive bound);
     /// `u64::MAX` means "until the end".
     pub measure_until: u64,
-    pipeline_stages: u32,
     link_latency: u32,
     /// Measured packets delivered.
     pub packets: u64,
@@ -155,11 +154,10 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    pub fn new(measure_from: u64, pipeline_stages: u32, link_latency: u32) -> NetStats {
+    pub fn new(measure_from: u64, link_latency: u32) -> NetStats {
         NetStats {
             measure_from,
             measure_until: u64::MAX,
-            pipeline_stages,
             link_latency,
             packets: 0,
             flits: 0,
@@ -211,11 +209,11 @@ impl NetStats {
             e.0 += 1;
             e.1 += total;
         }
-        self.breakdown.router += d.router_latency(self.pipeline_stages);
+        self.breakdown.router += d.router_latency();
         self.breakdown.link += d.link_latency(self.link_latency);
         self.breakdown.serialization += d.serialization_latency();
         self.breakdown.flov += d.flov_latency();
-        self.breakdown.contention += d.contention_latency(self.pipeline_stages, self.link_latency);
+        self.breakdown.contention += d.contention_latency(self.link_latency);
         if d.used_escape {
             self.escape_packets += 1;
         }
@@ -293,7 +291,7 @@ mod tests {
 
     #[test]
     fn warmup_packets_excluded() {
-        let mut s = NetStats::new(100, 3, 1);
+        let mut s = NetStats::new(100, 1);
         s.record(&delivered(50, 80));
         assert_eq!(s.packets, 0);
         s.record(&delivered(100, 140));
@@ -303,7 +301,7 @@ mod tests {
 
     #[test]
     fn measure_until_bound_excludes() {
-        let mut s = NetStats::new(0, 3, 1);
+        let mut s = NetStats::new(0, 1);
         s.measure_until = 100;
         s.record(&delivered(99, 120));
         s.record(&delivered(100, 130));
@@ -312,7 +310,7 @@ mod tests {
 
     #[test]
     fn breakdown_components_sum_to_total() {
-        let mut s = NetStats::new(0, 3, 1);
+        let mut s = NetStats::new(0, 1);
         s.record(&delivered(0, 60));
         s.record(&delivered(10, 50));
         assert_eq!(s.breakdown.total(), s.latency_sum);
@@ -320,7 +318,7 @@ mod tests {
 
     #[test]
     fn averages_divide_by_count() {
-        let mut s = NetStats::new(0, 3, 1);
+        let mut s = NetStats::new(0, 1);
         s.record(&delivered(0, 40));
         s.record(&delivered(0, 60));
         assert!((s.avg_latency() - 50.0).abs() < 1e-9);
@@ -333,7 +331,7 @@ mod tests {
 
     #[test]
     fn timeline_buckets_by_ejection() {
-        let mut s = NetStats::new(1_000_000, 3, 1).with_timeline(100);
+        let mut s = NetStats::new(1_000_000, 1).with_timeline(100);
         s.record(&delivered(0, 50));
         s.record(&delivered(0, 250));
         assert_eq!(s.timeline.len(), 3);
@@ -396,7 +394,7 @@ mod tests {
 
     #[test]
     fn per_vnet_latency_separated() {
-        let mut s = NetStats::new(0, 3, 1);
+        let mut s = NetStats::new(0, 1);
         s.record(&delivered(0, 40));
         let mut d1 = delivered(0, 100);
         d1.vnet = 2;
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn stats_feed_histogram() {
-        let mut s = NetStats::new(0, 3, 1);
+        let mut s = NetStats::new(0, 1);
         s.record(&delivered(0, 40));
         s.record(&delivered(0, 400));
         assert_eq!(s.histogram.count(), 2);
@@ -420,7 +418,7 @@ mod tests {
 
     #[test]
     fn empty_stats_are_zero() {
-        let s = NetStats::new(0, 3, 1);
+        let s = NetStats::new(0, 1);
         assert_eq!(s.avg_latency(), 0.0);
         assert_eq!(s.throughput(100), 0.0);
         assert_eq!(s.breakdown.averages(0), [0.0; 5]);

@@ -28,8 +28,7 @@ use serde::{Deserialize, Serialize};
 
 /// Serializable topology selector carried by `NocConfig`. Externally
 /// tagged (the shim's serde encoding), so each variant is cache-key
-/// distinct; the field is omitted entirely for the default square mesh,
-/// keeping seed cache keys byte-identical.
+/// distinct.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum TopologySpec {
     /// Square `k x k` 2D mesh — the paper's fabric. Odd `k` is legal (it

@@ -161,10 +161,10 @@ proptest! {
             used_escape: false,
         };
         let total = d.total_latency();
-        let sum = d.router_latency(3) + d.link_latency(1) + d.serialization_latency()
-            + d.flov_latency() + d.contention_latency(3, 1);
+        let sum = d.router_latency() + d.link_latency(1) + d.serialization_latency()
+            + d.flov_latency() + d.contention_latency(1);
         prop_assert_eq!(total, sum);
-        prop_assert_eq!(d.contention_latency(3, 1), extra);
+        prop_assert_eq!(d.contention_latency(1), extra);
     }
 
     /// FlitKind::of is total and consistent for all positions.

@@ -117,37 +117,31 @@ pub fn compute(
     cycles: u64,
     residual: GatedResidual,
 ) -> PowerReport {
-    compute_links(params, directed_links(k), activity, residency, cycles, residual)
+    compute_links(params, directed_links(k), activity, &[(residual, residency.to_vec())], cycles)
 }
 
 /// [`compute`] with an explicit directed-link count, for fabrics that are
-/// not `k x k` meshes (torus wrap links, rectangular grids).
+/// not `k x k` meshes (torus wrap links, rectangular grids), over a window
+/// split into intervals that each carry their own residual and residency:
+/// a run that switches mechanism prices each interval by the mechanism
+/// that ran it, and static router power weights each interval by its
+/// length. Dynamic energy does not depend on the residual.
 pub fn compute_links(
     params: &PowerParams,
     links: u64,
     activity: &ActivityCounters,
-    residency: &[Residency],
+    intervals: &[(GatedResidual, Vec<Residency>)],
     cycles: u64,
-    residual: GatedResidual,
 ) -> PowerReport {
     assert!(cycles > 0, "empty measurement window");
     let seconds = cycles as f64 / params.clock_hz;
-    // Static: leakage weighted by residency.
+    // Every router accrues one residency cycle per cycle, powered or gated.
+    let span = |residency: &[Residency]| residency.first().map_or(0, Residency::total);
+    let total = intervals.iter().map(|(_, r)| span(r)).sum::<u64>().max(1) as f64;
     let mut static_router_w = 0.0;
-    for r in residency {
-        let total = r.total().max(1) as f64;
-        let powered_frac = r.powered as f64 / total;
-        let gated_frac = r.gated as f64 / total;
-        static_router_w += powered_frac * params.p_router_leak;
-        match residual {
-            GatedResidual::FlovLatches => {
-                static_router_w += gated_frac * params.p_latch_leak + params.p_hsc_leak;
-            }
-            GatedResidual::FullyOff => {}
-            GatedResidual::NordBypass => {
-                static_router_w += params.p_ring_node_leak;
-            }
-        }
+    for (residual, residency) in intervals {
+        static_router_w +=
+            span(residency) as f64 / total * router_leakage(params, residency, *residual);
     }
     let static_link_w = links as f64 * params.p_link_leak;
     let static_w = static_router_w + static_link_w;
@@ -175,6 +169,24 @@ pub fn compute_links(
         dynamic_energy: e,
         total_w: static_w + dynamic_w,
     }
+}
+
+/// Average static power of the routers over one interval: leakage weighted
+/// by each router's powered/gated residency, plus what `residual` keeps on.
+fn router_leakage(params: &PowerParams, residency: &[Residency], residual: GatedResidual) -> f64 {
+    let mut w = 0.0;
+    for r in residency {
+        let total = r.total().max(1) as f64;
+        let powered_frac = r.powered as f64 / total;
+        let gated_frac = r.gated as f64 / total;
+        w += powered_frac * params.p_router_leak;
+        match residual {
+            GatedResidual::FlovLatches => w += gated_frac * params.p_latch_leak + params.p_hsc_leak,
+            GatedResidual::FullyOff => {}
+            GatedResidual::NordBypass => w += params.p_ring_node_leak,
+        }
+    }
+    w
 }
 
 /// Element-wise residency delta between two snapshots (window extraction).
@@ -296,6 +308,21 @@ mod tests {
         a.gating_events = 100;
         let r = compute(&params(), 8, &a, &all_powered(64, 1000), 1000, GatedResidual::FlovLatches);
         assert!((r.dynamic_energy.gating - 100.0 * 17.7e-12).abs() < 1e-18);
+    }
+
+    #[test]
+    fn each_interval_is_priced_by_its_residual_and_weighted_by_length() {
+        // 300 cycles of FLOV with every router gated 200 of them, then 100
+        // cycles of a mechanism that gates fully off.
+        let a = ActivityCounters::default();
+        let res = |powered, gated| vec![Residency { powered, gated }; 64];
+        let flov = compute(&params(), 8, &a, &res(100, 200), 300, GatedResidual::FlovLatches);
+        let off = compute(&params(), 8, &a, &res(100, 0), 100, GatedResidual::FullyOff);
+        let intervals =
+            [(GatedResidual::FlovLatches, res(100, 200)), (GatedResidual::FullyOff, res(100, 0))];
+        let both = compute_links(&params(), directed_links(8), &a, &intervals, 400);
+        let expect = (3.0 * flov.static_router_w + off.static_router_w) / 4.0;
+        assert!((both.static_router_w - expect).abs() < 1e-12, "{both:?}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ struct Checkerboard;
 impl Gate for Checkerboard {
     fn may_drain(&self, core: &NetworkCore, n: NodeId) -> bool {
         let c = core.coord(n);
-        (c.x + c.y).is_multiple_of(2) && c.x + 1 != core.cfg.k // black cells, not AON
+        (c.x + c.y).is_multiple_of(2) && c.x + 1 != core.k() // black cells, not AON
     }
 }
 
@@ -59,7 +59,7 @@ impl PowerMechanism for CheckerFlov {
 fn race(name: &str, mech: Box<dyn PowerMechanism>) -> (f64, usize) {
     let cfg = NocConfig::paper_table1();
     let workload = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         Pattern::UniformRandom,
         0.02,
         cfg.synth_packet_len,

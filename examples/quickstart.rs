@@ -19,8 +19,8 @@ fn main() {
 
     println!(
         "FLOV quickstart: {}x{} mesh, {:.0}% cores gated, uniform random @ {rate} flits/cycle/node\n",
-        cfg.k,
-        cfg.k,
+        cfg.kx(),
+        cfg.kx(),
         gated_fraction * 100.0
     );
     println!(
@@ -31,7 +31,7 @@ fn main() {
     for name in mechanism::ALL {
         let mech = mechanism::by_name(name, &cfg).unwrap();
         let workload = SyntheticWorkload::new(
-            cfg.k,
+            cfg.kx(),
             Pattern::UniformRandom,
             rate,
             cfg.synth_packet_len,
@@ -52,7 +52,7 @@ fn main() {
         let residency = flov_power::residency_delta(sim.core.residency(), &res0);
         let power = flov_power::compute(
             &PowerParams::dsent_32nm(),
-            cfg.k,
+            cfg.kx(),
             &activity,
             &residency,
             window,

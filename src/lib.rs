@@ -20,7 +20,7 @@
 //! let cfg = NocConfig::paper_table1();
 //! let mech = mechanism::by_name("gFLOV", &cfg).unwrap();
 //! let workload = SyntheticWorkload::new(
-//!     cfg.k, Pattern::UniformRandom, 0.02, cfg.synth_packet_len, 5_000,
+//!     cfg.kx(), Pattern::UniformRandom, 0.02, cfg.synth_packet_len, 5_000,
 //!     GatingSchedule::static_fraction(cfg.nodes(), 0.5, 1, &[]), 42,
 //! );
 //! let mut sim = Simulation::new(cfg, mech, Box::new(workload));
@@ -56,7 +56,7 @@ mod tests {
         let cfg = NocConfig::small_test();
         let mech = mechanism::by_name("rFLOV", &cfg).unwrap();
         let w = SyntheticWorkload::new(
-            cfg.k,
+            cfg.kx(),
             Pattern::Tornado,
             0.03,
             cfg.synth_packet_len,

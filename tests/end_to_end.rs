@@ -17,7 +17,7 @@ fn sim_with(
     let cfg = NocConfig::paper_table1();
     let mech = mechanism::by_name(mech_name, &cfg).unwrap();
     let w = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         pattern,
         rate,
         cfg.synth_packet_len,

@@ -3,13 +3,13 @@
 //! claims (lowest static power, non-scalable ring latency).
 
 use flov_bench::{run, RunSpec, WorkloadSpec};
-use flov_noc::NocConfig;
+use flov_noc::{NocConfig, TopologySpec};
 use flov_power::PowerParams;
 use flov_workloads::Pattern;
 
 fn spec(mech: &str, k: u16, fraction: f64) -> RunSpec {
     RunSpec {
-        cfg: NocConfig { k, ..NocConfig::paper_table1() },
+        cfg: NocConfig { topology: TopologySpec::Mesh { k }, ..NocConfig::paper_table1() },
         mechanism: mech.into(),
         workload: WorkloadSpec::Synthetic {
             pattern: Pattern::UniformRandom,

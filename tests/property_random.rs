@@ -11,7 +11,7 @@ use flov_workloads::{GatingSchedule, Pattern, SyntheticWorkload};
 use proptest::prelude::*;
 
 fn small_cfg() -> NocConfig {
-    NocConfig { k: 4, vnets: 1, watchdog_cycles: 30_000, ..NocConfig::default() }
+    NocConfig { watchdog_cycles: 30_000, ..NocConfig::small_test() }
 }
 
 fn run_case(mech_name: &str, pattern: Pattern, rate: f64, fraction: f64, seed: u64) -> Simulation {
@@ -24,7 +24,7 @@ fn run_case(mech_name: &str, pattern: Pattern, rate: f64, fraction: f64, seed: u
     }
     let mech = mechanism::by_name(mech_name, &cfg).unwrap();
     let w = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         pattern,
         rate,
         cfg.synth_packet_len,

@@ -17,7 +17,7 @@ fn make_sim(mode: FlovMode, fraction: f64, cycles: u64) -> Simulation {
     let cfg = NocConfig::paper_table1();
     let mech = Flov::new(mode, FlovParams::for_config(&cfg), cfg.nodes());
     let w = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         Pattern::UniformRandom,
         0.03,
         cfg.synth_packet_len,
@@ -88,7 +88,7 @@ fn gflov_no_draining_draining_or_draining_wakeup_logical_pairs() {
 fn aon_column_never_gates() {
     for mode in [FlovMode::Restricted, FlovMode::Generalized] {
         let mut sim = make_sim(mode, 0.8, 10_000);
-        let k = sim.core.cfg.k;
+        let k = sim.core.k();
         for _ in 0..10_000 {
             sim.step();
             for y in 0..k {
@@ -109,7 +109,7 @@ fn aon_column_never_gates() {
 #[test]
 fn corner_routers_may_gate_but_never_hold_latched_flits() {
     let mut sim = make_sim(FlovMode::Generalized, 0.8, 12_000);
-    let k = sim.core.cfg.k;
+    let k = sim.core.k();
     let corners = [0, k - 1, k * (k - 1), k * k - 1];
     for _ in 0..12_000 {
         sim.step();
@@ -166,7 +166,7 @@ fn escape_routing_obeys_turn_model_in_vivo() {
     let cfg = NocConfig::paper_table1();
     let mech = TurnChecker { inner: Flov::generalized(&cfg), violations: Mutex::new(Vec::new()) };
     let w = SyntheticWorkload::new(
-        cfg.k,
+        cfg.kx(),
         Pattern::UniformRandom,
         0.05,
         cfg.synth_packet_len,
