@@ -1,5 +1,5 @@
-//! Credit counters. The input VC buffers they count are rings over the
-//! router's flit plane (`crate::router::Router`).
+//! Credit counters. The input VC buffers they count are rings leased from
+//! the router's ring pool (`crate::router::Router`).
 
 /// Credit counter an upstream router keeps for one downstream VC.
 ///

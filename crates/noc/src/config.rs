@@ -11,8 +11,8 @@ use std::fmt;
 /// `0..cores as NodeId`.
 pub const MAX_NODES: usize = NodeId::MAX as usize;
 
-/// Deepest input VC buffer: each VC is a ring with 8-bit indices over
-/// its slots of the router's flit plane.
+/// Deepest input VC buffer: each VC is a FIFO with 8-bit indices over the
+/// ring it leases from its router's ring pool.
 pub const MAX_BUF_DEPTH: usize = u8::MAX as usize;
 
 /// Longest link latency, in cycles: the arrival wheel of in-flight

@@ -80,8 +80,8 @@ proptest! {
         prop_assert_eq!(w.wire_flits().iter().sum::<u32>(), 0);
     }
 
-    /// Each input VC of a router is an exact FIFO ring over its slots of
-    /// the flit plane: random pushes and pops on three VCs of one port
+    /// Each input VC of a router is an exact FIFO over the ring it leases
+    /// from the router's pool: random pushes and pops on three VCs of one port
     /// (depth 6, so the rings wrap) come out in order per VC, never touch
     /// another VC, and keep the occupancy mirrors equal to the model.
     #[test]
