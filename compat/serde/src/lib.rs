@@ -44,6 +44,23 @@ impl Value {
         }
     }
 
+    /// Reject a map key that is not one of `fields`, naming it. A derived
+    /// `Deserialize` calls this after looking up every declared field, so
+    /// a missing field is reported before an unknown one.
+    pub fn deny_unknown_fields(&self, fields: &[&str]) -> Result<(), Error> {
+        let Value::Map(entries) = self else { return Error::expected("a map", self) };
+        match entries.iter().find(|(k, _)| !fields.contains(&k.as_str())) {
+            Some((k, _)) => {
+                let expected: Vec<String> = fields.iter().map(|f| format!("`{f}`")).collect();
+                Err(Error::custom(format!(
+                    "unknown field `{k}`, expected one of {}",
+                    expected.join(", ")
+                )))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// View as a sequence.
     pub fn seq(&self) -> Result<&[Value], Error> {
         match self {
@@ -291,6 +308,15 @@ mod tests {
         let v = Value::Map(vec![("a".into(), Value::Int(1))]);
         assert_eq!(v.field("a").unwrap(), &Value::Int(1));
         assert!(v.field("b").is_err());
+    }
+
+    #[test]
+    fn unknown_fields_are_named() {
+        let v = Value::Map(vec![("a".into(), Value::Int(1)), ("c".into(), Value::Int(2))]);
+        assert!(v.deny_unknown_fields(&["a", "c"]).is_ok());
+        let e = v.deny_unknown_fields(&["a", "b"]).unwrap_err().to_string();
+        assert_eq!(e, "unknown field `c`, expected one of `a`, `b`");
+        assert!(Value::Int(1).deny_unknown_fields(&[]).is_err());
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! * enums with unit variants (optionally with explicit discriminants),
 //! * enums with struct or tuple variants (externally tagged, like serde).
 //!
+//! A derived `Deserialize` rejects a map key the struct or struct variant
+//! does not declare, naming it (like serde's `deny_unknown_fields`), after
+//! every declared field has been read, so a missing field is reported first.
+//!
 //! Generics, tuple structs and `#[serde(...)]` attributes are rejected with
 //! a compile error rather than silently mis-encoded.
 
@@ -264,6 +268,11 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .unwrap()
 }
 
+/// `"a", "b", ...`: field names as string literals for a generated slice.
+fn quoted(fields: &[String]) -> String {
+    fields.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", ")
+}
+
 #[proc_macro_derive(Deserialize)]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let (name, shape) = match parse_input(input) {
@@ -278,7 +287,12 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                     "{f}: ::serde::Deserialize::from_value(__v.field(\"{f}\")?)?,"
                 ));
             }
-            format!("::core::result::Result::Ok({name} {{ {inits} }})")
+            format!(
+                "let __out = {name} {{ {inits} }};\n\
+                 __v.deny_unknown_fields(&[{}])?;\n\
+                 ::core::result::Result::Ok(__out)",
+                quoted(&fields)
+            )
         }
         Shape::Enum(variants) => {
             let mut unit_arms = String::new();
@@ -297,7 +311,10 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                             ));
                         }
                         tagged_arms.push_str(&format!(
-                            "\"{vn}\" => ::core::result::Result::Ok({name}::{vn} {{ {inits} }}),"
+                            "\"{vn}\" => {{ let __out = {name}::{vn} {{ {inits} }}; \
+                             __inner.deny_unknown_fields(&[{}])?; \
+                             ::core::result::Result::Ok(__out) }},",
+                            quoted(fields)
                         ));
                     }
                     VariantKind::Tuple(n) => {

@@ -531,14 +531,16 @@ fn main() {
             let Some(path) = args.value("--spec") else { die("sweep needs --spec FILE.json") };
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-            // Accept a single spec object or an array of specs.
-            let specs: Vec<RunSpec> = match serde_json::from_str::<Vec<RunSpec>>(&text) {
-                Ok(s) => s,
-                Err(_) => match serde_json::from_str::<RunSpec>(&text) {
-                    Ok(s) => vec![s],
-                    Err(e) => fail(format!("{path} is not a RunSpec or a list of them: {e}")),
-                },
+            // Accept a single spec object or an array of specs, and report
+            // the error of the shape the file has.
+            let specs: Result<Vec<RunSpec>, _> = if text.trim_start().starts_with('[') {
+                serde_json::from_str(&text)
+            } else {
+                serde_json::from_str(&text).map(|s| vec![s])
             };
+            let specs = specs.unwrap_or_else(|e| {
+                fail(format!("{path} is not a RunSpec or a list of them: {e}"))
+            });
             specs.iter().for_each(validate_or_die);
             let results: Vec<RunResult> = engine.run_batch(&specs);
             println!("{}", serde_json::to_string_pretty(&results).expect("results serialize"));
