@@ -3,10 +3,11 @@
 //! A counting `#[global_allocator]` wraps the system allocator behind an
 //! armed flag. Each scenario warms a simulation up (letting every
 //! persistent arena — tile delta buffers, NIC queues, active sets, wake
-//! scratch — reach its high-water mark), arms the counter, runs 1,000
-//! further cycles, and asserts the count stayed at zero. Any `Vec::new`,
-//! boxed closure, or format string that sneaks back into `Simulation::step`
-//! or the parallel kernel's per-cycle path fails this test immediately.
+//! scratch, each router's input-VC ring pool — reach its high-water mark),
+//! arms the counter, runs 1,000 further cycles, and asserts the count
+//! stayed at zero. Any `Vec::new`, boxed closure, or format string that
+//! sneaks back into `Simulation::step` or the parallel kernel's per-cycle
+//! path fails this test immediately.
 //!
 //! Scope: mesh topologies with the timeline disabled (`interval_width = 0`)
 //! and no auditor. The NoRD ring is excluded — ring staging intentionally
