@@ -141,20 +141,11 @@ impl PowerMechanism for PowerPunch {
         // per window.
         let repunch_after = DRAIN_TIMEOUT;
         let mut to_repunch = std::mem::take(&mut self.to_repunch);
-        for n in 0..core.nodes() {
-            let r = &core.routers[n];
-            if r.port_occupancy.iter().all(|&o| o == 0) {
-                continue;
-            }
-            for s in 0..r.total_vcs() * flov_noc::types::NUM_PORTS {
-                let invc = &r.inputs[s];
-                if invc.alloc.is_some() {
-                    continue;
-                }
-                let Some(f) = r.front(s) else { continue };
-                let waited = now.saturating_sub(invc.head_since);
+        for (n, r) in core.routers.iter().enumerate() {
+            for (dst, head_since) in r.blocked_heads() {
+                let waited = now.saturating_sub(head_since);
                 if waited >= repunch_after && waited.is_multiple_of(repunch_after) {
-                    to_repunch.push((n as NodeId, f.dst));
+                    to_repunch.push((n as NodeId, dst));
                 }
             }
         }

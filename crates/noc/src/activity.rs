@@ -45,26 +45,38 @@ pub struct ActivityCounters {
 }
 
 impl ActivityCounters {
+    /// Combine two counter sets field by field with `op`. Written as a
+    /// struct literal, so a counter added to the struct but not here fails
+    /// to compile.
+    fn zip_with(&self, other: &ActivityCounters, op: impl Fn(u64, u64) -> u64) -> ActivityCounters {
+        ActivityCounters {
+            buffer_writes: op(self.buffer_writes, other.buffer_writes),
+            buffer_reads: op(self.buffer_reads, other.buffer_reads),
+            xbar_traversals: op(self.xbar_traversals, other.xbar_traversals),
+            sa_grants: op(self.sa_grants, other.sa_grants),
+            va_grants: op(self.va_grants, other.va_grants),
+            link_flits: op(self.link_flits, other.link_flits),
+            flov_latch_flits: op(self.flov_latch_flits, other.flov_latch_flits),
+            ring_flits: op(self.ring_flits, other.ring_flits),
+            credit_msgs: op(self.credit_msgs, other.credit_msgs),
+            credit_relays: op(self.credit_relays, other.credit_relays),
+            handshake_signals: op(self.handshake_signals, other.handshake_signals),
+            gating_events: op(self.gating_events, other.gating_events),
+            packets_injected: op(self.packets_injected, other.packets_injected),
+            flits_injected: op(self.flits_injected, other.flits_injected),
+            packets_delivered: op(self.packets_delivered, other.packets_delivered),
+            flits_delivered: op(self.flits_delivered, other.flits_delivered),
+        }
+    }
+
     /// Element-wise difference, for measuring a window (e.g. post-warmup).
     pub fn delta_since(&self, earlier: &ActivityCounters) -> ActivityCounters {
-        ActivityCounters {
-            buffer_writes: self.buffer_writes - earlier.buffer_writes,
-            buffer_reads: self.buffer_reads - earlier.buffer_reads,
-            xbar_traversals: self.xbar_traversals - earlier.xbar_traversals,
-            sa_grants: self.sa_grants - earlier.sa_grants,
-            va_grants: self.va_grants - earlier.va_grants,
-            link_flits: self.link_flits - earlier.link_flits,
-            flov_latch_flits: self.flov_latch_flits - earlier.flov_latch_flits,
-            ring_flits: self.ring_flits - earlier.ring_flits,
-            credit_msgs: self.credit_msgs - earlier.credit_msgs,
-            credit_relays: self.credit_relays - earlier.credit_relays,
-            handshake_signals: self.handshake_signals - earlier.handshake_signals,
-            gating_events: self.gating_events - earlier.gating_events,
-            packets_injected: self.packets_injected - earlier.packets_injected,
-            flits_injected: self.flits_injected - earlier.flits_injected,
-            packets_delivered: self.packets_delivered - earlier.packets_delivered,
-            flits_delivered: self.flits_delivered - earlier.flits_delivered,
-        }
+        self.zip_with(earlier, |now, then| now - then)
+    }
+
+    /// Element-wise sum, for merging per-tile counters.
+    pub(crate) fn accumulate(&mut self, other: &ActivityCounters) {
+        *self = self.zip_with(other, |a, b| a + b);
     }
 }
 
@@ -98,24 +110,45 @@ impl Residency {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
 
+    /// Counters whose `i`-th field (1-based, in declaration order) is
+    /// `f(i)`: every field distinct, so a combinator that crosses two
+    /// fields changes the result.
+    fn counters(f: impl Fn(u64) -> u64) -> ActivityCounters {
+        let mut i = 0;
+        let mut next = || {
+            i += 1;
+            f(i)
+        };
+        ActivityCounters {
+            buffer_writes: next(),
+            buffer_reads: next(),
+            xbar_traversals: next(),
+            sa_grants: next(),
+            va_grants: next(),
+            link_flits: next(),
+            flov_latch_flits: next(),
+            ring_flits: next(),
+            credit_msgs: next(),
+            credit_relays: next(),
+            handshake_signals: next(),
+            gating_events: next(),
+            packets_injected: next(),
+            flits_injected: next(),
+            packets_delivered: next(),
+            flits_delivered: next(),
+        }
+    }
+
     #[test]
-    fn delta_subtracts_fieldwise() {
-        let mut a = ActivityCounters::default();
-        a.buffer_writes = 10;
-        a.link_flits = 5;
-        a.gating_events = 2;
-        let mut b = a.clone();
-        b.buffer_writes = 25;
-        b.link_flits = 9;
-        b.gating_events = 2;
-        let d = b.delta_since(&a);
-        assert_eq!(d.buffer_writes, 15);
-        assert_eq!(d.link_flits, 4);
-        assert_eq!(d.gating_events, 0);
+    fn sum_and_difference_combine_every_field_with_its_own() {
+        let (small, large) = (counters(|i| i), counters(|i| 100 * i));
+        let mut sum = large.clone();
+        sum.accumulate(&small);
+        assert_eq!(sum, counters(|i| 101 * i));
+        assert_eq!(large.delta_since(&small), counters(|i| 99 * i));
     }
 
     #[test]

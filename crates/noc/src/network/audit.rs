@@ -30,10 +30,11 @@
 //!    ([`crate::ring::BypassRing::audit`]).
 //! 5. **State legality** — mechanism-specific power/handshake rules via
 //!    [`PowerMechanism::audit_state`] (rFLOV adjacency, gFLOV handshake
-//!    pairs, RP's two-state discipline, ...), plus every powered router's
-//!    occupancy and allocation mirrors (`port_occupancy`, `vc_busy`,
-//!    `alloc_mask`, `sa_ready`, `out_owned`) and the route inputs each VC
-//!    caches from its front head flit, against its per-VC state, and the
+//!    pairs, RP's two-state discipline, ...), plus each router's own
+//!    invariants via [`Router::audit`](crate::router::Router::audit) (in
+//!    a powered router the two masks that mirror per-VC state and the
+//!    route inputs each VC caches from its front head flit, and in every
+//!    router the ring-pool leases), filed under the router's name, and the
 //!    wheel's per-link in-flight flit counts against a scan of its slots.
 //! 6. **No progress** — with packets in flight, *something* must move
 //!    within `stall_horizon` cycles: a delivery-path event
@@ -51,9 +52,8 @@
 //! auditing on.
 
 use super::NetworkCore;
-use crate::router::VcOwner;
 use crate::traits::PowerMechanism;
-use crate::types::{Cycle, Dir, Port, NUM_PORTS};
+use crate::types::{Cycle, Dir, Port};
 
 /// Default audit cadence, in cycles. At this interval the audit cost is
 /// amortized to a few chain walks per simulated cycle — well under the
@@ -304,51 +304,13 @@ impl Auditor {
     fn check_state_legality(&mut self, core: &NetworkCore, mech: &dyn PowerMechanism) {
         let mut found: Vec<String> = Vec::new();
         mech.audit_state(core, &mut |msg| found.push(msg));
+        for (i, r) in core.routers.iter().enumerate() {
+            r.audit(&mut |msg| found.push(format!("router {i}{msg}")));
+        }
         for msg in found {
             self.push(core.cycle, AuditKind::StateLegality, msg);
         }
-        self.check_router_mirrors(core);
-        self.check_ring_leases(core);
         self.check_wire_counts(core);
-    }
-
-    /// In every router, each allocated ring of the pool must be held
-    /// exactly once, by one non-empty input VC or by the free list: a
-    /// shared ring would mix two VCs' flits, a lost one strand its slots.
-    fn check_ring_leases(&mut self, core: &NetworkCore) {
-        let mut held: Vec<(u32, u32)> = Vec::new(); // per ring: (leases, free-list entries)
-        for (i, r) in core.routers.iter().enumerate() {
-            held.clear();
-            held.resize(r.rings(), (0, 0));
-            let leases = r.inputs.iter().filter(|vc| !vc.is_empty()).map(|vc| (vc.ring, true));
-            for (ring, leased) in leases.chain(r.free_rings.iter().map(|&f| (f, false))) {
-                match held.get_mut(ring as usize) {
-                    Some((l, _)) if leased => *l += 1,
-                    Some((_, f)) => *f += 1,
-                    None => {
-                        let by = if leased { "a VC leases" } else { "the free list holds" };
-                        let n = r.rings();
-                        self.push(
-                            core.cycle,
-                            AuditKind::StateLegality,
-                            format!("router {i}: {by} ring {ring} but the pool has {n} rings"),
-                        );
-                    }
-                }
-            }
-            for (ring, &(leases, free)) in held.iter().enumerate() {
-                if leases + free != 1 {
-                    self.push(
-                        core.cycle,
-                        AuditKind::StateLegality,
-                        format!(
-                            "router {i}: ring {ring} is leased by {leases} VCs and free \
-                             {free} times, not held once"
-                        ),
-                    );
-                }
-            }
-        }
     }
 
     /// The wheel's per-link flit counts, which quiescence checks read in
@@ -368,86 +330,6 @@ impl Auditor {
                     AuditKind::StateLegality,
                     format!("link {e}: in-flight count {have} but the wheel holds {want} flits"),
                 );
-            }
-        }
-    }
-
-    /// Every powered router's occupancy and allocation mirrors, and the
-    /// route inputs each VC caches from its front head flit, must match
-    /// the per-VC state they summarize: the allocators read only the
-    /// mirrors and caches, so a missed update would silently change
-    /// results.
-    fn check_router_mirrors(&mut self, core: &NetworkCore) {
-        let per = core.cfg.vcs_per_vnet();
-        for (i, r) in core.routers.iter().enumerate() {
-            if !r.power.is_powered() {
-                continue;
-            }
-            let v = r.total_vcs();
-            for p in 0..NUM_PORTS {
-                let vcs = &r.inputs[p * v..(p + 1) * v];
-                let mask = |bit: &dyn Fn(usize) -> bool| {
-                    (0..v).filter(|&j| bit(j)).fold(0u64, |m, j| m | 1 << j)
-                };
-                // A grant can bid in SA when it ejects, or its downstream
-                // VC has a credit.
-                let ready = |j: usize| {
-                    vcs[j].alloc.is_some_and(|(op, ovc)| {
-                        let op = op as usize;
-                        op == Port::Local.index()
-                            || r.out_credits[op * v + j - j % per + ovc as usize].has_credit()
-                    })
-                };
-                let occupancy: usize = vcs.iter().map(|vc| vc.len()).sum();
-                if r.port_occupancy[p] as usize != occupancy {
-                    let have = r.port_occupancy[p];
-                    self.push(
-                        core.cycle,
-                        AuditKind::StateLegality,
-                        format!(
-                            "router {i} port {p}: port_occupancy {have} but {occupancy} flits \
-                             buffered"
-                        ),
-                    );
-                }
-                let mirrors = [
-                    ("vc_busy", r.vc_busy[p], mask(&|j| !vcs[j].is_empty())),
-                    ("alloc_mask", r.alloc_mask[p], mask(&|j| vcs[j].alloc.is_some())),
-                    ("sa_ready", r.sa_ready[p], mask(&ready)),
-                    (
-                        "out_owned",
-                        r.out_owned[p],
-                        mask(&|j| r.out_vc_state[p * v + j] != VcOwner::Free),
-                    ),
-                ];
-                for (name, have, want) in mirrors {
-                    if have != want {
-                        self.push(
-                            core.cycle,
-                            AuditKind::StateLegality,
-                            format!(
-                                "router {i} port {p}: {name} {have:#x} but per-VC state gives \
-                                 {want:#x}"
-                            ),
-                        );
-                    }
-                }
-                for (j, vc) in vcs.iter().enumerate() {
-                    let Some(f) = r.front(p * v + j).filter(|f| f.kind.is_head()) else {
-                        continue;
-                    };
-                    let (have, want) = ((vc.dst, vc.vnet, vc.escape), (f.dst, f.vnet, f.escape));
-                    if have != want {
-                        self.push(
-                            core.cycle,
-                            AuditKind::StateLegality,
-                            format!(
-                                "router {i} port {p} vc {j}: cached head route (dst, vnet, \
-                                 escape) {have:?} but the front head flit has {want:?}"
-                            ),
-                        );
-                    }
-                }
             }
         }
     }

@@ -159,14 +159,8 @@ impl NetworkCore {
                 // First powered router: no open wormhole toward us. On a
                 // torus wrap cycle this may be `node` itself, in which case
                 // its own outbound wormholes would circle back around.
-                let r = &self.routers[next as usize];
                 let port = crate::types::Port::from_dir(toward);
-                for v in 0..r.total_vcs() {
-                    if r.out_vc_state[r.slot(port.index(), v)] != crate::router::VcOwner::Free {
-                        return false;
-                    }
-                }
-                return true;
+                return !self.routers[next as usize].owns_downstream(port.index());
             }
             // Sleeping or waking intermediate: its pass-through latch toward
             // us must be empty.

@@ -26,7 +26,9 @@ pub(super) fn latch_phase(core: &mut NetworkCore) {
         KernelMode::ActiveSet => {
             core.for_each_marked(SetId::Latch, |fab, i| latch_task(fab, i as usize))
         }
-        KernelMode::Parallel { tiles, grid } => super::par::latch_phase(core, tiles, grid),
+        KernelMode::Parallel { tiles, grid } => {
+            super::par::marked_phase(core, None, SetId::Latch, tiles, grid)
+        }
     }
 }
 
@@ -122,11 +124,18 @@ fn deliver_flit<F: Fabric>(fab: &mut F, target: NodeId, travel: Dir, flit: Flit)
     if r.power.is_flov() {
         // Fly over: into the output latch of the same travel direction.
         debug_assert!(
-            r.has_flov(travel),
+            {
+                let (x, y) = fab.cfg().topology.flov_capability(fab.tables().coord(target));
+                if travel.is_x() {
+                    x
+                } else {
+                    y
+                }
+            },
             "flit flying over router {target} without FLOV capability in {travel:?}"
         );
         debug_assert!(flit.dst != target, "flit for a gated router reached its latch");
-        let slot = &mut r.latches[travel.index()];
+        let slot = &mut fab.router(target as usize).latches[travel.index()];
         assert!(slot.is_none(), "FLOV latch conflict at router {target}");
         let mut f = flit;
         f.hops_flov += 1;
@@ -196,7 +205,7 @@ fn deliver_credit<F: Fabric>(fab: &mut F, target: NodeId, travel: Dir, c: Credit
             c.vc,
             chain::logical_neighbor(fab.tables(), fab.view(), target, travel.opposite()),
         );
-        fab.router(target as usize).refund_credit(slot);
+        fab.router(target as usize).refund_credit(out_port.index(), vc_flat);
         // A refund can unblock SA at `target`. Defensive: the flit waiting
         // on this credit is buffered at `target`, so the router is already
         // in the work set — re-mark anyway per the marking invariant.

@@ -304,7 +304,7 @@ impl NetworkCore {
         let cores = topo.cores();
         let measure_from = 0;
         Ok(NetworkCore {
-            routers: (0..n).map(|i| Router::new(&cfg, i as NodeId)).collect(),
+            routers: (0..n).map(|_| Router::new(&cfg)).collect(),
             wheel: Wheel::new(n * 4, n, cfg.link_latency),
             nics: (0..n).map(|_| Nic::new(cfg.vnets)).collect(),
             core_active: vec![true; cores],
@@ -483,11 +483,6 @@ impl NetworkCore {
             self.wake_flag[n as usize] = false;
         }
         self.wake_list.clear();
-    }
-
-    /// Peek at pending wakeup requests without clearing them.
-    pub fn wakeup_requests(&self) -> &[NodeId] {
-        &self.wake_list
     }
 
     /// Enqueue a generated packet at its source NIC. Request endpoints are

@@ -272,25 +272,6 @@ impl Delta {
     }
 }
 
-fn add_activity(into: &mut ActivityCounters, d: &ActivityCounters) {
-    into.buffer_writes += d.buffer_writes;
-    into.buffer_reads += d.buffer_reads;
-    into.xbar_traversals += d.xbar_traversals;
-    into.sa_grants += d.sa_grants;
-    into.va_grants += d.va_grants;
-    into.link_flits += d.link_flits;
-    into.flov_latch_flits += d.flov_latch_flits;
-    into.ring_flits += d.ring_flits;
-    into.credit_msgs += d.credit_msgs;
-    into.credit_relays += d.credit_relays;
-    into.handshake_signals += d.handshake_signals;
-    into.gating_events += d.gating_events;
-    into.packets_injected += d.packets_injected;
-    into.flits_injected += d.flits_injected;
-    into.packets_delivered += d.packets_delivered;
-    into.flits_delivered += d.flits_delivered;
-}
-
 /// K-way merge one per-tile, ascending-by-origin effect stream back into
 /// global ascending-origin order. Origins are disjoint across tiles (a
 /// node is owned by exactly one tile) and ascend within a tile, so the
@@ -343,7 +324,7 @@ fn apply_deltas(core: &mut NetworkCore, deltas: &mut [Delta], cursors: &mut Vec<
     for d in deltas.iter_mut() {
         d.removes.clear();
         d.inserts.clear();
-        add_activity(&mut core.activity, &d.act);
+        core.activity.accumulate(&d.act);
         d.act = ActivityCounters::default();
         for done in d.delivered.drain(..) {
             core.stats.record(&done);
@@ -750,11 +731,11 @@ fn worker_loop(sh: &PoolShared, executor: usize, executors: usize) {
 
 #[derive(Clone, Copy, Debug)]
 enum PhaseKind<'a> {
-    Latch,
+    /// Latch forwarding, NIC injection or the router pipelines, over the
+    /// tasks marked in the set.
+    Marked(SetId),
     /// Delivery of the cycle's wheel slot, taken out of the wheel.
     Deliver(&'a Slot),
-    Inject,
-    Pipeline,
 }
 
 /// The driver-side job context one phase hands to all tiles.
@@ -775,19 +756,19 @@ unsafe fn run_tile(ctx: *const (), tile: usize) {
     let lane = &mut Lane { sh: &j.sh, d };
     let owned = |n: u32| j.plan.tile_of(n) == tile;
     match j.kind {
-        PhaseKind::Latch => {
+        PhaseKind::Marked(SetId::Latch) => {
             for &i in j.tasks.iter().filter(|&&i| owned(i)) {
                 latch_task(lane, i as usize);
             }
         }
         PhaseKind::Deliver(slot) => deliver_slot(lane, slot, |n| owned(n as u32)),
-        PhaseKind::Inject => {
+        PhaseKind::Marked(SetId::Inject) => {
             let mech = j.sh.mech.expect("injection phase requires the mechanism");
             for &n in j.tasks.iter().filter(|&&n| owned(n)) {
                 inject_task(lane, mech, n as NodeId);
             }
         }
-        PhaseKind::Pipeline => {
+        PhaseKind::Marked(SetId::Work) => {
             let mech = j.sh.mech.expect("pipeline phase requires the mechanism");
             for &n in j.tasks.iter().filter(|&&n| owned(n)) {
                 pipeline_task(lane, mech, n as NodeId);
@@ -871,89 +852,64 @@ fn make_shared<'a>(
     }
 }
 
-/// Fork-join one phase over the prepared task snapshot (`st.tasks`, filled
-/// before calling, or the slot for `Deliver`), then replay the deltas. The
-/// replay is timed into the `exchange` bucket when phase timing is
-/// enabled.
-fn run_phase(
+/// Phases 2, 5 and 6, parallel: latch forwarding (no mechanism), NIC
+/// injection or the router pipelines, over the tasks marked in `set`.
+pub(super) fn marked_phase(
     core: &mut NetworkCore,
     mech: Option<&dyn PowerMechanism>,
-    st: &mut ParState,
-    kind: PhaseKind,
+    set: SetId,
+    tiles: usize,
+    grid: Option<(u16, u16)>,
 ) {
-    {
-        let deltas = st.deltas.as_mut_ptr();
-        let ctx = JobCtx {
-            sh: make_shared(core, mech, &st.powers),
-            kind,
-            plan: &st.plan,
-            tasks: &st.tasks,
-            deltas,
-        };
-        let tiles = st.plan.tiles();
-        st.pool.run(Job { ctx: &ctx as *const JobCtx as *const (), run: run_tile, tiles });
-    }
-    let t0 = core.phase_nanos.is_some().then(std::time::Instant::now);
-    apply_deltas(core, &mut st.deltas, &mut st.cursors);
-    if let (Some(t0), Some(pn)) = (t0, core.phase_nanos.as_deref_mut()) {
-        pn.exchange += t0.elapsed().as_nanos() as u64;
-    }
-}
-
-/// Phase 2, parallel: FLOV latch forwarding over the latch set.
-pub(super) fn latch_phase(core: &mut NetworkCore, tiles: usize, grid: Option<(u16, u16)>) {
     let mut st = take_state(core, tiles, grid);
-    core.sched.latch.collect_into(&mut st.tasks);
-    if !st.tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
-        run_phase(core, None, &mut st, PhaseKind::Latch);
-    }
-    core.par = Some(st);
+    core.sched.set(set).collect_into(&mut st.tasks);
+    run_phase(core, mech, st, PhaseKind::Marked(set));
 }
 
 /// Phase 3, parallel: delivery of the cycle's wheel slot. Link entries
 /// partition by *receiver*, ejections by node.
 pub(super) fn delivery_phase(core: &mut NetworkCore, tiles: usize, grid: Option<(u16, u16)>) {
     let mut st = take_state(core, tiles, grid);
+    st.tasks.clear();
     let now = core.cycle;
     let slot = core.wheel.take(now);
-    if !slot.is_empty() {
-        st.tasks.clear();
-        snapshot_powers(core, &mut st.powers);
-        run_phase(core, None, &mut st, PhaseKind::Deliver(&slot));
-    }
+    run_phase(core, None, st, PhaseKind::Deliver(&slot));
     core.wheel.retire(now, slot);
-    core.par = Some(st);
 }
 
-/// Phase 5, parallel: NIC injection over the inject set.
-pub(super) fn injection_phase(
+/// Fork-join one phase over its prepared task snapshot (`st.tasks`, or
+/// the slot for `Deliver`) unless it has nothing to do, replay the deltas,
+/// and put the state back into the core. The replay is timed into the
+/// `exchange` bucket when phase timing is enabled.
+fn run_phase(
     core: &mut NetworkCore,
-    mech: &dyn PowerMechanism,
-    tiles: usize,
-    grid: Option<(u16, u16)>,
+    mech: Option<&dyn PowerMechanism>,
+    mut st: Box<ParState>,
+    kind: PhaseKind,
 ) {
-    let mut st = take_state(core, tiles, grid);
-    core.sched.inject.collect_into(&mut st.tasks);
-    if !st.tasks.is_empty() {
+    let idle = match kind {
+        PhaseKind::Marked(_) => st.tasks.is_empty(),
+        PhaseKind::Deliver(slot) => slot.is_empty(),
+    };
+    if !idle {
         snapshot_powers(core, &mut st.powers);
-        run_phase(core, Some(mech), &mut st, PhaseKind::Inject);
-    }
-    core.par = Some(st);
-}
-
-/// Phase 6, parallel: router pipelines over the work set.
-pub(super) fn pipeline_phase(
-    core: &mut NetworkCore,
-    mech: &dyn PowerMechanism,
-    tiles: usize,
-    grid: Option<(u16, u16)>,
-) {
-    let mut st = take_state(core, tiles, grid);
-    core.sched.work.collect_into(&mut st.tasks);
-    if !st.tasks.is_empty() {
-        snapshot_powers(core, &mut st.powers);
-        run_phase(core, Some(mech), &mut st, PhaseKind::Pipeline);
+        {
+            let deltas = st.deltas.as_mut_ptr();
+            let ctx = JobCtx {
+                sh: make_shared(core, mech, &st.powers),
+                kind,
+                plan: &st.plan,
+                tasks: &st.tasks,
+                deltas,
+            };
+            let tiles = st.plan.tiles();
+            st.pool.run(Job { ctx: &ctx as *const JobCtx as *const (), run: run_tile, tiles });
+        }
+        let t0 = core.phase_nanos.is_some().then(std::time::Instant::now);
+        apply_deltas(core, &mut st.deltas, &mut st.cursors);
+        if let (Some(t0), Some(pn)) = (t0, core.phase_nanos.as_deref_mut()) {
+            pn.exchange += t0.elapsed().as_nanos() as u64;
+        }
     }
     core.par = Some(st);
 }

@@ -52,7 +52,7 @@ pub(super) fn injection_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism)
             core.for_each_marked(SetId::Inject, |fab, n| inject_task(fab, mech, n as NodeId))
         }
         KernelMode::Parallel { tiles, grid } => {
-            super::par::injection_phase(core, mech, tiles, grid)
+            super::par::marked_phase(core, Some(mech), SetId::Inject, tiles, grid)
         }
     }
 }
@@ -147,7 +147,7 @@ fn inject_node<F: Fabric>(fab: &mut F, mech: &dyn PowerMechanism, node: NodeId) 
 
 /// Phase 6: VA then SA/ST for every powered router with buffered flits, in
 /// id order. The reference kernel scans all routers; the active-set kernel
-/// visits the work set (routers with `buffered_flits() > 0`), which is
+/// visits the work set (routers that hold flits), which is
 /// equivalent because an empty router's VA and SA stages have no side
 /// effects (every slot is skipped before any arbiter advances).
 pub(super) fn pipeline_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism) {
@@ -164,14 +164,16 @@ pub(super) fn pipeline_phase(core: &mut NetworkCore, mech: &dyn PowerMechanism) 
         KernelMode::ActiveSet => {
             core.for_each_marked(SetId::Work, |fab, n| pipeline_task(fab, mech, n as NodeId))
         }
-        KernelMode::Parallel { tiles, grid } => super::par::pipeline_phase(core, mech, tiles, grid),
+        KernelMode::Parallel { tiles, grid } => {
+            super::par::marked_phase(core, Some(mech), SetId::Work, tiles, grid)
+        }
     }
 }
 
 /// Active-set pipeline task for `node`, including the lazy removal.
 pub(super) fn pipeline_task<F: Fabric>(fab: &mut F, mech: &dyn PowerMechanism, node: NodeId) {
     let i = node as usize;
-    if fab.router(i).buffered_flits() == 0 {
+    if !fab.router(i).holds_flits() {
         fab.unmark(SetId::Work, i);
         return;
     }

@@ -7,7 +7,6 @@
 //! and applies the state changes consistently.
 
 use super::NetworkCore;
-use crate::router::VcOwner;
 use crate::types::{Dir, NodeId, Port, PowerState};
 
 impl NetworkCore {
@@ -69,6 +68,10 @@ impl NetworkCore {
             // onward, so the upstream's credits are zeroed (its packets for
             // nodes on this dead chain wait on wakeup requests instead).
             let dead_end = self.neighbor(node, d).is_none();
+            assert!(
+                !self.routers[u as usize].owns_downstream(port.index()),
+                "open wormhole from {u} across sleeping {node}"
+            );
             for flat in 0..self.cfg.total_vcs() {
                 let seed = if dead_end {
                     0
@@ -78,11 +81,6 @@ impl NetworkCore {
                 };
                 let r = &mut self.routers[u as usize];
                 let slot = r.slot(port.index(), flat);
-                assert_eq!(
-                    r.out_vc_state[slot],
-                    VcOwner::Free,
-                    "open wormhole from {u} across sleeping {node}"
-                );
                 r.out_credits[slot].set(seed);
             }
         }
@@ -130,14 +128,13 @@ impl NetworkCore {
                     cur = prev;
                 }
                 let port = Port::from_dir(d);
+                let r = &mut self.routers[u as usize];
+                assert!(
+                    !r.owns_downstream(port.index()),
+                    "open wormhole from {u} across waking {node}"
+                );
                 for flat in 0..self.cfg.total_vcs() {
-                    let r = &mut self.routers[u as usize];
                     let slot = r.slot(port.index(), flat);
-                    assert_eq!(
-                        r.out_vc_state[slot],
-                        VcOwner::Free,
-                        "open wormhole from {u} across waking {node}"
-                    );
                     r.out_credits[slot].set_full();
                 }
             }

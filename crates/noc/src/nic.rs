@@ -55,11 +55,6 @@ impl Nic {
         self.in_progress.iter().any(|s| s.is_some()) || self.queues.iter().any(|q| !q.is_empty())
     }
 
-    /// Total queued packets (not counting the ones mid-serialization).
-    pub fn queued_packets(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
     /// Accept one ejected flit; returns the completed packet record when the
     /// tail arrives. Panics on integrity violations — a corrupted or
     /// misdelivered flit invalidates the whole simulation.
@@ -101,11 +96,6 @@ impl Nic {
             None
         }
     }
-
-    /// Packets currently being reassembled (in-flight toward this NIC).
-    pub fn partial_rx(&self) -> usize {
-        self.rx.len()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +126,7 @@ mod tests {
                 assert_eq!(d.hops_router, 3);
             }
         }
-        assert_eq!(nic.partial_rx(), 0);
+        assert!(nic.rx.is_empty());
     }
 
     #[test]
@@ -193,7 +183,7 @@ mod tests {
         nic.enqueue(packet(1, 4));
         nic.enqueue(Packet { vnet: 1, ..packet(2, 4) });
         assert!(nic.pending());
-        assert_eq!(nic.queued_packets(), 2);
+        assert_eq!(nic.queues.iter().map(|q| q.len()).sum::<usize>(), 2);
         assert_eq!(FlitKind::of(0, 4), FlitKind::Head);
     }
 }

@@ -175,12 +175,6 @@ impl NetStats {
         }
     }
 
-    /// Enable the per-interval timeline with the given bucket width.
-    pub fn with_timeline(mut self, width: u64) -> NetStats {
-        self.interval_width = width;
-        self
-    }
-
     /// Record a delivered packet.
     pub fn record(&mut self, d: &DeliveredPacket) {
         if let Some(bucket) = d.eject.checked_div(self.interval_width) {
@@ -331,7 +325,7 @@ mod tests {
 
     #[test]
     fn timeline_buckets_by_ejection() {
-        let mut s = NetStats::new(1_000_000, 1).with_timeline(100);
+        let mut s = NetStats { interval_width: 100, ..NetStats::new(1_000_000, 1) };
         s.record(&delivered(0, 50));
         s.record(&delivered(0, 250));
         assert_eq!(s.timeline.len(), 3);
